@@ -294,8 +294,11 @@ class GF:
         if n == 0:
             return np.ones(a.shape, dtype=np.int64)
         if self.e == 1:
-            flat = [pow(int(x), n, self.p) for x in a.reshape(-1)]
-            return np.array(flat, dtype=np.int64).reshape(a.shape)
+            out, base = np.ones(a.shape, dtype=np.int64), a % self.p
+            while n:
+                out = self.mul(out, base) if n & 1 else out
+                base, n = self.mul(base, base), n >> 1
+            return out
         idx = (np.take(self._log, a, mode="clip") * (n % (self.q - 1))) % (self.q - 1)
         return np.where(a != 0, np.take(self._exp, idx), 0)
 

@@ -63,12 +63,15 @@ def rref(gf: GF, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of GF**n in canonical RREF form."""
+    """A subspace of GF**n in canonical RREF form, with a read-only basis."""
 
     gf: GF
     ambient_dim: int
     basis: np.ndarray = field(compare=False)  # (dim, ambient_dim), RREF
     pivots: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        self.basis.flags.writeable = False  # bases are shared, e.g. cached per algebra
 
     @property
     def dim(self) -> int:
@@ -110,7 +113,8 @@ def kernel(gf: GF, m: np.ndarray) -> Subspace:
     m = np.atleast_2d(np.asarray(m, dtype=np.int64))
     rows, n = m.shape
     r, pivots = rref(gf, m)
-    free = [c for c in range(n) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
     if not free:
         return zero_subspace(gf, n)
     basis = np.zeros((len(free), n), dtype=np.int64)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -340,6 +340,7 @@ class AlgebraTable:
     table: np.ndarray
     trivial_indices: tuple[int, ...]
     unit: np.ndarray
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # Z, K, soc
 
     @property
     def presentation(self) -> Presentation:
@@ -388,8 +389,8 @@ def build_table(rs: RewriteSystem) -> AlgebraTable:
     """Enumerate the basis and fill in structure constants, then audit them.
 
     The audit checks that relations vanish, the unit acts as identity,
-    multiplication is associative on all basis triples, and the basis is
-    factor closed; any failure raises ConsistencyFailure.
+    multiplication is associative (see _audit), and the basis is factor
+    closed; any failure raises ConsistencyFailure.  The table is read-only.
     """
     gf = rs.gf
     quiver = rs.quiver
@@ -422,27 +423,44 @@ def build_table(rs: RewriteSystem) -> AlgebraTable:
     unit = np.zeros(d, dtype=np.int64)
     unit[list(trivial_indices)] = 1
 
+    table.flags.writeable = False
     at = AlgebraTable(rs, basis, index, table, trivial_indices, unit)
     _audit(at)
     return at
 
 
 def _audit(at: AlgebraTable) -> None:
+    """Raise ConsistencyFailure unless relations vanish, the basis is prefix
+    and suffix closed, the trivial paths sum to a two-sided unit, the fold
+    identity z1 * s = z holds for every basis word z = z1 s ending in an
+    arrow s, and (b_i b_j) s = b_i (b_j s) for every s a trivial path or arrow.
+
+    The last two give (xy)z = x(yz) on all basis triples, by induction on
+    the length of z.  A trivial z is a generator.  For z = z1 s (z1 and s
+    basis words by prefix and suffix closure),
+    (xy)z = (xy)(z1 s) = ((xy)z1)s = (x(y z1))s = x((y z1)s) = x(y(z1 s)) = x(yz):
+    the fold identity gives the first and last steps, the induction
+    hypothesis the third, and the generator check (bilinear in x, y) the rest.
+    """
     gf, d, table = at.gf, at.dim, at.table
 
     for rel in at.presentation.relations:
         if at.rs.reduce({w: c for c, w in rel.terms}):
             raise ConsistencyFailure("a defining relation does not reduce to zero")
 
-    for w in at.basis:
+    eye = np.eye(d, dtype=np.int64)
+    for k, w in enumerate(at.basis):
         if w.arrows:
-            if PathWord(w.source, w.arrows[:-1]) not in at.index:
+            head = at.index.get(PathWord(w.source, w.arrows[:-1]))
+            if head is None:
                 raise ConsistencyFailure("basis is not prefix closed")
             tail = PathWord(at.quiver.a_target[w.arrows[0]], w.arrows[1:])
-            if tail not in at.index:
+            last = at.index.get(PathWord(at.quiver.a_source[w.arrows[-1]], w.arrows[-1:]))
+            if tail not in at.index or last is None:
                 raise ConsistencyFailure("basis is not suffix closed")
+            if not np.array_equal(table[head, last], eye[k]):
+                raise ConsistencyFailure(f"{at.word_name(k)} is not its prefix times its last arrow")
 
-    eye = np.eye(d, dtype=np.int64)
     left = np.zeros((d, d), dtype=np.int64)
     right = np.zeros((d, d), dtype=np.int64)
     for t in at.trivial_indices:
@@ -451,10 +469,10 @@ def _audit(at: AlgebraTable) -> None:
     if not (np.array_equal(left, eye) and np.array_equal(right, eye)):
         raise ConsistencyFailure("unit does not act as two-sided identity")
 
-    flat_r = table.reshape(d, d * d)  # [m, k*d+l] = table[m,k,l]
-    flat_l = table.reshape(d * d, d)  # [j*d+k, m] = table[j,k,m]
-    for i in range(d):
-        lhs = gf.matmul(table[i], flat_r)          # (b_i b_j) b_k, shape (d, d*d)
-        rhs = gf.matmul(flat_l, table[i])          # b_i (b_j b_k), shape (d*d, d)
-        if not np.array_equal(lhs.reshape(d, d, d), rhs.reshape(d, d, d)):
-            raise ConsistencyFailure(f"associativity fails for left factor {at.word_name(i)}")
+    pairs = table.reshape(d * d, d)                    # [i*d+j, m] = (b_i b_j)_m
+    rows = table.transpose(0, 2, 1).reshape(d * d, d)  # [i*d+l, m] = (b_i b_m)_l
+    for s in list(at.trivial_indices) + [at.index[w] for w in at.basis if len(w.arrows) == 1]:
+        lhs = gf.matmul(pairs, table[:, s, :]).reshape(d, d, d)   # (b_i b_j) s
+        rhs = gf.matmul(rows, table[:, s, :].T).reshape(d, d, d)  # b_i (b_j s) at [i, l, j]
+        if not np.array_equal(lhs, rhs.transpose(0, 2, 1)):
+            raise ConsistencyFailure(f"associativity fails against {at.word_name(s)}")

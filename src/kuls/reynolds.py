@@ -19,7 +19,7 @@ from .gf import GF
 from .linalg import (Subspace, contains, contains_subspace, frobenius_shift,
                      intersect, kernel, reduce_mod, row_space, solve)
 from .rewriting import AlgebraTable
-from .structure import center, commutator_space, multiply, power, socle
+from .structure import center, commutator_space, left_mult_matrix, multiply, power, socle
 
 __all__ = [
     "ReynoldsRow",
@@ -91,14 +91,6 @@ class XiMap:
         return gf.matmul(coeffs.reshape(1, -1), self.matrix)[0]
 
 
-def _power_matrix(at: AlgebraTable, n: int) -> np.ndarray:
-    """Row i is the coordinate vector of b_i**(p**n)."""
-    d = at.dim
-    m = at.gf.p ** n
-    eye = np.eye(d, dtype=np.int64)
-    return np.array([power(at, eye[i], m) for i in range(d)], dtype=np.int64)
-
-
 def kuelshammer_space(at: AlgebraTable, n: int) -> Subspace:
     """T_n(A) = {x : x**(p**n) in K(A)} by the semilinear-kernel method.
 
@@ -112,7 +104,7 @@ def kuelshammer_space(at: AlgebraTable, n: int) -> Subspace:
     k = commutator_space(at)
     if n == 0:
         return k
-    residues = reduce_mod(k, _power_matrix(at, n))
+    residues = reduce_mod(k, power(at, np.eye(at.dim, dtype=np.int64), at.gf.p ** n))
     twisted = kernel(at.gf, residues.T)
     return frobenius_shift(twisted, n, "inverse")
 
@@ -125,10 +117,11 @@ def _verified_perp(at: AlgebraTable, f: SymmetrizingForm, t: Subspace,
         raise InvariantViolation("T_n^perp is not contained in the center")
     if not contains_subspace(perp, soc_z):
         raise InvariantViolation("T_n^perp does not contain soc(A) intersect Z(A)")
-    for v in perp.basis:
-        for w in z.basis:
-            if not contains(perp, multiply(at, v, w)):
-                raise InvariantViolation("T_n^perp is not an ideal of the center")
+    d = at.dim
+    left = left_mult_matrix(at, perp.basis).transpose(1, 0, 2)  # [j, v] = v * b_j
+    prods = at.gf.matmul(z.basis, left.reshape(d, -1))          # [w, v*d + l] = (v * w)_l
+    if np.any(reduce_mod(perp, prods.reshape(-1, d))):
+        raise InvariantViolation("T_n^perp is not an ideal of the center")
     return perp
 
 
@@ -150,7 +143,7 @@ def xi_map(at: AlgebraTable, f: SymmetrizingForm, n: int) -> XiMap:
     d = at.dim
     z = center(at)
     g = f.gram
-    pmat = _power_matrix(at, n)
+    pmat = power(at, np.eye(d, dtype=np.int64), gf.p ** n)  # row i is b_i**(p**n)
     # rhs[j, i] = (z_j, b_i**(p**n)); take p**n-th roots entrywise, then
     # solve w @ G = root-row for each center basis vector.
     rhs = gf.matmul(gf.matmul(z.basis, g), pmat.T)

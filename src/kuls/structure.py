@@ -5,6 +5,7 @@ Elements are coordinate vectors over the table's monomial basis.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,26 +29,29 @@ __all__ = [
 
 def _as_vec(at: AlgebraTable, x) -> np.ndarray:
     v = np.asarray(x, dtype=np.int64)
-    if v.shape != (at.dim,):
-        raise DimensionMismatch(f"element has shape {v.shape}, expected ({at.dim},)")
+    if v.ndim not in (1, 2) or v.shape[-1] != at.dim:
+        raise DimensionMismatch(
+            f"element has shape {v.shape}, expected ({at.dim},) or (r, {at.dim})")
     return v
 
 
 def multiply(at: AlgebraTable, x, y) -> np.ndarray:
-    """Product of two coordinate vectors."""
+    """Product of two coordinate vectors, or row-wise products of two (r, d) stacks."""
     gf, d = at.gf, at.dim
     x = _as_vec(at, x)
     y = _as_vec(at, y)
-    m = gf.matmul(x.reshape(1, d), at.table.reshape(d, d * d)).reshape(d, d)
-    return gf.matmul(y.reshape(1, d), m).reshape(d)
+    if x.shape != y.shape:
+        raise DimensionMismatch(f"factors have shapes {x.shape} and {y.shape}")
+    terms = gf.mul(y.reshape(-1, d, 1), left_mult_matrix(at, x.reshape(-1, d)))  # y_j (x*b_j)
+    return functools.reduce(gf.add, terms.transpose(1, 0, 2)).reshape(x.shape)
 
 
 def power(at: AlgebraTable, x, k: int) -> np.ndarray:
-    """k-th power by binary exponentiation; x**0 is the unit."""
+    """k-th power by binary exponentiation, row-wise on a stack; x**0 is the unit."""
     if k < 0:
         raise ValueError("negative powers are undefined here")
-    acc = at.unit.copy()
     base = _as_vec(at, x)
+    acc = np.broadcast_to(at.unit, base.shape).copy()
     while k:
         if k & 1:
             acc = multiply(at, acc, base)
@@ -58,10 +62,11 @@ def power(at: AlgebraTable, x, k: int) -> np.ndarray:
 
 
 def left_mult_matrix(at: AlgebraTable, x) -> np.ndarray:
-    """Matrix of y -> x*y acting on row coordinate vectors: (x*b_j)_l."""
+    """Matrix of y -> x*y acting on row coordinate vectors: (x*b_j)_l; (r, d, d) for a stack."""
     d = at.dim
     x = _as_vec(at, x)
-    return at.gf.matmul(x.reshape(1, d), at.table.reshape(d, d * d)).reshape(d, d)
+    m = at.gf.matmul(x.reshape(-1, d), at.table.reshape(d, d * d))
+    return m.reshape(x.shape[:-1] + (d, d))
 
 
 def right_mult_matrix(at: AlgebraTable, x) -> np.ndarray:
@@ -69,7 +74,7 @@ def right_mult_matrix(at: AlgebraTable, x) -> np.ndarray:
     d = at.dim
     x = _as_vec(at, x)
     m = at.table.transpose(1, 0, 2).reshape(d, d * d)  # [j, i*d + l]
-    return at.gf.matmul(x.reshape(1, d), m).reshape(d, d)
+    return at.gf.matmul(x.reshape(-1, d), m).reshape(x.shape[:-1] + (d, d))
 
 
 def radical(at: AlgebraTable) -> Subspace:
@@ -94,6 +99,22 @@ def radical(at: AlgebraTable) -> Subspace:
     return rad
 
 
+def _cached(fn):
+    """Compute fn(at) once per table and keep it in at.cache."""
+    @functools.wraps(fn)
+    def cached(at: AlgebraTable):
+        if fn.__name__ not in at.cache:
+            at.cache[fn.__name__] = fn(at)
+        return at.cache[fn.__name__]
+    return cached
+
+
+def _generator_commutators(at: AlgebraTable) -> np.ndarray:
+    """c[g, i] = [b_i, s_g] = b_i*s_g - s_g*b_i for s_g each trivial path and arrow."""
+    gens = list(at.trivial_indices) + [at.index[w] for w in at.basis if len(w.arrows) == 1]
+    return at.gf.sub(at.table[:, gens, :].transpose(1, 0, 2), at.table[gens, :, :])
+
+
 @dataclass(frozen=True)
 class Socle:
     right: Subspace
@@ -104,32 +125,35 @@ class Socle:
         return self.right == self.left
 
 
+@_cached
 def socle(at: AlgebraTable) -> Socle:
     """Right and left socles: annihilators of the arrows on each side."""
     d = at.dim
     arrow_idx = [at.index[w] for w in at.basis if len(w.arrows) == 1]
-    if not arrow_idx:
-        full = row_space(at.gf, np.eye(d, dtype=np.int64), d)
-        return Socle(full, full)
-    right_cons = np.hstack([at.table[:, a, :] for a in arrow_idx])  # x @ C[:,a,:] = coords(x*b_a)
-    left_cons = np.hstack([at.table[a, :, :] for a in arrow_idx])   # x @ C[a,:,:] = coords(b_a*x)
+    right_cons = at.table[:, arrow_idx, :].reshape(d, -1)  # x @ C[:,a,:] = coords(x*b_a)
+    left_cons = at.table[arrow_idx].transpose(1, 0, 2).reshape(d, -1)  # x @ C[a] = coords(b_a*x)
     return Socle(kernel(at.gf, right_cons.T), kernel(at.gf, left_cons.T))
 
 
+@_cached
 def center(at: AlgebraTable) -> Subspace:
     """Elements commuting with every trivial path and arrow (hence with all of A)."""
     d = at.dim
-    gens = list(at.trivial_indices) + [at.index[w] for w in at.basis if len(w.arrows) == 1]
-    blocks = [at.gf.sub(at.table[:, g, :], at.table[g, :, :]) for g in gens]
-    z = kernel(at.gf, np.hstack(blocks).T) if blocks else row_space(
-        at.gf, np.eye(d, dtype=np.int64), d)
+    z = kernel(at.gf, _generator_commutators(at).transpose(0, 2, 1).reshape(-1, d))
     if not contains(z, at.unit):
         raise InvariantViolation("center does not contain the unit")
     return z
 
 
+@_cached
 def commutator_space(at: AlgebraTable) -> Subspace:
-    """Span of all commutators of basis elements, K(A)."""
+    """K(A), the span of all commutators, from the d*(|Q0|+|Q1|) rows [b, s].
+
+    Here b runs over the basis words and s over the trivial paths and
+    arrows.  These rows span every [x, c] for c a path, by induction on
+    the length of c: a trivial path is some s, and for c = c1*s with s an
+    arrow, [x, c1*s] = [x*c1, s] + [s*x, c1], where the first term is a
+    combination of rows and the second has a shorter path.  Paths span A.
+    """
     d = at.dim
-    diffs = at.gf.sub(at.table, at.table.transpose(1, 0, 2)).reshape(d * d, d)
-    return row_space(at.gf, diffs, d)
+    return row_space(at.gf, _generator_commutators(at).reshape(-1, d), d)

@@ -3,7 +3,29 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["path_quotient_dim", "rank_mod_p"]
+from kuls.linalg import row_space
+
+__all__ = ["path_quotient_dim", "rank_mod_p", "all_pairs_commutator_space", "is_associative"]
+
+
+def all_pairs_commutator_space(at):
+    """K(A) as the span of all d**2 commutators [b_i, b_j] of basis words."""
+    d = at.dim
+    diffs = at.gf.sub(at.table, at.table.transpose(1, 0, 2)).reshape(d * d, d)
+    return row_space(at.gf, diffs, d)
+
+
+def is_associative(at) -> bool:
+    """(b_i b_j) b_k == b_i (b_j b_k) on every basis triple of the table."""
+    gf, d, table = at.gf, at.dim, at.table
+    flat_r = table.reshape(d, d * d)  # [m, k*d+l] = table[m,k,l]
+    flat_l = table.reshape(d * d, d)  # [j*d+k, m] = table[j,k,m]
+    for i in range(d):
+        lhs = gf.matmul(table[i], flat_r)  # (b_i b_j) b_k, shape (d, d*d)
+        rhs = gf.matmul(flat_l, table[i])  # b_i (b_j b_k), shape (d*d, d)
+        if not np.array_equal(lhs.reshape(d, d, d), rhs.reshape(d, d, d)):
+            return False
+    return True
 
 
 def pivot_columns(rows, p: int) -> list[int]:

@@ -2,13 +2,17 @@
 from __future__ import annotations
 
 import json
+import sys
 
+import numpy as np
 import pytest
 
 from kuls import __version__
-from kuls import cli
+from kuls import cli, linalg, structure
 from kuls.cli import main
 from kuls.errors import ConsistencyFailure
+from kuls.families import FamilySpec, family
+from kuls.gf import GF
 from kuls.reynolds import kuelshammer_space
 
 DUAL = """algebra dual over GF(2) {
@@ -127,6 +131,35 @@ def test_invariants_consistent_form_fallback_note(capsys):
     assert ("note: 0/1 socle values are not symmetrizing here; "
             "using a solved consistent form") in captured.err
     assert "stabilized at n = 2" in captured.out
+
+
+def _spy(monkeypatch, fn, record):
+    """Route every binding of fn in the loaded kuls modules through record(args)."""
+    def spy(*args, **kwargs):
+        record(args)
+        return fn(*args, **kwargs)
+    for name, mod in list(sys.modules.items()):
+        if name == "kuls" or name.startswith("kuls."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, spy)
+
+
+@pytest.mark.parametrize("name,params,fallback", [("Omega", "n=3", False), ("D", "m=3", True)])
+def test_invariants_structure_space_costs(name, params, fallback, capsys, monkeypatch):
+    """commutator_space runs 1 + rows times (+1 for the consistent_form fallback),
+    the count perfbench/worker.py checks, and no elimination gets more than
+    d*(|Q0|+|Q1|) rows."""
+    k_calls, rref_rows = [], []
+    _spy(monkeypatch, structure.commutator_space, k_calls.append)
+    _spy(monkeypatch, linalg.rref, lambda args: rref_rows.append(np.atleast_2d(args[1]).shape[0]))
+    assert main(["invariants", "--family", name, "--params", params, "--char", "2", "--json"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert ("using a solved consistent form" in captured.err) == fallback
+    assert len(k_calls) == 1 + len(payload["reynolds"]) + fallback
+    quiver = family(FamilySpec(name, cli._parse_params(params), GF(2))).quiver
+    assert 0 < max(rref_rows) <= payload["dim"] * (len(quiver.vertices) + len(quiver.arrows))
 
 
 def test_invariants_custom_psi_matches_fallback(capsys):

@@ -7,9 +7,9 @@ import pytest
 from conftest import make_table
 from kuls import GF, build_table, complete, normal_form, parse_element, parse_presentation
 from kuls.errors import ConsistencyFailure, DegreeBoundExceeded, InfiniteDimensional
-from kuls.presentation import word_str
+from kuls.presentation import PathWord, word_str
 from kuls.rewriting import AlgebraTable, _audit, enumerate_basis
-from oracles import path_quotient_dim
+from oracles import is_associative, path_quotient_dim
 
 
 def truncated_polynomials(p, k):
@@ -124,6 +124,36 @@ def test_audit_catches_corrupted_structure_constants():
                        at.trivial_indices, at.unit)
     with pytest.raises(ConsistencyFailure):
         _audit(bad)
+
+
+@pytest.mark.parametrize("name,gf,params", [
+    ("Omega", 2, {"n": 2}),
+    ("D", 2, {"m": 2}),
+    ("Lambda", 2, {"m": 2}),
+    ("Tpq", 2, {"p": 1, "q": 1}),
+    ("N", 3, {"n": 2, "m": 1}),
+])
+def test_audit_catches_every_non_associative_corruption(name, gf, params):
+    """The generator and fold checks reject every table the all-triples oracle rejects."""
+    at = make_table(name, gf=gf, **params)
+    d, q = at.dim, at.gf.q
+    rng = np.random.default_rng(20050)
+    entries = [tuple(int(c) for c in rng.integers(0, d, size=3)) for _ in range(160)]
+    z = max(range(d), key=lambda k: len(at.basis[k].arrows))
+    word = at.basis[z]
+    head = at.index[PathWord(word.source, word.arrows[:-1])]
+    last = at.index[PathWord(at.quiver.a_source[word.arrows[-1]], word.arrows[-1:])]
+    entries.append((head, last, int(rng.integers(0, d))))  # a fold entry table[z', s]
+    rejected = 0
+    for i, j, m in entries:
+        bad_table = at.table.copy()
+        bad_table[i, j, m] = (bad_table[i, j, m] + int(rng.integers(1, q))) % q
+        bad = AlgebraTable(at.rs, at.basis, at.index, bad_table, at.trivial_indices, at.unit)
+        if not is_associative(bad) or (i, j) == (head, last):
+            with pytest.raises(ConsistencyFailure):
+                _audit(bad)
+            rejected += 1
+    assert rejected > len(entries) // 2
 
 
 def test_coords_rejects_non_basis_words():

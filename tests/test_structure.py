@@ -11,6 +11,7 @@ from kuls.errors import DimensionMismatch, NotNilpotent
 from kuls.linalg import contains, contains_subspace, intersect, subspace_sum
 from kuls.rewriting import AlgebraTable
 from kuls.structure import left_mult_matrix, multiply, power, right_mult_matrix
+from oracles import all_pairs_commutator_space
 
 
 @pytest.mark.parametrize("name,params,dims", [
@@ -147,3 +148,66 @@ def test_lattice_relations_between_subspaces():
     assert intersect(z, k).dim < min(z.dim, k.dim)
     assert subspace_sum(z, k).dim == z.dim + k.dim - intersect(z, k).dim
     assert contains_subspace(z, intersect(s.right, z))
+
+
+CATALOGUE = [
+    ("Omega", {"n": 2}),
+    ("A", {"p": 1, "q": 2}),
+    ("D", {"m": 2}),
+    ("Dprime", {"m": 2}),
+    ("Gamma", {"n": 1}),
+    ("Lambda", {"m": 2}),
+    ("Tpqr", {"p": 2, "q": 2, "r": 2}),
+    ("Tpq", {"p": 1, "q": 1}),
+    ("Tstar", {"r": 2}),
+    ("N", {"n": 2, "m": 1}),
+]
+
+
+@pytest.mark.parametrize("gf", [(2, 1), (3, 1), (2, 2), (3, 2)], ids=lambda f: f"GF{f[0]}^{f[1]}")
+@pytest.mark.parametrize("name,params", CATALOGUE, ids=[c[0] for c in CATALOGUE])
+def test_commutator_space_from_generators_matches_all_pairs(name, params, gf):
+    at = make_table(name, gf=gf, **params)
+    assert commutator_space(at) == all_pairs_commutator_space(at)
+
+
+def test_stacked_products_match_row_by_row():
+    at = make_table("Omega", gf=(3, 2), n=2)
+    rng = np.random.default_rng(7)
+    x = rng.integers(0, at.gf.q, size=(5, at.dim))
+    y = rng.integers(0, at.gf.q, size=(5, at.dim))
+    assert np.array_equal(multiply(at, x, y), [multiply(at, a, b) for a, b in zip(x, y)])
+    assert np.array_equal(power(at, x, 9), [power(at, a, 9) for a in x])
+    assert np.array_equal(left_mult_matrix(at, x), [left_mult_matrix(at, a) for a in x])
+    with pytest.raises(DimensionMismatch):
+        multiply(at, x, y[:3])
+
+
+def test_structure_spaces_are_computed_once_and_read_only():
+    at = make_table("Omega", n=2)
+    spaces = [center(at), commutator_space(at), socle(at).right, socle(at).left]
+    assert center(at) is spaces[0]
+    assert commutator_space(at) is spaces[1]
+    assert socle(at) is socle(at)
+    for space in spaces:
+        assert not space.basis.flags.writeable
+        with pytest.raises(ValueError):
+            space.basis[0, 0] = 1
+    assert not at.table.flags.writeable
+
+
+def test_table_over_a_corrupted_copy_gets_fresh_spaces():
+    # as in test_radical_rejects_group_like_tables: K[g]/(g**2) turned into K[Z/2]
+    at = build_table(complete(parse_presentation(
+        "algebra c2 over GF(2) {\n  vertices v;\n  arrows { g: v -> v; }\n"
+        "  relations { g*g; }\n}\n")))
+    soc = socle(at)
+    bad_table = at.table.copy()
+    bad_table[1, 1, 0] = 1
+    bad = AlgebraTable(at.rs, at.basis, at.index, bad_table,
+                       at.trivial_indices, at.unit)
+    assert bad.cache == {} and bad.cache is not at.cache
+    assert soc.right.dim == 1 and socle(bad).right.dim == 0  # g is a unit of K[Z/2]
+    assert socle(at) is soc
+    assert center(bad) is not center(at)
+    assert commutator_space(bad) is not commutator_space(at)

@@ -357,17 +357,19 @@ class GF:
         return int(self._exp[(-int(self._log[a])) % (self.q - 1)])
 
     def matmul(self, a, b):
+        """Matrix product; stacked operands broadcast over leading axes as with numpy @."""
         a = np.atleast_2d(np.asarray(a, dtype=np.int64))
         b = np.atleast_2d(np.asarray(b, dtype=np.int64))
         if self.e == 1:
-            inner = a.shape[1]
+            inner = a.shape[-1]
             # float64 dot stays exact while partial sums are below 2**53
             if inner * (self.p - 1) ** 2 < 2**53:
                 return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % self.p
             return (a @ b) % self.p
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-        for k in range(a.shape[1]):
-            out = self.add(out, self.mul(a[:, k:k + 1], b[k:k + 1, :]))
+        out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+                       + (a.shape[-2], b.shape[-1]), dtype=np.int64)
+        for k in range(a.shape[-1]):
+            out = self.add(out, self.mul(a[..., k:k + 1], b[..., k:k + 1, :]))
         return out
 
     def elements(self):

@@ -113,15 +113,12 @@ def kernel(gf: GF, m: np.ndarray) -> Subspace:
     m = np.atleast_2d(np.asarray(m, dtype=np.int64))
     rows, n = m.shape
     r, pivots = rref(gf, m)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
+    free = sorted(set(range(n)) - set(pivots))
     if not free:
         return zero_subspace(gf, n)
     basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for i, c in enumerate(pivots):
-            basis[k, c] = gf.neg(int(r[i, f]))
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = gf.neg(r[:len(pivots), free].T)  # x_c = -r[i, f] for pivot c of row i
     return row_space(gf, basis, n)
 
 

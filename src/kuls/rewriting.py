@@ -108,6 +108,19 @@ def _overlaps(u: tuple[int, ...], v: tuple[int, ...]):
             yield u[:len(u) - k], v[k:]
 
 
+def _s_poly(gf, quiver: Quiver, ru: Rule, rv: Rule, a: tuple, b: tuple) -> Poly:
+    """ru.tail*b - a*rv.tail for the ambiguity word W = ru.lead + b = a + rv.lead."""
+    src = quiver.a_source[a[0]] if a else ru.lead.source
+    poly: Poly = {}
+    for c, w in ru.tail:
+        nw = PathWord(src, w.arrows + b)
+        poly[nw] = gf.sadd(poly.get(nw, 0), c)
+    for c, w in rv.tail:
+        nw = PathWord(src, a + w.arrows)
+        poly[nw] = gf.sadd(poly.get(nw, 0), gf.sneg(c))
+    return {w: c for w, c in poly.items() if c}
+
+
 @dataclass(frozen=True)
 class RewriteSystem:
     presentation: Presentation
@@ -154,25 +167,11 @@ def complete(pres: Presentation, degree_bound: int = 50) -> RewriteSystem:
     def active_map() -> dict[PathWord, tuple]:
         return {r.lead: r.tail for r in rules.values()}
 
-    def s_poly(ru: Rule, rv: Rule, a: tuple, b: tuple) -> Poly:
-        # ambiguity word W = a + shared + b = ru.lead + b = a + rv.lead
-        src = quiver.a_source[a[0]] if a else ru.lead.source
-        poly: Poly = {}
-        for c, w in ru.tail:
-            nw = PathWord(src, w.arrows + b)
-            nc = gf.sadd(poly.get(nw, 0), c)
-            poly[nw] = nc
-        for c, w in rv.tail:
-            nw = PathWord(src, a + w.arrows)
-            nc = gf.sadd(poly.get(nw, 0), gf.sneg(c))
-            poly[nw] = nc
-        return {w: c for w, c in poly.items() if c}
-
     def enqueue(i: int, j: int):
         nonlocal tiebreak
         u, v = rules[i].lead.arrows, rules[j].lead.arrows
         for a, b in _overlaps(u, v):
-            deg = len(a) + len(u) - len(a) + len(b)  # |W| = |u| + |b|
+            deg = len(u) + len(b)  # length of the ambiguity word W = u + b
             if deg > degree_bound:
                 raise DegreeBoundExceeded(
                     f"overlap ambiguity of degree {deg} exceeds bound {degree_bound}")
@@ -203,7 +202,7 @@ def complete(pres: Presentation, degree_bound: int = 50) -> RewriteSystem:
         _, _, i, j, a, b = heapq.heappop(pairs)
         if i not in rules or j not in rules:
             continue
-        sp = _reduce(gf, s_poly(rules[i], rules[j], a, b), active_map())
+        sp = _reduce(gf, _s_poly(gf, quiver, rules[i], rules[j], a, b), active_map())
         if sp:
             pending.append(sp)
 
@@ -234,15 +233,7 @@ def _certify(rs: RewriteSystem) -> None:
     for ri in rs.rules:
         for rj in rs.rules:
             for a, b in _overlaps(ri.lead.arrows, rj.lead.arrows):
-                src = rs.quiver.a_source[a[0]] if a else ri.lead.source
-                poly: Poly = {}
-                for c, w in ri.tail:
-                    nw = PathWord(src, w.arrows + b)
-                    poly[nw] = gf.sadd(poly.get(nw, 0), c)
-                for c, w in rj.tail:
-                    nw = PathWord(src, a + w.arrows)
-                    poly[nw] = gf.sadd(poly.get(nw, 0), gf.sneg(c))
-                if _reduce(gf, poly, rmap):
+                if _reduce(gf, _s_poly(gf, rs.quiver, ri, rj, a, b), rmap):
                     raise ConsistencyFailure(
                         "unresolved overlap between "
                         f"{word_str(rs.quiver, ri.lead)} and {word_str(rs.quiver, rj.lead)}")
@@ -358,6 +349,11 @@ class AlgebraTable:
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def arrow_indices(self) -> list[int]:
+        """Basis indices of the arrows, in basis order."""
+        return [self.index[w] for w in self.basis if len(w.arrows) == 1]
+
     def word_name(self, i: int) -> str:
         return word_str(self.quiver, self.basis[i])
 
@@ -471,7 +467,7 @@ def _audit(at: AlgebraTable) -> None:
 
     pairs = table.reshape(d * d, d)                    # [i*d+j, m] = (b_i b_j)_m
     rows = table.transpose(0, 2, 1).reshape(d * d, d)  # [i*d+l, m] = (b_i b_m)_l
-    for s in list(at.trivial_indices) + [at.index[w] for w in at.basis if len(w.arrows) == 1]:
+    for s in list(at.trivial_indices) + at.arrow_indices:
         lhs = gf.matmul(pairs, table[:, s, :]).reshape(d, d, d)   # (b_i b_j) s
         rhs = gf.matmul(rows, table[:, s, :].T).reshape(d, d, d)  # b_i (b_j s) at [i, l, j]
         if not np.array_equal(lhs, rhs.transpose(0, 2, 1)):

@@ -19,7 +19,7 @@ from .gf import GF
 from .linalg import (Subspace, contains, contains_subspace, frobenius_shift,
                      intersect, kernel, reduce_mod, row_space, solve)
 from .rewriting import AlgebraTable
-from .structure import center, commutator_space, left_mult_matrix, multiply, power, socle
+from .structure import center, commutator_space, left_mult_matrix, power, socle
 
 __all__ = [
     "ReynoldsRow",
@@ -33,6 +33,8 @@ __all__ = [
     "compare",
     "brute_force_kuelshammer",
 ]
+
+BRUTE_FORCE_CHUNK = 4096  # elements per stacked power in brute_force_kuelshammer
 
 
 @dataclass(frozen=True)
@@ -228,31 +230,14 @@ def compare(a: ReynoldsReport, b: ReynoldsReport) -> Verdict:
     return Verdict("inconclusive")
 
 
-def _batch_multiply(at: AlgebraTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row r of the result is x[r] * y[r]."""
-    gf = at.gf
-    d = at.dim
-    if gf.e == 1:
-        left = (x @ at.table.reshape(d, d * d)) % gf.p
-        return np.einsum("rj,rjl->rl", y, left.reshape(-1, d, d)) % gf.p
-    return np.array([multiply(at, xi, yi) for xi, yi in zip(x, y)], dtype=np.int64)
-
-
-def _batch_power(at: AlgebraTable, x: np.ndarray, m: int) -> np.ndarray:
-    acc = np.tile(at.unit, (x.shape[0], 1))
-    base = x
-    while m:
-        if m & 1:
-            acc = _batch_multiply(at, acc, base)
-        m >>= 1
-        if m:
-            base = _batch_multiply(at, base, base)
-    return acc
-
-
 def brute_force_kuelshammer(at: AlgebraTable, n: int,
                             budget: int = 2**20) -> Subspace:
-    """T_n(A) by enumerating every element; independent check of kuelshammer_space."""
+    """T_n(A) by enumerating every element; independent check of kuelshammer_space.
+
+    Elements are raised to the p**n-th power through structure.power, the
+    same product path as the pipeline, in chunks of BRUTE_FORCE_CHUNK rows:
+    each stacked product holds a few (chunk, d*d) temporaries at a time.
+    """
     gf = at.gf
     d = at.dim
     total = gf.q ** d
@@ -263,11 +248,10 @@ def brute_force_kuelshammer(at: AlgebraTable, n: int,
     m = gf.p ** n
     span = row_space(gf, np.zeros((0, d), dtype=np.int64), d)
     weights = gf.q ** np.arange(d, dtype=np.int64)
-    chunk = 8192
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, BRUTE_FORCE_CHUNK):
+        idx = np.arange(start, min(start + BRUTE_FORCE_CHUNK, total), dtype=np.int64)
         vectors = (idx[:, None] // weights[None, :]) % gf.q
-        powers = _batch_power(at, vectors, m)
+        powers = power(at, vectors, m)
         mask = ~reduce_mod(k, powers).any(axis=1)
         if mask.any():
             span = row_space(gf, np.vstack([span.basis, vectors[mask]]), d)

@@ -36,14 +36,18 @@ def _as_vec(at: AlgebraTable, x) -> np.ndarray:
 
 
 def multiply(at: AlgebraTable, x, y) -> np.ndarray:
-    """Product of two coordinate vectors, or row-wise products of two (r, d) stacks."""
-    gf, d = at.gf, at.dim
+    """Product of two coordinate vectors, or row-wise products of two (r, d) stacks.
+
+    This is the one product path for elements: row r is y[r] against the
+    left multiplication matrix of x[r], one stacked gf.matmul for all rows.
+    """
+    d = at.dim
     x = _as_vec(at, x)
     y = _as_vec(at, y)
     if x.shape != y.shape:
         raise DimensionMismatch(f"factors have shapes {x.shape} and {y.shape}")
-    terms = gf.mul(y.reshape(-1, d, 1), left_mult_matrix(at, x.reshape(-1, d)))  # y_j (x*b_j)
-    return functools.reduce(gf.add, terms.transpose(1, 0, 2)).reshape(x.shape)
+    left = left_mult_matrix(at, x.reshape(-1, d))  # [r, j, l] = (x_r * b_j)_l
+    return at.gf.matmul(y.reshape(-1, 1, d), left).reshape(x.shape)
 
 
 def power(at: AlgebraTable, x, k: int) -> np.ndarray:
@@ -55,8 +59,7 @@ def power(at: AlgebraTable, x, k: int) -> np.ndarray:
     while k:
         if k & 1:
             acc = multiply(at, acc, base)
-        base_next = multiply(at, base, base) if k > 1 else base
-        base = base_next
+        base = multiply(at, base, base) if k > 1 else base
         k >>= 1
     return acc
 
@@ -87,14 +90,13 @@ def radical(at: AlgebraTable) -> Subspace:
     d = at.dim
     eye = np.eye(d, dtype=np.int64)
     rad = row_space(at.gf, eye[at.lengths() >= 1], d)
-    arrow_idx = [at.index[w] for w in at.basis if len(w.arrows) == 1]
+    right_arrows = at.table[:, at.arrow_indices, :].reshape(d, -1)  # [j, a*d + l] = (b_j b_a)_l
     t = row_space(at.gf, eye[at.lengths() == 1], d)
     steps = 1
     while t.dim:
         if steps > d:
             raise NotNilpotent("arrow products never die out; the relations are not admissible")
-        prods = [multiply(at, v, eye[a]) for v in t.basis for a in arrow_idx]
-        t = row_space(at.gf, np.array(prods).reshape(-1, d), d)
+        t = row_space(at.gf, at.gf.matmul(t.basis, right_arrows).reshape(-1, d), d)
         steps += 1
     return rad
 
@@ -111,7 +113,7 @@ def _cached(fn):
 
 def _generator_commutators(at: AlgebraTable) -> np.ndarray:
     """c[g, i] = [b_i, s_g] = b_i*s_g - s_g*b_i for s_g each trivial path and arrow."""
-    gens = list(at.trivial_indices) + [at.index[w] for w in at.basis if len(w.arrows) == 1]
+    gens = list(at.trivial_indices) + at.arrow_indices
     return at.gf.sub(at.table[:, gens, :].transpose(1, 0, 2), at.table[gens, :, :])
 
 
@@ -128,10 +130,9 @@ class Socle:
 @_cached
 def socle(at: AlgebraTable) -> Socle:
     """Right and left socles: annihilators of the arrows on each side."""
-    d = at.dim
-    arrow_idx = [at.index[w] for w in at.basis if len(w.arrows) == 1]
-    right_cons = at.table[:, arrow_idx, :].reshape(d, -1)  # x @ C[:,a,:] = coords(x*b_a)
-    left_cons = at.table[arrow_idx].transpose(1, 0, 2).reshape(d, -1)  # x @ C[a] = coords(b_a*x)
+    d, arrows = at.dim, at.arrow_indices
+    right_cons = at.table[:, arrows, :].reshape(d, -1)  # x @ C[:,a,:] = coords(x*b_a)
+    left_cons = at.table[arrows].transpose(1, 0, 2).reshape(d, -1)  # x @ C[a] = coords(b_a*x)
     return Socle(kernel(at.gf, right_cons.T), kernel(at.gf, left_cons.T))
 
 

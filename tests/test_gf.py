@@ -92,6 +92,12 @@ def test_matmul_matches_naive_triple_loop(p, e):
             for k in range(5):
                 acc = gf.sadd(acc, gf.smul(int(a[i, k]), int(b[k, j])))
             assert out[i, j] == acc
+    # stacked operands broadcast over the leading axis, as with numpy @
+    stack_a = rng.integers(0, gf.q, size=(3, 4, 5)).astype(np.int64)
+    stack_b = rng.integers(0, gf.q, size=(3, 5, 3)).astype(np.int64)
+    want = [gf.matmul(x, y) for x, y in zip(stack_a, stack_b)]
+    assert np.array_equal(gf.matmul(stack_a, stack_b), want)
+    assert np.array_equal(gf.matmul(stack_a, b), [gf.matmul(x, b) for x in stack_a])
 
 
 def test_large_prime_matmul_stays_exact():

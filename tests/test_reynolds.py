@@ -18,6 +18,7 @@ from kuls import (
     kuelshammer_space,
     orthogonal,
     parse_presentation,
+    reynolds,
     reynolds_ideal,
     reynolds_sequence,
     socle,
@@ -105,6 +106,13 @@ def test_max_n_must_be_positive():
 ])
 def test_brute_force_agrees_with_semilinear_kernel(name, params, gf):
     at = make_table(name, gf=gf, **params)
+    for n in (1, 2):
+        assert brute_force_kuelshammer(at, n) == kuelshammer_space(at, n)
+
+
+def test_brute_force_spans_several_chunks_over_an_extension_field(monkeypatch):
+    at = make_table("Omega", gf=(2, 2), n=1)  # 4**4 = 256 elements
+    monkeypatch.setattr(reynolds, "BRUTE_FORCE_CHUNK", 7)  # 37 chunks, the last one partial
     for n in (1, 2):
         assert brute_force_kuelshammer(at, n) == kuelshammer_space(at, n)
 

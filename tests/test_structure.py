@@ -172,15 +172,22 @@ def test_commutator_space_from_generators_matches_all_pairs(name, params, gf):
 
 
 def test_stacked_products_match_row_by_row():
-    at = make_table("Omega", gf=(3, 2), n=2)
-    rng = np.random.default_rng(7)
-    x = rng.integers(0, at.gf.q, size=(5, at.dim))
-    y = rng.integers(0, at.gf.q, size=(5, at.dim))
-    assert np.array_equal(multiply(at, x, y), [multiply(at, a, b) for a, b in zip(x, y)])
-    assert np.array_equal(power(at, x, 9), [power(at, a, 9) for a in x])
-    assert np.array_equal(left_mult_matrix(at, x), [left_mult_matrix(at, a) for a in x])
-    with pytest.raises(DimensionMismatch):
-        multiply(at, x, y[:3])
+    for field in [(3, 2), (3, 1)]:
+        at = make_table("Omega", gf=field, n=2)
+        gf, rng = at.gf, np.random.default_rng(7)
+        x = rng.integers(0, gf.q, size=(5, at.dim))
+        y = rng.integers(0, gf.q, size=(5, at.dim))
+        prods = multiply(at, x, y)
+        assert np.array_equal(prods, [multiply(at, a, b) for a, b in zip(x, y)])
+        for a, b, got in zip(x, y, prods):  # sum of a_i b_j (b_i b_j) straight from the table
+            want = np.zeros(at.dim, dtype=np.int64)
+            for i, j in np.ndindex(at.dim, at.dim):
+                want = gf.add(want, gf.mul(gf.smul(int(a[i]), int(b[j])), at.table[i, j]))
+            assert np.array_equal(got, want)
+        assert np.array_equal(power(at, x, 9), [power(at, a, 9) for a in x])
+        assert np.array_equal(left_mult_matrix(at, x), [left_mult_matrix(at, a) for a in x])
+        with pytest.raises(DimensionMismatch):
+            multiply(at, x, y[:3])
 
 
 def test_structure_spaces_are_computed_once_and_read_only():

@@ -5,9 +5,18 @@ the integer sum(c_i * p**i) with digits 0 <= c_i < p.  All operations
 accept plain ints or numpy int64 arrays and are vectorized: prime fields
 use modular ufuncs, extension fields use discrete log/exp tables (field
 size is capped at 2**16, so tables stay small).
+
+Matrix products are float64 matrix products, exact while every partial
+sum stays below 2**53, with an int64 fallback beyond that.  Over GF(p**e)
+each operand is split into its e base-p digit planes, a = sum A_i t**i
+with A_i over GF(p); the e*e plane products A_i @ B_j are folded back to
+digits through the digits of t**(i+j) mod the modulus (the M4RIE
+decomposition of Albrecht, arXiv:1111.6900), in blocks of output columns
+of at most MATMUL_BLOCK cells per temporary.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -17,6 +26,7 @@ from .errors import BadField
 __all__ = ["GF", "is_prime", "default_modulus"]
 
 MAX_FIELD_SIZE = 2**16
+MATMUL_BLOCK = 2**15  # cells per temporary of the extension-field matmul (see GF.matmul)
 
 
 def is_prime(n: int) -> bool:
@@ -222,14 +232,18 @@ class GF:
             log[x] = i
             x = self._raw_mul(x, gen)
         self._exp, self._log = exp, log
-        frob = np.zeros(q, dtype=np.int64)
-        for a in range(q):
-            x = a
-            for _ in range(p - 1):
-                x = self._raw_mul(x, a)
-            frob[a] = x
+        frob = np.take(exp, (log * p) % (q - 1))  # (g**i)**p = g**(i*p)
+        frob[0] = 0
         self._frob = frob
         self._frob_inv = np.argsort(frob).astype(np.int64)
+        weights = p ** np.arange(self.e, dtype=np.int64)
+        # row i of _digits holds digit i (the coefficient of t**i) of every
+        # element; q <= 2**16 and e >= 2 give p < 256, so digits fit uint8
+        self._digits = ((np.arange(q) // weights[:, None]) % p).astype(np.uint8)
+        # row i*e + j of _fold holds the digits of t**(i+j) reduced mod the modulus
+        self._fold = np.array([_decode(self.from_coeffs((0,) * (i + j) + (1,)), p, self.e)
+                               for i in range(self.e) for j in range(self.e)], dtype=np.int64)
+        self._neg = weights @ ((-self._digits.astype(np.int64)) % p)
 
     # -- scalar/array arithmetic --
 
@@ -250,15 +264,7 @@ class GF:
     def neg(self, a):
         if self.e == 1:
             return (-np.asarray(a, dtype=np.int64)) % self.p
-        if self.p == 2:
-            return np.asarray(a, dtype=np.int64)
-        a = np.asarray(a, dtype=np.int64)
-        out = np.zeros(a.shape, dtype=np.int64)
-        pk = 1
-        for _ in range(self.e):
-            out += ((self.p - (a // pk) % self.p) % self.p) * pk
-            pk *= self.p
-        return out
+        return np.take(self._neg, np.asarray(a, dtype=np.int64))
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -334,13 +340,7 @@ class GF:
     def sneg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
-        if self.p == 2:
-            return a
-        out, pk = 0, 1
-        for _ in range(self.e):
-            out += ((self.p - (a // pk) % self.p) % self.p) * pk
-            pk *= self.p
-        return out
+        return int(self._neg[a])
 
     def smul(self, a: int, b: int) -> int:
         if self.e == 1:
@@ -357,7 +357,21 @@ class GF:
         return int(self._exp[(-int(self._log[a])) % (self.q - 1)])
 
     def matmul(self, a, b):
-        """Matrix product; stacked operands broadcast over leading axes as with numpy @."""
+        """Matrix product; stacked operands broadcast over leading axes as with numpy @.
+
+        Over GF(p**e) with e >= 2, write a = sum A_i t**i and b = sum B_j t**j
+        with digit planes A_i, B_j over GF(p) (from the table _digits).  Then
+        digit l of a @ b is sum over (i, j) of fold[i*e + j, l] * (A_i @ B_j)
+        reduced mod p, where row i*e + j of the table _fold holds the digits
+        of t**(i+j) mod the modulus.  With inner dimension k each plane
+        product is at most k*(p-1)**2 and each folded digit sum at most
+        e*e*k*(p-1)**3, so the products run in float64 while that bound is
+        below 2**53 and in int64 beyond it.  The e*e plane products are one
+        stacked @ per block of output columns; a block holds as many columns
+        (at least one) as keep e*e * (stacked matrices) * max(rows, k) *
+        columns within MATMUL_BLOCK, so the temporaries of a stacked call
+        stay bounded too.
+        """
         a = np.atleast_2d(np.asarray(a, dtype=np.int64))
         b = np.atleast_2d(np.asarray(b, dtype=np.int64))
         if self.e == 1:
@@ -366,10 +380,22 @@ class GF:
             if inner * (self.p - 1) ** 2 < 2**53:
                 return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % self.p
             return (a @ b) % self.p
-        out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-                       + (a.shape[-2], b.shape[-1]), dtype=np.int64)
-        for k in range(a.shape[-1]):
-            out = self.add(out, self.mul(a[..., k:k + 1], b[..., k:k + 1, :]))
+        stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        # equal ranks, so the digit axes put in front of both operands line up
+        a, b = (x.reshape((1,) * (len(stack) + 2 - x.ndim) + x.shape) for x in (a, b))
+        (m, k), n = a.shape[-2:], b.shape[-1]
+        p, e = self.p, self.e
+        dtype = np.float64 if e * e * k * (p - 1) ** 3 < 2**53 else np.int64
+        planes_a = np.take(self._digits, a, axis=1).astype(dtype)[:, None]  # [i, 0, ...] = A_i
+        fold = self._fold.T.astype(dtype)
+        weights = p ** np.arange(e, dtype=np.int64)
+        out = np.empty(stack + (m, n), dtype=np.int64)
+        cols = max(1, MATMUL_BLOCK // max(1, e * e * math.prod(stack) * max(m, k)))
+        for c in range(0, n, cols):
+            planes_b = np.take(self._digits, b[..., c:c + cols], axis=1).astype(dtype)
+            prods = planes_a @ planes_b[None]  # [i, j, ...] = A_i @ B_j
+            coeffs = (fold @ prods.reshape(e * e, -1)).astype(np.int64) % p
+            out[..., c:c + cols] = (weights @ coeffs).reshape(prods.shape[2:])
         return out
 
     def elements(self):

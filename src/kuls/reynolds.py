@@ -17,9 +17,10 @@ from .errors import (BadParameters, BudgetExceeded, CharacteristicMismatch,
 from .form import SymmetrizingForm, orthogonal
 from .gf import GF
 from .linalg import (Subspace, contains, contains_subspace, frobenius_shift,
-                     intersect, kernel, reduce_mod, row_space, solve)
+                     kernel, reduce_mod, row_space, solve)
 from .rewriting import AlgebraTable
-from .structure import center, commutator_space, left_mult_matrix, power, socle
+from .structure import (center, commutator_space, left_mult_matrix, power, socle,
+                        socle_center)
 
 __all__ = [
     "ReynoldsRow",
@@ -129,9 +130,7 @@ def _verified_perp(at: AlgebraTable, f: SymmetrizingForm, t: Subspace,
 
 def reynolds_ideal(at: AlgebraTable, f: SymmetrizingForm, n: int) -> Subspace:
     """T_n(A)^perp, verified to be an ideal of Z(A) between soc(A) cap Z(A) and Z(A)."""
-    z = center(at)
-    s = socle(at)
-    return _verified_perp(at, f, kuelshammer_space(at, n), z, intersect(s.right, z))
+    return _verified_perp(at, f, kuelshammer_space(at, n), center(at), socle_center(at))
 
 
 def xi_map(at: AlgebraTable, f: SymmetrizingForm, n: int) -> XiMap:
@@ -178,7 +177,7 @@ def reynolds_sequence(at: AlgebraTable, f: SymmetrizingForm,
     s = socle(at)
     if not s.two_sided_equal:
         raise InvariantViolation("socle is one-sided although a form was validated")
-    soc_z = intersect(s.right, z)
+    soc_z = socle_center(at)
 
     t = kuelshammer_space(at, 0)
     if t != k:

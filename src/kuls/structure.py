@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, NotNilpotent
-from .linalg import Subspace, contains, kernel, row_space, zero_subspace
+from .linalg import Subspace, contains, intersect, kernel, row_space, zero_subspace
 from .rewriting import AlgebraTable
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "Socle",
     "socle",
     "center",
+    "socle_center",
     "commutator_space",
 ]
 
@@ -144,6 +145,12 @@ def center(at: AlgebraTable) -> Subspace:
     if not contains(z, at.unit):
         raise InvariantViolation("center does not contain the unit")
     return z
+
+
+@_cached
+def socle_center(at: AlgebraTable) -> Subspace:
+    """soc(A) intersect Z(A), from the right socle."""
+    return intersect(socle(at).right, center(at))
 
 
 @_cached

@@ -5,7 +5,23 @@ import numpy as np
 
 from kuls.linalg import row_space
 
-__all__ = ["path_quotient_dim", "rank_mod_p", "all_pairs_commutator_space", "is_associative"]
+__all__ = ["path_quotient_dim", "rank_mod_p", "all_pairs_commutator_space", "is_associative",
+           "naive_matmul"]
+
+
+def naive_matmul(gf, a, b) -> np.ndarray:
+    """gf.matmul's contract from scalar sadd/smul: broadcast stacks, 1-D operands as rows."""
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.broadcast_to(a, stack + a.shape[-2:])
+    b = np.broadcast_to(b, stack + b.shape[-2:])
+    out = np.zeros(stack + (a.shape[-2], b.shape[-1]), dtype=np.int64)
+    for *s, i, j in np.ndindex(out.shape):
+        acc = 0
+        for k in range(a.shape[-1]):
+            acc = gf.sadd(acc, gf.smul(int(a[(*s, i, k)]), int(b[(*s, k, j)])))
+        out[(*s, i, j)] = acc
+    return out
 
 
 def all_pairs_commutator_space(at):

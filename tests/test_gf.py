@@ -4,9 +4,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import kuls.gf as gf_module
 from kuls import GF
 from kuls.errors import BadField
 from kuls.gf import default_modulus, is_prime
+from oracles import naive_matmul
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2)]
 
@@ -79,25 +81,38 @@ def test_frobenius_is_identity_on_prime_fields():
     assert np.array_equal(gf.frob_inv(els, 3), els)
 
 
-@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (3, 2)])
-def test_matmul_matches_naive_triple_loop(p, e):
-    gf = GF(p, e)
+MATMUL_FIELDS = [(3, 1), (2, 2), (3, 2), (2, 3), (5, 2), (2, 8), (2, 16), (3, 2, (2, 1, 1))]
+
+
+@pytest.mark.parametrize("field", MATMUL_FIELDS,
+                         ids=lambda f: "-".join(str(x).replace(", ", "") for x in f))
+def test_matmul_matches_naive_triple_loop(field):
+    gf = GF(*field)
     rng = np.random.default_rng(7)
     a = rng.integers(0, gf.q, size=(4, 5)).astype(np.int64)
     b = rng.integers(0, gf.q, size=(5, 3)).astype(np.int64)
-    out = gf.matmul(a, b)
-    for i in range(4):
-        for j in range(3):
-            acc = 0
-            for k in range(5):
-                acc = gf.sadd(acc, gf.smul(int(a[i, k]), int(b[k, j])))
-            assert out[i, j] == acc
+    assert np.array_equal(gf.matmul(a, b), naive_matmul(gf, a, b))
     # stacked operands broadcast over the leading axis, as with numpy @
     stack_a = rng.integers(0, gf.q, size=(3, 4, 5)).astype(np.int64)
     stack_b = rng.integers(0, gf.q, size=(3, 5, 3)).astype(np.int64)
     want = [gf.matmul(x, y) for x, y in zip(stack_a, stack_b)]
     assert np.array_equal(gf.matmul(stack_a, stack_b), want)
     assert np.array_equal(gf.matmul(stack_a, b), [gf.matmul(x, b) for x in stack_a])
+    assert np.array_equal(gf.matmul(a[0], b), naive_matmul(gf, a[0], b))  # 1-D as a row
+
+
+def test_matmul_blocks_cover_every_column(monkeypatch):
+    # GF(9): a block holds 120 // (e*e * stacked * max(rows, k)) columns,
+    # 6 for the 2-D product and 2 for the stack of 3, so both end in a partial block
+    gf = GF(3, 2)
+    monkeypatch.setattr(gf_module, "MATMUL_BLOCK", 120)
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, gf.q, size=(4, 5)).astype(np.int64)
+    b = rng.integers(0, gf.q, size=(5, 7)).astype(np.int64)
+    assert np.array_equal(gf.matmul(a, b), naive_matmul(gf, a, b))
+    stack_a = rng.integers(0, gf.q, size=(3, 4, 5)).astype(np.int64)
+    stack_b = rng.integers(0, gf.q, size=(3, 5, 7)).astype(np.int64)
+    assert np.array_equal(gf.matmul(stack_a, stack_b), naive_matmul(gf, stack_a, stack_b))
 
 
 def test_large_prime_matmul_stays_exact():

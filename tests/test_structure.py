@@ -10,7 +10,8 @@ from kuls import build_table, complete
 from kuls.errors import DimensionMismatch, NotNilpotent
 from kuls.linalg import contains, contains_subspace, intersect, subspace_sum
 from kuls.rewriting import AlgebraTable
-from kuls.structure import left_mult_matrix, multiply, power, right_mult_matrix
+from kuls.structure import (left_mult_matrix, multiply, power, right_mult_matrix,
+                            socle_center)
 from oracles import all_pairs_commutator_space
 
 
@@ -192,10 +193,13 @@ def test_stacked_products_match_row_by_row():
 
 def test_structure_spaces_are_computed_once_and_read_only():
     at = make_table("Omega", n=2)
-    spaces = [center(at), commutator_space(at), socle(at).right, socle(at).left]
+    spaces = [center(at), commutator_space(at), socle(at).right, socle(at).left,
+              socle_center(at)]
     assert center(at) is spaces[0]
     assert commutator_space(at) is spaces[1]
     assert socle(at) is socle(at)
+    assert socle_center(at) is spaces[4]
+    assert spaces[4] == intersect(socle(at).right, center(at))
     for space in spaces:
         assert not space.basis.flags.writeable
         with pytest.raises(ValueError):
@@ -218,3 +222,4 @@ def test_table_over_a_corrupted_copy_gets_fresh_spaces():
     assert socle(at) is soc
     assert center(bad) is not center(at)
     assert commutator_space(bad) is not commutator_space(at)
+    assert socle_center(bad) is not socle_center(at)

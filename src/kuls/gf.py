@@ -224,19 +224,21 @@ class GF:
             return True
 
         gen = next(g for g in range(2, q) if order_ok(g))
-        exp = np.zeros(q - 1, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            log[x] = i
-            x = self._raw_mul(x, gen)
+        weights = p ** np.arange(self.e, dtype=np.int64)
+        # doubling: exp[k:2k] = exp[:k] * g**k, where multiplying by the fixed
+        # g**k maps digit vectors through the e x e matrix of rows g**k * t**j
+        exp = np.ones(1, dtype=np.int64)
+        while exp.size < q - 1:
+            gk = self._raw_mul(int(exp[-1]), gen)
+            times_gk = np.array([_decode(self._raw_mul(gk, int(w)), p, self.e) for w in weights])
+            exp = np.concatenate([exp, (((exp[:, None] // weights) % p) @ times_gk % p) @ weights])
+        exp = exp[:q - 1]
+        log = np.concatenate([[0], np.argsort(exp)])  # log[exp[i]] = i; log[0] is unused
         self._exp, self._log = exp, log
         frob = np.take(exp, (log * p) % (q - 1))  # (g**i)**p = g**(i*p)
         frob[0] = 0
         self._frob = frob
         self._frob_inv = np.argsort(frob).astype(np.int64)
-        weights = p ** np.arange(self.e, dtype=np.int64)
         # row i of _digits holds digit i (the coefficient of t**i) of every
         # element; q <= 2**16 and e >= 2 give p < 256, so digits fit uint8
         self._digits = ((np.arange(q) // weights[:, None]) % p).astype(np.uint8)

@@ -35,27 +35,31 @@ def rref(gf: GF, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Return (reduced row echelon form, pivot columns).
 
     Pivot choice is deterministic: first nonzero entry scanning rows top
-    to bottom in the current column, columns left to right.
+    to bottom in the current column, columns left to right.  A pivot at
+    (r, c) updates only the rows nonzero in column c, and only columns c
+    onward: a zero multiple of the pivot row changes nothing, and rows r
+    onward, the pivot row among them, are zero left of c (each earlier
+    column was cleared below its pivot, or had no pivot, being zero there).
     """
-    a = np.array(m, dtype=np.int64)
-    if a.ndim != 2:
-        a = np.atleast_2d(a)
+    a = np.atleast_2d(np.array(m, dtype=np.int64))
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        nz = np.flatnonzero(a[:, c])
+        below = nz[nz >= r]
+        if below.size == 0:
             continue
-        i = r + int(nz[0])
+        i = int(below[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        a[r] = gf.mul(a[r], gf.inv(a[r, c]))
-        others = gf.mul(a[:, c:c + 1], a[r:r + 1, :])
-        others[r] = 0
-        a = gf.sub(a, others)
+        if a[r, c] != 1:
+            a[r, c:] = gf.mul(a[r, c:], gf.sinv(int(a[r, c])))
+        hit = nz[nz != i]  # after the swap, row i holds the old row r, zero in column c
+        if hit.size:
+            a[hit, c:] = gf.sub(a[hit, c:], gf.mul(a[hit, c:c + 1], a[r, c:]))
         pivots.append(c)
         r += 1
     return a, pivots
@@ -89,15 +93,26 @@ class Subspace:
 
 
 def row_space(gf: GF, rows: np.ndarray, ambient_dim: int | None = None) -> Subspace:
-    """Canonicalize the span of the given row vectors."""
+    """Canonicalize the span of the given row vectors.
+
+    Rows are taken n at a time (n the ambient dimension) and reduced modulo
+    the span so far; rref runs on its basis stacked on the nonzero residues,
+    so no elimination sees more than 2n rows.
+    """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
     n = ambient_dim if ambient_dim is not None else rows.shape[1]
     if rows.size == 0:
         return zero_subspace(gf, n)
     if rows.shape[1] != n:
         raise DimensionMismatch(f"rows have {rows.shape[1]} columns, ambient is {n}")
-    r, pivots = rref(gf, rows)
-    return Subspace(gf, n, r[: len(pivots)].copy(), tuple(pivots))
+    span = zero_subspace(gf, n)
+    for start in range(0, rows.shape[0], n):
+        residues = reduce_mod(span, rows[start:start + n])
+        residues = residues[residues.any(axis=1)]
+        if residues.size:
+            r, pivots = rref(gf, np.vstack([span.basis, residues]))
+            span = Subspace(gf, n, r[: len(pivots)].copy(), tuple(pivots))
+    return span
 
 
 def zero_subspace(gf: GF, n: int) -> Subspace:
@@ -109,16 +124,14 @@ def full_space(gf: GF, n: int) -> Subspace:
 
 
 def kernel(gf: GF, m: np.ndarray) -> Subspace:
-    """Right null space {x : m @ x = 0} of an (r, n) matrix."""
+    """Right null space {x : m @ x = 0} of an (r, n) matrix, from the RREF of its row space."""
     m = np.atleast_2d(np.asarray(m, dtype=np.int64))
-    rows, n = m.shape
-    r, pivots = rref(gf, m)
-    free = sorted(set(range(n)) - set(pivots))
-    if not free:
-        return zero_subspace(gf, n)
+    n = m.shape[1]
+    rs = row_space(gf, m, n)
+    free = sorted(set(range(n)) - set(rs.pivots))
     basis = np.zeros((len(free), n), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = gf.neg(r[:len(pivots), free].T)  # x_c = -r[i, f] for pivot c of row i
+    basis[:, list(rs.pivots)] = gf.neg(rs.basis[:, free].T)  # x_c = -rs.basis[i, f], pivot c
     return row_space(gf, basis, n)
 
 

@@ -189,18 +189,6 @@ def validate(pres: Presentation, allow_disconnected: bool = False) -> list[Diagn
     return out
 
 
-def check_word(q: Quiver, word: PathWord, line: int = 0, col: int = 0) -> None:
-    """Raise for malformed programmatic path words."""
-    if word.source < 0 or word.source >= len(q.vertices):
-        raise UnknownName("path source vertex out of range", line, col)
-    if any(a < 0 or a >= len(q.arrows) for a in word.arrows):
-        raise UnknownName("arrow index out of range", line, col)
-    if word.arrows and q.a_source[word.arrows[0]] != word.source:
-        raise NonComposablePath("path source does not match first arrow", line, col)
-    if not q.composable(word.arrows):
-        raise NonComposablePath("consecutive arrows do not compose", line, col)
-
-
 def raise_first_error(diags: list[Diagnostic]) -> None:
     from .errors import DslSyntaxError
     for d in diags:

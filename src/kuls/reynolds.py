@@ -252,6 +252,7 @@ def brute_force_kuelshammer(at: AlgebraTable, n: int,
         vectors = (idx[:, None] // weights[None, :]) % gf.q
         powers = power(at, vectors, m)
         mask = ~reduce_mod(k, powers).any(axis=1)
-        if mask.any():
-            span = row_space(gf, np.vstack([span.basis, vectors[mask]]), d)
+        new = reduce_mod(span, vectors[mask])  # one product per chunk; row_space only if T_n grows
+        if new.any():
+            span = row_space(gf, np.vstack([span.basis, new]), d)
     return span

@@ -6,7 +6,7 @@ import numpy as np
 from kuls.linalg import row_space
 
 __all__ = ["path_quotient_dim", "rank_mod_p", "all_pairs_commutator_space", "is_associative",
-           "naive_matmul"]
+           "naive_matmul", "naive_rref"]
 
 
 def naive_matmul(gf, a, b) -> np.ndarray:
@@ -22,6 +22,32 @@ def naive_matmul(gf, a, b) -> np.ndarray:
             acc = gf.sadd(acc, gf.smul(int(a[(*s, i, k)]), int(b[(*s, k, j)])))
         out[(*s, i, j)] = acc
     return out
+
+
+def naive_rref(gf, rows) -> tuple[np.ndarray, list[int]]:
+    """linalg.rref's contract from scalar sadd/smul/sinv elimination over any GF.
+
+    Same pivot rule (first nonzero entry at or below the current row, columns
+    left to right) and the same row swaps, so the whole matrix, zero rows
+    included, must match, not only the pivot rows.
+    """
+    a = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+    m = [[int(x) for x in row] for row in a]
+    pivots = []
+    for col in range(a.shape[1]):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = gf.sinv(m[rank][col])
+        m[rank] = [gf.smul(inv, x) for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                factor = gf.sneg(m[r][col])
+                m[r] = [gf.sadd(x, gf.smul(factor, y)) for x, y in zip(m[r], m[rank])]
+        pivots.append(col)
+    return np.array(m, dtype=np.int64).reshape(a.shape), pivots
 
 
 def all_pairs_commutator_space(at):

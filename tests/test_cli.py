@@ -149,7 +149,7 @@ def _spy(monkeypatch, fn, record):
 def test_invariants_structure_space_costs(name, params, fallback, capsys, monkeypatch):
     """commutator_space runs 1 + rows times (+1 for the consistent_form fallback),
     the count perfbench/worker.py checks, and no elimination gets more than
-    d*(|Q0|+|Q1|) rows."""
+    d*(|Q0|+|Q1|) rows, nor more than 2*d, the bound of row_space's chunks."""
     k_calls, rref_rows = [], []
     _spy(monkeypatch, structure.commutator_space, k_calls.append)
     _spy(monkeypatch, linalg.rref, lambda args: rref_rows.append(np.atleast_2d(args[1]).shape[0]))
@@ -160,6 +160,7 @@ def test_invariants_structure_space_costs(name, params, fallback, capsys, monkey
     assert len(k_calls) == 1 + len(payload["reynolds"]) + fallback
     quiver = family(FamilySpec(name, cli._parse_params(params), GF(2))).quiver
     assert 0 < max(rref_rows) <= payload["dim"] * (len(quiver.vertices) + len(quiver.arrows))
+    assert max(rref_rows) <= 2 * payload["dim"]
 
 
 def test_invariants_custom_psi_matches_fallback(capsys):

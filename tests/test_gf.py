@@ -74,6 +74,16 @@ def test_frobenius_is_field_automorphism(p, e):
     assert np.array_equal(gf.frob(gf.frob(els), 1), gf.frob(els, 2))
 
 
+@pytest.mark.parametrize("p,e", [(2, 2), (3, 3), (2, 9), (7, 3), (251, 2), (2, 16), (3, 10)])
+def test_log_exp_tables_match_polynomial_multiplication(p, e):
+    """The exp table, filled by doubling, against tuple-polynomial products of random pairs."""
+    gf = GF(p, e)
+    assert sorted(gf._exp.tolist()) == list(range(1, gf.q))  # a generator's powers
+    assert np.array_equal(gf._exp[gf._log[1:]], np.arange(1, gf.q))
+    a, b = np.random.default_rng(p * e).integers(0, gf.q, size=(2, 300))
+    assert gf.mul(a, b).tolist() == [gf._raw_mul(int(x), int(y)) for x, y in zip(a, b)]
+
+
 def test_frobenius_is_identity_on_prime_fields():
     gf = GF(5)
     els = np.arange(5, dtype=np.int64)

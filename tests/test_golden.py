@@ -1,0 +1,37 @@
+"""Byte-identity of the benchmark's invariants ops with perfbench/expected.json.
+
+Every large-prime and ext-field pool op is replayed through kuls.cli.main
+and its stdout compared with the recorded one.  expected.json is only read.
+"""
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+import sys
+
+import pytest
+
+from kuls.cli import main
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def _load_pools():
+    path = os.path.join(PERFBENCH, "pools.py")
+    spec = importlib.util.spec_from_file_location("perfbench_pools", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+with open(os.path.join(PERFBENCH, "expected.json"), encoding="utf-8") as f:
+    EXPECTED = json.load(f)["ops"]
+OPS = [op for name in ("large-prime", "ext-field") for op in _load_pools().WORKLOADS[name].members]
+
+
+@pytest.mark.parametrize("op", OPS, ids=lambda op: op["key"])
+def test_pool_op_stdout_matches_expected(op, capsys):
+    assert main(op["argv"]) == 0
+    assert capsys.readouterr().out == EXPECTED[op["key"]]["stdout"]

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from kuls import GF, Subspace
+from kuls import GF, Subspace, linalg
 from kuls.errors import DimensionMismatch
 from kuls.linalg import (
     contains,
@@ -54,6 +54,27 @@ def test_rank_nullity(gf):
         assert rank + null.dim == 6
         if null.dim:
             assert not np.any(gf.matmul(m, null.basis.T))
+
+
+def test_row_space_and_kernel_hand_rref_at_most_2d_rows(monkeypatch):
+    """A (17*d, d) input reaches rref in chunks: never more than 2*d rows at once."""
+    gf, d = GF(3), 12
+    rng = np.random.default_rng(0)
+    m = rng.integers(1, 3, size=(17 * d, d)) * (rng.random((17 * d, d)) < 0.05)
+    seen = []
+    real_rref = linalg.rref
+
+    def spy(gf, a):
+        seen.append(len(a))
+        return real_rref(gf, a)
+
+    monkeypatch.setattr(linalg, "rref", spy)
+    span = row_space(gf, m)
+    assert len(seen) > 2 and max(seen) <= 2 * d  # residues arrive in several chunks
+    seen.clear()
+    null = kernel(gf, m)
+    assert len(seen) > 2 and max(seen) <= 2 * d
+    assert span.dim + null.dim == d and not np.any(gf.matmul(m, null.basis.T))
 
 
 def test_subspace_equality_is_independent_of_generators():

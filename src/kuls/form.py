@@ -15,6 +15,7 @@ from .errors import BadParameters, Degenerate, DimensionMismatch, NotSymmetric
 from .linalg import Subspace, contains, full_space, kernel, rref
 from .presentation import PathWord, word_str
 from .rewriting import AlgebraTable
+from .sparse import contract
 from .structure import commutator_space, socle
 
 __all__ = [
@@ -50,11 +51,17 @@ class SymmetrizingForm:
         return int(gf.matmul(row, np.asarray(y, dtype=np.int64).reshape(d, 1))[0, 0])
 
 
+def _gram(at: AlgebraTable, psi: np.ndarray) -> np.ndarray:
+    """gram[i, j] = psi(b_i * b_j): psi[m] * c summed over the stored constants (i, j, m, c)."""
+    d = at.dim
+    i, j, m, c = at.entries()
+    return contract(at.gf, [(psi.reshape(1, d), m)], c, i * d + j, d * d).reshape(d, d)
+
+
 def _build(at: AlgebraTable, psi: np.ndarray) -> SymmetrizingForm:
     """Contract psi against the structure constants and validate the Gram matrix."""
     gf = at.gf
-    d = at.dim
-    gram = gf.matmul(at.table.reshape(d * d, d), psi.reshape(d, 1)).reshape(d, d)
+    gram = _gram(at, psi)
     if not np.array_equal(gram, gram.T):
         i, j = np.argwhere(gram != gram.T)[0]
         raise NotSymmetric(

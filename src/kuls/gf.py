@@ -358,6 +358,23 @@ class GF:
             return pow(a, self.p - 2, self.p)
         return int(self._exp[(-int(self._log[a])) % (self.q - 1)])
 
+    def segment_sum(self, values, ids, size: int) -> np.ndarray:
+        """Field sums by segment: out[k] is the sum of values[ids == k], for
+        0 <= k < size; ids need not be sorted, and an empty segment sums to 0.
+
+        Over GF(p**e) the sum is taken digit by digit (each digit plane
+        summed, then reduced mod p), which is XOR for p = 2.  The float64
+        bincount is exact while a segment sum stays below 2**53: values are
+        below 2**16, so that holds for fewer than 2**37 values.
+        """
+        values = np.asarray(values, dtype=np.int64).ravel()
+        ids = np.asarray(ids, dtype=np.int64).ravel()
+        if self.e == 1:
+            return np.bincount(ids, weights=values, minlength=size).astype(np.int64) % self.p
+        sums = np.array([np.bincount(ids, weights=plane, minlength=size)
+                         for plane in np.take(self._digits, values, axis=1)])
+        return (self.p ** np.arange(self.e, dtype=np.int64)) @ (sums.astype(np.int64) % self.p)
+
     def matmul(self, a, b):
         """Matrix product; stacked operands broadcast over leading axes as with numpy @.
 

@@ -7,6 +7,7 @@ are equal entrywise.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ __all__ = [
     "Subspace",
     "rref",
     "kernel",
+    "annihilator",
     "row_space",
     "zero_subspace",
     "full_space",
@@ -92,26 +94,30 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, gf={self.gf!r})"
 
 
-def row_space(gf: GF, rows: np.ndarray, ambient_dim: int | None = None) -> Subspace:
-    """Canonicalize the span of the given row vectors.
+def row_space(gf: GF, rows, ambient_dim: int | None = None) -> Subspace:
+    """Canonicalize the span of the given row vectors: an (r, n) array, or
+    an iterator of (r_i, n) blocks, taken one at a time (ambient_dim given).
 
     Rows are taken n at a time (n the ambient dimension) and reduced modulo
     the span so far; rref runs on its basis stacked on the nonzero residues,
     so no elimination sees more than 2n rows.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-    n = ambient_dim if ambient_dim is not None else rows.shape[1]
-    if rows.size == 0:
-        return zero_subspace(gf, n)
-    if rows.shape[1] != n:
-        raise DimensionMismatch(f"rows have {rows.shape[1]} columns, ambient is {n}")
+    if isinstance(rows, Iterator):
+        blocks, n = rows, ambient_dim
+    else:
+        rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+        blocks, n = [rows], ambient_dim if ambient_dim is not None else rows.shape[1]
     span = zero_subspace(gf, n)
-    for start in range(0, rows.shape[0], n):
-        residues = reduce_mod(span, rows[start:start + n])
-        residues = residues[residues.any(axis=1)]
-        if residues.size:
-            r, pivots = rref(gf, np.vstack([span.basis, residues]))
-            span = Subspace(gf, n, r[: len(pivots)].copy(), tuple(pivots))
+    for block in blocks:
+        block = np.atleast_2d(np.asarray(block, dtype=np.int64))
+        if block.shape[1] != n:
+            raise DimensionMismatch(f"rows have {block.shape[1]} columns, ambient is {n}")
+        for start in range(0, block.shape[0], max(n, 1)):
+            residues = reduce_mod(span, block[start:start + n])
+            residues = residues[residues.any(axis=1)]
+            if residues.size:
+                r, pivots = rref(gf, np.vstack([span.basis, residues]))
+                span = Subspace(gf, n, r[: len(pivots)].copy(), tuple(pivots))
     return span
 
 
@@ -124,14 +130,17 @@ def full_space(gf: GF, n: int) -> Subspace:
 
 
 def kernel(gf: GF, m: np.ndarray) -> Subspace:
-    """Right null space {x : m @ x = 0} of an (r, n) matrix, from the RREF of its row space."""
-    m = np.atleast_2d(np.asarray(m, dtype=np.int64))
-    n = m.shape[1]
-    rs = row_space(gf, m, n)
-    free = sorted(set(range(n)) - set(rs.pivots))
+    """Right null space {x : m @ x = 0} of an (r, n) matrix."""
+    return annihilator(row_space(gf, m))
+
+
+def annihilator(s: Subspace) -> Subspace:
+    """{x : v @ x = 0 for every v in s}, read off the RREF basis of s."""
+    gf, n = s.gf, s.ambient_dim
+    free = sorted(set(range(n)) - set(s.pivots))
     basis = np.zeros((len(free), n), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    basis[:, list(rs.pivots)] = gf.neg(rs.basis[:, free].T)  # x_c = -rs.basis[i, f], pivot c
+    basis[:, list(s.pivots)] = gf.neg(s.basis[:, free].T)  # x_c = -s.basis[i, f], pivot c
     return row_space(gf, basis, n)
 
 

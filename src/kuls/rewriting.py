@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConsistencyFailure, DegreeBoundExceeded, InfiniteDimensional
 from .presentation import PathWord, Presentation, Quiver, word_str
+from .sparse import Csr, from_entries, from_sorted, product
 
 __all__ = [
     "Rule",
@@ -321,14 +322,16 @@ def enumerate_basis(rs: RewriteSystem) -> list[PathWord]:
 class AlgebraTable:
     """Structure constants of the quotient algebra on its monomial basis.
 
-    table[i, j, m] is the b_m coefficient of b_i * b_j.  The basis is
-    ordered trivial paths first, then deglex.
+    table is a (d*d, d) Csr whose row j*d + i holds the coordinates of
+    b_i * b_j, so rows j*d .. j*d + d - 1 are R_j, the matrix of right
+    multiplication by b_j.  The basis is ordered trivial paths first, then
+    deglex.
     """
 
     rs: RewriteSystem
     basis: tuple[PathWord, ...]
     index: dict[PathWord, int]
-    table: np.ndarray
+    table: Csr
     trivial_indices: tuple[int, ...]
     unit: np.ndarray
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # Z, K, soc
@@ -372,6 +375,21 @@ class AlgebraTable:
     def lengths(self) -> np.ndarray:
         return np.array([len(w.arrows) for w in self.basis], dtype=np.int64)
 
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, m, c) over the stored constants: c is the b_m coefficient of b_i * b_j."""
+        j, i = np.divmod(self.table.rows, self.dim)
+        return i, j, self.table.indices, self.table.data
+
+    def right(self, s: int) -> Csr:
+        """R_s, the right multiplication by b_s: row i holds b_i * b_s."""
+        return self.table.row_block(s * self.dim, (s + 1) * self.dim)
+
+    def left(self, s: int) -> Csr:
+        """L_s, the left multiplication by b_s: row j holds b_s * b_j."""
+        i, j, m, c = self.entries()
+        mine = i == s  # stored in (j, i, m) order, so these are in (j, m) order
+        return from_sorted((self.dim, self.dim), j[mine], m[mine], c[mine])
+
 
 def normal_form(table: AlgebraTable, element) -> np.ndarray:
     """Coordinates of an element given as DSL expression text or a {word: coeff} dict."""
@@ -384,6 +402,11 @@ def normal_form(table: AlgebraTable, element) -> np.ndarray:
 def build_table(rs: RewriteSystem) -> AlgebraTable:
     """Enumerate the basis and fill in structure constants, then audit them.
 
+    Only the products b_i * s with s an arrow are rewritten (d*|Q1| of
+    them); R_e for a trivial path e is read off the path targets.  Every
+    longer basis word w*s (s its last arrow) then gets R_(w*s) = R_w @ R_s,
+    since b_i*(w*s) = (b_i*w)*s, with R_w filled earlier: normal words are
+    prefix closed and the basis is deglex ordered (Bergman's diamond lemma).
     The audit checks that relations vanish, the unit acts as identity,
     multiplication is associative (see _audit), and the basis is factor
     closed; any failure raises ConsistencyFailure.  The table is read-only.
@@ -393,33 +416,41 @@ def build_table(rs: RewriteSystem) -> AlgebraTable:
     basis = tuple(enumerate_basis(rs))
     index = {w: i for i, w in enumerate(basis)}
     d = len(basis)
-    table = np.zeros((d, d, d), dtype=np.int64)
     rmap = rs.rule_map()
 
-    targets = [quiver.path_target(w) for w in basis]
-    for i, u in enumerate(basis):
-        for j, v in enumerate(basis):
-            if targets[i] != v.source:
-                continue
-            if u.is_trivial:
-                table[i, j, j] = 1
-                continue
-            if v.is_trivial:
-                table[i, j, i] = 1
-                continue
-            prod = _reduce(gf, {PathWord(u.source, u.arrows + v.arrows): 1}, rmap)
-            for w, c in prod.items():
-                m = index.get(w)
+    targets = np.array([quiver.path_target(w) for w in basis], dtype=np.int64)
+    blocks: list[Csr] = []  # blocks[j] = R_j
+    for w in basis:
+        if len(w.arrows) > 1:
+            head = index.get(PathWord(w.source, w.arrows[:-1]))
+            last = index.get(PathWord(quiver.a_source[w.arrows[-1]], w.arrows[-1:]))
+            if head is None or last is None:
+                raise ConsistencyFailure("basis is not factor closed")
+            blocks.append(product(gf, blocks[head], blocks[last]))
+            continue
+        rows, cols, vals = [], [], []
+        for i in np.flatnonzero(targets == w.source):
+            u = basis[i]
+            prod = (_reduce(gf, {PathWord(u.source, u.arrows + w.arrows): 1}, rmap)
+                    if u.arrows and w.arrows else {u if w.is_trivial else w: 1})
+            for v, c in prod.items():
+                m = index.get(v)
                 if m is None:
                     raise ConsistencyFailure(
-                        f"product reduced to non-basis word {word_str(quiver, w)}")
-                table[i, j, m] = c
+                        f"product reduced to non-basis word {word_str(quiver, v)}")
+                rows.append(i)
+                cols.append(m)
+                vals.append(c)
+        blocks.append(from_entries(gf, (d, d), rows, cols, vals))
 
     trivial_indices = tuple(index[PathWord(v, ())] for v in range(len(quiver.vertices)))
     unit = np.zeros(d, dtype=np.int64)
     unit[list(trivial_indices)] = 1
 
-    table.flags.writeable = False
+    table = from_entries(gf, (d * d, d),
+                         np.concatenate([b.rows + j * d for j, b in enumerate(blocks)]),
+                         np.concatenate([b.indices for b in blocks]),
+                         np.concatenate([b.data for b in blocks]))
     at = AlgebraTable(rs, basis, index, table, trivial_indices, unit)
     _audit(at)
     return at
@@ -437,6 +468,10 @@ def _audit(at: AlgebraTable) -> None:
     (xy)z = (xy)(z1 s) = ((xy)z1)s = (x(y z1))s = x((y z1)s) = x(y(z1 s)) = x(yz):
     the fold identity gives the first and last steps, the induction
     hypothesis the third, and the generator check (bilinear in x, y) the rest.
+
+    Each check compares canonical Csr against R_s: over the pairs (i, j),
+    (b_i b_j) s is the table times R_s, and b_i (b_j s) is R_s times the
+    table read as (d, d*d), row l holding every b_i b_l.
     """
     gf, d, table = at.gf, at.dim, at.table
 
@@ -444,7 +479,6 @@ def _audit(at: AlgebraTable) -> None:
         if at.rs.reduce({w: c for c, w in rel.terms}):
             raise ConsistencyFailure("a defining relation does not reduce to zero")
 
-    eye = np.eye(d, dtype=np.int64)
     for k, w in enumerate(at.basis):
         if w.arrows:
             head = at.index.get(PathWord(w.source, w.arrows[:-1]))
@@ -454,21 +488,22 @@ def _audit(at: AlgebraTable) -> None:
             last = at.index.get(PathWord(at.quiver.a_source[w.arrows[-1]], w.arrows[-1:]))
             if tail not in at.index or last is None:
                 raise ConsistencyFailure("basis is not suffix closed")
-            if not np.array_equal(table[head, last], eye[k]):
+            row = table.row_block(last * d + head, last * d + head + 1)
+            if row.indices.tolist() != [k] or row.data.tolist() != [1]:
                 raise ConsistencyFailure(f"{at.word_name(k)} is not its prefix times its last arrow")
 
-    left = np.zeros((d, d), dtype=np.int64)
-    right = np.zeros((d, d), dtype=np.int64)
-    for t in at.trivial_indices:
-        left = gf.add(left, table[t, :, :])
-        right = gf.add(right, table[:, t, :])
-    if not (np.array_equal(left, eye) and np.array_equal(right, eye)):
+    i, j, m, c = at.entries()
+    eye = from_entries(gf, (d, d), np.arange(d), np.arange(d), np.ones(d, dtype=np.int64))
+    trivial = np.isin(np.arange(d), at.trivial_indices)
+    left = from_entries(gf, (d, d), j[trivial[i]], m[trivial[i]], c[trivial[i]])
+    right = from_entries(gf, (d, d), i[trivial[j]], m[trivial[j]], c[trivial[j]])
+    if left != eye or right != eye:
         raise ConsistencyFailure("unit does not act as two-sided identity")
 
-    pairs = table.reshape(d * d, d)                    # [i*d+j, m] = (b_i b_j)_m
-    rows = table.transpose(0, 2, 1).reshape(d * d, d)  # [i*d+l, m] = (b_i b_m)_l
+    by_right = table.reshape((d, d * d))  # row l: b_i b_l at column i*d + m
     for s in list(at.trivial_indices) + at.arrow_indices:
-        lhs = gf.matmul(pairs, table[:, s, :]).reshape(d, d, d)   # (b_i b_j) s
-        rhs = gf.matmul(rows, table[:, s, :].T).reshape(d, d, d)  # b_i (b_j s) at [i, l, j]
-        if not np.array_equal(lhs, rhs.transpose(0, 2, 1)):
+        r_s = at.right(s)
+        lhs = product(gf, table, r_s)                              # (b_i b_j) s at row j*d + i
+        rhs = product(gf, r_s, by_right).reshape((d * d, d))       # b_i (b_j s) at row j*d + i
+        if lhs != rhs:
             raise ConsistencyFailure(f"associativity fails against {at.word_name(s)}")

@@ -1,0 +1,113 @@
+"""Sparse matrices over GF(p**e) in CSR form, and their one product kernel.
+
+A Csr holds the nonzero entries of a (rows, cols) matrix row by row: row r
+has the columns indices[indptr[r]:indptr[r + 1]], strictly increasing, and
+their encoded field values in data, none of them zero.  This form is
+canonical, so two Csr are equal iff their arrays are.  scipy.sparse is not
+used: its arithmetic is not GF(p**e) arithmetic.
+
+Every product is a join on the shared index followed by one field segment
+sum (GF.segment_sum) of the joined products by output cell: `product`
+joins two Csr, `contract` joins the columns of dense stacked rows.
+"""
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+
+import numpy as np
+
+__all__ = ["Csr", "SPARSE_BLOCK", "from_sorted", "from_entries", "product", "contract"]
+
+SPARSE_BLOCK = 2**20  # joined entries per temporary of contract
+
+
+@dataclass(eq=False)
+class Csr:
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.indptr, self.indices, self.data):
+            a.flags.writeable = False  # tables are shared, e.g. across cached spaces
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """Row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr))
+
+    def __eq__(self, other):
+        return (isinstance(other, Csr) and tuple(self.shape) == tuple(other.shape)
+                and all(np.array_equal(a, b) for a, b in
+                        zip((self.indptr, self.indices, self.data),
+                            (other.indptr, other.indices, other.data))))
+
+    __hash__ = None
+
+    def row_block(self, start: int, stop: int) -> Csr:
+        """Rows start .. stop - 1 as a (stop - start, cols) matrix."""
+        lo, hi = self.indptr[start], self.indptr[stop]
+        return Csr((stop - start, self.shape[1]), self.indptr[start:stop + 1] - lo,
+                   self.indices[lo:hi], self.data[lo:hi])
+
+    def reshape(self, shape: tuple[int, int]) -> Csr:
+        """The same entries in row-major order read as a matrix of another shape."""
+        flat = self.rows * self.shape[1] + self.indices
+        return from_sorted(shape, flat // shape[1], flat % shape[1], self.data)
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=np.int64)
+        out[self.rows, self.indices] = self.data
+        return out
+
+
+def from_sorted(shape, rows, cols, vals) -> Csr:
+    """The Csr of entries given in row-major order, without duplicates or zeros."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return Csr(tuple(shape), indptr, np.asarray(cols, dtype=np.int64),
+               np.asarray(vals, dtype=np.int64))
+
+
+def from_entries(gf, shape, rows, cols, vals) -> Csr:
+    """The canonical Csr of the sum of vals[e] at (rows[e], cols[e]): entries
+    at one cell are summed in the field, and zero sums are dropped."""
+    cells, ids = np.unique(np.asarray(rows, dtype=np.int64) * shape[1]
+                           + np.asarray(cols, dtype=np.int64), return_inverse=True)
+    sums = gf.segment_sum(vals, ids, cells.size)
+    keep = sums != 0
+    return from_sorted(shape, cells[keep] // shape[1], cells[keep] % shape[1], sums[keep])
+
+
+def product(gf, a: Csr, b: Csr) -> Csr:
+    """a @ b: entry (r, k) of a joins every entry of row k of b."""
+    starts = b.indptr[a.indices]
+    counts = b.indptr[a.indices + 1] - starts
+    left = np.repeat(np.arange(a.data.size), counts)
+    # position within b of the t-th joined entry of a's entry e: starts[e] + t
+    pos = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(left.size)
+    return from_entries(gf, (a.shape[0], b.shape[1]), a.rows[left], b.indices[pos],
+                        gf.mul(a.data[left], b.data[pos]))
+
+
+def contract(gf, factors, data, ids, size: int) -> np.ndarray:
+    """Row-wise sums over entries: out[r, k] is the sum, over the entries e
+    with ids[e] == k, of data[e] times x[r, cols[e]] for every (x, cols) in
+    factors.  Each x is an (r, n) stack of dense rows; the gather x[:, cols]
+    is the join on the shared index.  Rows go in chunks that keep
+    rows * entries within SPARSE_BLOCK.
+    """
+    data = np.asarray(data, dtype=np.int64)
+    r = factors[0][0].shape[0]
+    out = np.empty((r, size), dtype=np.int64)
+    step = max(1, SPARSE_BLOCK // max(1, data.size))
+    for lo in range(0, r, step):
+        hi = min(lo + step, r)
+        vals = data
+        for x, cols in factors:
+            vals = gf.mul(vals, x[lo:hi, cols])
+        cells = ids + size * np.arange(hi - lo, dtype=np.int64)[:, None]
+        out[lo:hi] = gf.segment_sum(vals, cells, (hi - lo) * size).reshape(hi - lo, size)
+    return out

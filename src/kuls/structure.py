@@ -11,8 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, NotNilpotent
-from .linalg import Subspace, contains, intersect, kernel, row_space, zero_subspace
+from .linalg import Subspace, annihilator, contains, intersect, row_space
 from .rewriting import AlgebraTable
+from .sparse import contract
 
 __all__ = [
     "multiply",
@@ -39,16 +40,17 @@ def _as_vec(at: AlgebraTable, x) -> np.ndarray:
 def multiply(at: AlgebraTable, x, y) -> np.ndarray:
     """Product of two coordinate vectors, or row-wise products of two (r, d) stacks.
 
-    This is the one product path for elements: row r is y[r] against the
-    left multiplication matrix of x[r], one stacked gf.matmul for all rows.
+    This is the one product path for elements: row r sums x[r, i] y[r, j] c
+    into coordinate m over the stored constants (i, j, m, c) of the table.
     """
     d = at.dim
     x = _as_vec(at, x)
     y = _as_vec(at, y)
     if x.shape != y.shape:
         raise DimensionMismatch(f"factors have shapes {x.shape} and {y.shape}")
-    left = left_mult_matrix(at, x.reshape(-1, d))  # [r, j, l] = (x_r * b_j)_l
-    return at.gf.matmul(y.reshape(-1, 1, d), left).reshape(x.shape)
+    i, j, m, c = at.entries()
+    out = contract(at.gf, [(x.reshape(-1, d), i), (y.reshape(-1, d), j)], c, m, d)
+    return out.reshape(x.shape)
 
 
 def power(at: AlgebraTable, x, k: int) -> np.ndarray:
@@ -69,16 +71,18 @@ def left_mult_matrix(at: AlgebraTable, x) -> np.ndarray:
     """Matrix of y -> x*y acting on row coordinate vectors: (x*b_j)_l; (r, d, d) for a stack."""
     d = at.dim
     x = _as_vec(at, x)
-    m = at.gf.matmul(x.reshape(-1, d), at.table.reshape(d, d * d))
-    return m.reshape(x.shape[:-1] + (d, d))
+    i, j, m, c = at.entries()
+    out = contract(at.gf, [(x.reshape(-1, d), i)], c, j * d + m, d * d)
+    return out.reshape(x.shape[:-1] + (d, d))
 
 
 def right_mult_matrix(at: AlgebraTable, x) -> np.ndarray:
     """Matrix of y -> y*x: rows are (b_i*x)_l."""
     d = at.dim
     x = _as_vec(at, x)
-    m = at.table.transpose(1, 0, 2).reshape(d, d * d)  # [j, i*d + l]
-    return at.gf.matmul(x.reshape(-1, d), m).reshape(x.shape[:-1] + (d, d))
+    i, j, m, c = at.entries()
+    out = contract(at.gf, [(x.reshape(-1, d), j)], c, i * d + m, d * d)
+    return out.reshape(x.shape[:-1] + (d, d))
 
 
 def radical(at: AlgebraTable) -> Subspace:
@@ -91,13 +95,14 @@ def radical(at: AlgebraTable) -> Subspace:
     d = at.dim
     eye = np.eye(d, dtype=np.int64)
     rad = row_space(at.gf, eye[at.lengths() >= 1], d)
-    right_arrows = at.table[:, at.arrow_indices, :].reshape(d, -1)  # [j, a*d + l] = (b_j b_a)_l
+    arrows = [at.right(a) for a in at.arrow_indices]
     t = row_space(at.gf, eye[at.lengths() == 1], d)
     steps = 1
     while t.dim:
         if steps > d:
             raise NotNilpotent("arrow products never die out; the relations are not admissible")
-        t = row_space(at.gf, at.gf.matmul(t.basis, right_arrows).reshape(-1, d), d)
+        t = row_space(at.gf, (contract(at.gf, [(t.basis, r.rows)], r.data, r.indices, d)
+                              for r in arrows), d)
         steps += 1
     return rad
 
@@ -112,10 +117,11 @@ def _cached(fn):
     return cached
 
 
-def _generator_commutators(at: AlgebraTable) -> np.ndarray:
-    """c[g, i] = [b_i, s_g] = b_i*s_g - s_g*b_i for s_g each trivial path and arrow."""
-    gens = list(at.trivial_indices) + at.arrow_indices
-    return at.gf.sub(at.table[:, gens, :].transpose(1, 0, 2), at.table[gens, :, :])
+def _generator_commutators(at: AlgebraTable):
+    """Yield, for s each trivial path and arrow, the (d, d) block of rows
+    [b_i, s] = b_i*s - s*b_i, which is R_s - L_s."""
+    for s in list(at.trivial_indices) + at.arrow_indices:
+        yield at.gf.sub(at.right(s).to_dense(), at.left(s).to_dense())
 
 
 @dataclass(frozen=True)
@@ -132,16 +138,15 @@ class Socle:
 def socle(at: AlgebraTable) -> Socle:
     """Right and left socles: annihilators of the arrows on each side."""
     d, arrows = at.dim, at.arrow_indices
-    right_cons = at.table[:, arrows, :].reshape(d, -1)  # x @ C[:,a,:] = coords(x*b_a)
-    left_cons = at.table[arrows].transpose(1, 0, 2).reshape(d, -1)  # x @ C[a] = coords(b_a*x)
-    return Socle(kernel(at.gf, right_cons.T), kernel(at.gf, left_cons.T))
+    right = row_space(at.gf, (at.right(a).to_dense().T for a in arrows), d)  # x*b_a = x @ R_a
+    left = row_space(at.gf, (at.left(a).to_dense().T for a in arrows), d)    # b_a*x = x @ L_a
+    return Socle(annihilator(right), annihilator(left))
 
 
 @_cached
 def center(at: AlgebraTable) -> Subspace:
     """Elements commuting with every trivial path and arrow (hence with all of A)."""
-    d = at.dim
-    z = kernel(at.gf, _generator_commutators(at).transpose(0, 2, 1).reshape(-1, d))
+    z = annihilator(row_space(at.gf, (c.T for c in _generator_commutators(at)), at.dim))
     if not contains(z, at.unit):
         raise InvariantViolation("center does not contain the unit")
     return z
@@ -162,6 +167,7 @@ def commutator_space(at: AlgebraTable) -> Subspace:
     the length of c: a trivial path is some s, and for c = c1*s with s an
     arrow, [x, c1*s] = [x*c1, s] + [s*x, c1], where the first term is a
     combination of rows and the second has a shorter path.  Paths span A.
+    The rows are reduced one (d, d) block per s, so no more than one block
+    is held at a time.
     """
-    d = at.dim
-    return row_space(at.gf, _generator_commutators(at).reshape(-1, d), d)
+    return row_space(at.gf, _generator_commutators(at), at.dim)

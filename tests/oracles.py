@@ -3,10 +3,60 @@ from __future__ import annotations
 
 import numpy as np
 
+from kuls.errors import ConsistencyFailure
 from kuls.linalg import row_space
+from kuls.presentation import PathWord, word_str
+from kuls.rewriting import AlgebraTable, _reduce, enumerate_basis
+from kuls.sparse import from_entries
 
 __all__ = ["path_quotient_dim", "rank_mod_p", "all_pairs_commutator_space", "is_associative",
-           "naive_matmul", "naive_rref"]
+           "naive_matmul", "naive_rref", "dense_reference_table", "dense_table",
+           "table_from_dense"]
+
+
+def dense_reference_table(rs) -> np.ndarray:
+    """table[i, j, m], the b_m coefficient of b_i * b_j, by rewriting every
+    composable product of two basis words (d**2 reductions, no fold)."""
+    gf, quiver = rs.gf, rs.quiver
+    basis = enumerate_basis(rs)
+    index = {w: i for i, w in enumerate(basis)}
+    d = len(basis)
+    table = np.zeros((d, d, d), dtype=np.int64)
+    rmap = rs.rule_map()
+    targets = [quiver.path_target(w) for w in basis]
+    for i, u in enumerate(basis):
+        for j, v in enumerate(basis):
+            if targets[i] != v.source:
+                continue
+            if u.is_trivial:
+                table[i, j, j] = 1
+                continue
+            if v.is_trivial:
+                table[i, j, i] = 1
+                continue
+            prod = _reduce(gf, {PathWord(u.source, u.arrows + v.arrows): 1}, rmap)
+            for w, c in prod.items():
+                m = index.get(w)
+                if m is None:
+                    raise ConsistencyFailure(
+                        f"product reduced to non-basis word {word_str(quiver, w)}")
+                table[i, j, m] = c
+    return table
+
+
+def dense_table(at) -> np.ndarray:
+    """at's structure constants as a dense table[i, j, m] = (b_i * b_j)_m."""
+    d = at.dim
+    return at.table.to_dense().reshape(d, d, d).transpose(1, 0, 2)
+
+
+def table_from_dense(at, dense) -> AlgebraTable:
+    """A table over at's basis whose constants are dense[i, j, m]; not audited."""
+    d = at.dim
+    pairs = np.asarray(dense).transpose(1, 0, 2).reshape(d * d, d)  # row j*d + i: b_i * b_j
+    rows, cols = np.nonzero(pairs)
+    csr = from_entries(at.gf, (d * d, d), rows, cols, pairs[rows, cols])
+    return AlgebraTable(at.rs, at.basis, at.index, csr, at.trivial_indices, at.unit)
 
 
 def naive_matmul(gf, a, b) -> np.ndarray:
@@ -52,14 +102,14 @@ def naive_rref(gf, rows) -> tuple[np.ndarray, list[int]]:
 
 def all_pairs_commutator_space(at):
     """K(A) as the span of all d**2 commutators [b_i, b_j] of basis words."""
-    d = at.dim
-    diffs = at.gf.sub(at.table, at.table.transpose(1, 0, 2)).reshape(d * d, d)
+    d, table = at.dim, dense_table(at)
+    diffs = at.gf.sub(table, table.transpose(1, 0, 2)).reshape(d * d, d)
     return row_space(at.gf, diffs, d)
 
 
 def is_associative(at) -> bool:
     """(b_i b_j) b_k == b_i (b_j b_k) on every basis triple of the table."""
-    gf, d, table = at.gf, at.dim, at.table
+    gf, d, table = at.gf, at.dim, dense_table(at)
     flat_r = table.reshape(d, d * d)  # [m, k*d+l] = table[m,k,l]
     flat_l = table.reshape(d * d, d)  # [j*d+k, m] = table[j,k,m]
     for i in range(d):

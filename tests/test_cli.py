@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 import pytest
@@ -134,10 +135,10 @@ def test_invariants_consistent_form_fallback_note(capsys):
 
 
 def _spy(monkeypatch, fn, record):
-    """Route every binding of fn in the loaded kuls modules through record(args)."""
+    """Route every binding of fn in the loaded kuls modules through record(args);
+    fn gets the args record returns, or the original ones if it returns None."""
     def spy(*args, **kwargs):
-        record(args)
-        return fn(*args, **kwargs)
+        return fn(*(record(args) or args), **kwargs)
     for name, mod in list(sys.modules.items()):
         if name == "kuls" or name.startswith("kuls."):
             for attr, value in list(vars(mod).items()):
@@ -149,10 +150,25 @@ def _spy(monkeypatch, fn, record):
 def test_invariants_structure_space_costs(name, params, fallback, capsys, monkeypatch):
     """commutator_space runs 1 + rows times (+1 for the consistent_form fallback),
     the count perfbench/worker.py checks, and no elimination gets more than
-    d*(|Q0|+|Q1|) rows, nor more than 2*d, the bound of row_space's chunks."""
-    k_calls, rref_rows = [], []
+    d*(|Q0|+|Q1|) rows, nor more than 2*d, the bound of row_space's chunks.
+    No array reaching row_space, whole or as one block of an iterator, has
+    more than 2*d rows either: the generator rows arrive one block at a time."""
+    k_calls, rref_rows, row_space_rows = [], [], []
     _spy(monkeypatch, structure.commutator_space, k_calls.append)
     _spy(monkeypatch, linalg.rref, lambda args: rref_rows.append(np.atleast_2d(args[1]).shape[0]))
+
+    def blocks(rows):
+        for block in rows:
+            row_space_rows.append(np.atleast_2d(block).shape[0])
+            yield block
+
+    def record_row_space(args):
+        if isinstance(args[1], Iterator):
+            return (args[0], blocks(args[1])) + args[2:]
+        row_space_rows.append(np.atleast_2d(args[1]).shape[0])
+        return None
+
+    _spy(monkeypatch, linalg.row_space, record_row_space)
     assert main(["invariants", "--family", name, "--params", params, "--char", "2", "--json"]) == 0
     captured = capsys.readouterr()
     payload = json.loads(captured.out)
@@ -161,6 +177,7 @@ def test_invariants_structure_space_costs(name, params, fallback, capsys, monkey
     quiver = family(FamilySpec(name, cli._parse_params(params), GF(2))).quiver
     assert 0 < max(rref_rows) <= payload["dim"] * (len(quiver.vertices) + len(quiver.arrows))
     assert max(rref_rows) <= 2 * payload["dim"]
+    assert 0 < max(row_space_rows) <= 2 * payload["dim"]
 
 
 def test_invariants_custom_psi_matches_fallback(capsys):

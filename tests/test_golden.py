@@ -1,7 +1,9 @@
-"""Byte-identity of the benchmark's invariants ops with perfbench/expected.json.
+"""Byte-identity of the benchmark's ops with perfbench/expected.json.
 
-Every large-prime and ext-field pool op is replayed through kuls.cli.main
-and its stdout compared with the recorded one.  expected.json is only read.
+Every pool op but the oracle ones (the invariants and compare ops of the
+large-prime, ext-field and catalogue workloads) is replayed through
+kuls.cli.main and its stdout compared with the recorded one.  expected.json
+is only read.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ def _load_pools():
 
 with open(os.path.join(PERFBENCH, "expected.json"), encoding="utf-8") as f:
     EXPECTED = json.load(f)["ops"]
-OPS = [op for name in ("large-prime", "ext-field") for op in _load_pools().WORKLOADS[name].members]
+OPS = [op for op in _load_pools().all_ops().values() if op["kind"] != "oracle"]
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op["key"])

@@ -8,8 +8,8 @@ from conftest import make_table
 from kuls import GF, build_table, complete, normal_form, parse_element, parse_presentation
 from kuls.errors import ConsistencyFailure, DegreeBoundExceeded, InfiniteDimensional
 from kuls.presentation import PathWord, word_str
-from kuls.rewriting import AlgebraTable, _audit, enumerate_basis
-from oracles import is_associative, path_quotient_dim
+from kuls.rewriting import _audit, enumerate_basis
+from oracles import dense_table, is_associative, path_quotient_dim, table_from_dense
 
 
 def truncated_polynomials(p, k):
@@ -28,7 +28,7 @@ def test_truncated_polynomial_algebra():
             expected = np.zeros(5, dtype=np.int64)
             if i + j < 5:
                 expected[i + j] = 1
-            assert np.array_equal(at.table[i, j, :], expected)
+            assert np.array_equal(dense_table(at)[i, j, :], expected)
 
 
 def test_normal_form_reduces_elements():
@@ -115,13 +115,12 @@ def test_degree_bound_guards_completion():
 
 def test_audit_catches_corrupted_structure_constants():
     at = make_table("Omega", n=2)
-    bad_table = at.table.copy()
+    bad_table = dense_table(at)
     i = at.index[at.quiver.word("a1")]
     j = at.index[at.quiver.word("b1")]
     bad_table[i, j, :] = 0
     bad_table[i, j, j] = 1  # claim a1*b1 = b1, breaking (b2*a1)*b1 = b2*(a1*b1)
-    bad = AlgebraTable(at.rs, at.basis, at.index, bad_table,
-                       at.trivial_indices, at.unit)
+    bad = table_from_dense(at, bad_table)
     with pytest.raises(ConsistencyFailure):
         _audit(bad)
 
@@ -146,9 +145,9 @@ def test_audit_catches_every_non_associative_corruption(name, gf, params):
     entries.append((head, last, int(rng.integers(0, d))))  # a fold entry table[z', s]
     rejected = 0
     for i, j, m in entries:
-        bad_table = at.table.copy()
+        bad_table = dense_table(at)
         bad_table[i, j, m] = (bad_table[i, j, m] + int(rng.integers(1, q))) % q
-        bad = AlgebraTable(at.rs, at.basis, at.index, bad_table, at.trivial_indices, at.unit)
+        bad = table_from_dense(at, bad_table)
         if not is_associative(bad) or (i, j) == (head, last):
             with pytest.raises(ConsistencyFailure):
                 _audit(bad)

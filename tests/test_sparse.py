@@ -1,0 +1,80 @@
+"""The sparse structure table and its product kernel against dense oracles."""
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import make_table
+from kuls import GF, build_table, complete, parse_presentation
+from kuls.families import FAMILY_NAMES, FamilySpec, family
+from kuls.form import _gram
+from kuls.structure import left_mult_matrix, multiply, right_mult_matrix
+from oracles import dense_reference_table, dense_table, naive_matmul
+
+FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
+SMALL = {"A": {"p": 1, "q": 2}, "D": {"m": 3}, "Dprime": {"m": 3}, "Gamma": {"n": 2},
+         "Lambda": {"m": 3}, "N": {"n": 2, "m": 2}, "Omega": {"n": 3},
+         "Tpq": {"p": 2, "q": 2}, "Tpqr": {"p": 2, "q": 2, "r": 2}, "Tstar": {"r": 2}}
+MULTI_TERM = ("algebra mt over GF({field}) {{ vertices v; arrows {{ a: v -> v; b: v -> v; }} "
+              "relations {{ a*a*a; b*b*b; b*a = a*b + a*a*b; }} }}")
+
+
+def _field_text(p, e):
+    return str(p) if e == 1 else f"{p}^{e}"
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: _field_text(*f))
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_table_matches_dense_reference(name, field):
+    at = make_table(name, gf=field, **SMALL[name])
+    assert np.array_equal(dense_table(at), dense_reference_table(at.rs))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: _field_text(*f))
+def test_multi_term_products_match_dense_oracle(field):
+    at = build_table(complete(parse_presentation(MULTI_TERM.format(field=_field_text(*field)))))
+    gf, d = at.gf, at.dim
+    table = dense_reference_table(at.rs)
+    assert d == 9
+    assert np.count_nonzero((table != 0).sum(axis=2) >= 2) >= 16  # sums of two basis words
+    assert np.array_equal(dense_table(at), table)
+
+    rng = np.random.default_rng(11)
+    x = rng.integers(0, gf.q, size=(4, d))
+    y = rng.integers(0, gf.q, size=(4, d))
+    left = naive_matmul(gf, x, table.reshape(d, d * d)).reshape(4, d, d)
+    right = naive_matmul(gf, x, table.transpose(1, 0, 2).reshape(d, d * d)).reshape(4, d, d)
+    assert np.array_equal(left_mult_matrix(at, x), left)
+    assert np.array_equal(right_mult_matrix(at, x), right)
+    want = [naive_matmul(gf, b, m)[0] for b, m in zip(y, left)]
+    assert np.array_equal(multiply(at, x, y), want)
+
+    psi = rng.integers(0, gf.q, size=d)
+    gram = naive_matmul(gf, table.reshape(d * d, d), psi.reshape(d, 1)).reshape(d, d)
+    assert np.array_equal(_gram(at, psi), gram)
+
+
+@pytest.mark.parametrize("field", [(2, 1), (5, 1), (2, 3), (3, 2)], ids=lambda f: _field_text(*f))
+def test_segment_sum_matches_scalar_sums(field):
+    gf = GF(*field)
+    rng = np.random.default_rng(3)
+    values = rng.integers(0, gf.q, size=200)
+    ids = rng.integers(0, 12, size=200)
+    want = [0] * 14  # segments 12 and 13 are empty
+    for v, k in zip(values, ids):
+        want[k] = gf.sadd(want[k], int(v))
+    assert gf.segment_sum(values, ids, 14).tolist() == want
+
+
+def test_build_table_allocates_no_cubic_array():
+    rs = complete(family(FamilySpec("Omega", {"n": 20}, GF(2))))
+    tracemalloc.start()
+    try:
+        at = build_table(rs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert at.dim == 460
+    assert peak < 64 * 2**20  # a dense d*d*d int64 table alone is 778 MB

@@ -9,10 +9,9 @@ from kuls import center, commutator_space, parse_presentation, radical, socle
 from kuls import build_table, complete
 from kuls.errors import DimensionMismatch, NotNilpotent
 from kuls.linalg import contains, contains_subspace, intersect, subspace_sum
-from kuls.rewriting import AlgebraTable
 from kuls.structure import (left_mult_matrix, multiply, power, right_mult_matrix,
                             socle_center)
-from oracles import all_pairs_commutator_space
+from oracles import all_pairs_commutator_space, dense_table, table_from_dense
 
 
 @pytest.mark.parametrize("name,params,dims", [
@@ -77,10 +76,9 @@ def test_radical_rejects_group_like_tables():
     at = build_table(complete(parse_presentation(
         "algebra c2 over GF(2) {\n  vertices v;\n  arrows { g: v -> v; }\n"
         "  relations { g*g; }\n}\n")))
-    bad_table = at.table.copy()
+    bad_table = dense_table(at)
     bad_table[1, 1, 0] = 1  # g*g = e_v instead of 0
-    bad = AlgebraTable(at.rs, at.basis, at.index, bad_table,
-                       at.trivial_indices, at.unit)
+    bad = table_from_dense(at, bad_table)
     with pytest.raises(NotNilpotent):
         radical(bad)
 
@@ -178,12 +176,12 @@ def test_stacked_products_match_row_by_row():
         gf, rng = at.gf, np.random.default_rng(7)
         x = rng.integers(0, gf.q, size=(5, at.dim))
         y = rng.integers(0, gf.q, size=(5, at.dim))
-        prods = multiply(at, x, y)
+        prods, table = multiply(at, x, y), dense_table(at)
         assert np.array_equal(prods, [multiply(at, a, b) for a, b in zip(x, y)])
         for a, b, got in zip(x, y, prods):  # sum of a_i b_j (b_i b_j) straight from the table
             want = np.zeros(at.dim, dtype=np.int64)
             for i, j in np.ndindex(at.dim, at.dim):
-                want = gf.add(want, gf.mul(gf.smul(int(a[i]), int(b[j])), at.table[i, j]))
+                want = gf.add(want, gf.mul(gf.smul(int(a[i]), int(b[j])), table[i, j]))
             assert np.array_equal(got, want)
         assert np.array_equal(power(at, x, 9), [power(at, a, 9) for a in x])
         assert np.array_equal(left_mult_matrix(at, x), [left_mult_matrix(at, a) for a in x])
@@ -204,7 +202,8 @@ def test_structure_spaces_are_computed_once_and_read_only():
         assert not space.basis.flags.writeable
         with pytest.raises(ValueError):
             space.basis[0, 0] = 1
-    assert not at.table.flags.writeable
+    for part in (at.table.indptr, at.table.indices, at.table.data):
+        assert not part.flags.writeable
 
 
 def test_table_over_a_corrupted_copy_gets_fresh_spaces():
@@ -213,10 +212,9 @@ def test_table_over_a_corrupted_copy_gets_fresh_spaces():
         "algebra c2 over GF(2) {\n  vertices v;\n  arrows { g: v -> v; }\n"
         "  relations { g*g; }\n}\n")))
     soc = socle(at)
-    bad_table = at.table.copy()
+    bad_table = dense_table(at)
     bad_table[1, 1, 0] = 1
-    bad = AlgebraTable(at.rs, at.basis, at.index, bad_table,
-                       at.trivial_indices, at.unit)
+    bad = table_from_dense(at, bad_table)
     assert bad.cache == {} and bad.cache is not at.cache
     assert soc.right.dim == 1 and socle(bad).right.dim == 0  # g is a unit of K[Z/2]
     assert socle(at) is soc

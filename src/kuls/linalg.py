@@ -19,7 +19,6 @@ __all__ = [
     "Subspace",
     "rref",
     "kernel",
-    "annihilator",
     "row_space",
     "zero_subspace",
     "full_space",
@@ -129,18 +128,15 @@ def full_space(gf: GF, n: int) -> Subspace:
     return Subspace(gf, n, np.eye(n, dtype=np.int64), tuple(range(n)))
 
 
-def kernel(gf: GF, m: np.ndarray) -> Subspace:
-    """Right null space {x : m @ x = 0} of an (r, n) matrix."""
-    return annihilator(row_space(gf, m))
-
-
-def annihilator(s: Subspace) -> Subspace:
-    """{x : v @ x = 0 for every v in s}, read off the RREF basis of s."""
-    gf, n = s.gf, s.ambient_dim
-    free = sorted(set(range(n)) - set(s.pivots))
+def kernel(gf: GF, m, n: int | None = None) -> Subspace:
+    """Right null space {x : m @ x = 0} of an (r, n) matrix, or of the rows of
+    an iterator of (r_i, n) blocks (n given), from the RREF of their row space."""
+    rs = row_space(gf, m, n)
+    n = rs.ambient_dim
+    free = sorted(set(range(n)) - set(rs.pivots))
     basis = np.zeros((len(free), n), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    basis[:, list(s.pivots)] = gf.neg(s.basis[:, free].T)  # x_c = -s.basis[i, f], pivot c
+    basis[:, list(rs.pivots)] = gf.neg(rs.basis[:, free].T)  # x_c = -rs.basis[i, f], pivot c
     return row_space(gf, basis, n)
 
 

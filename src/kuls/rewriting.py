@@ -384,12 +384,6 @@ class AlgebraTable:
         """R_s, the right multiplication by b_s: row i holds b_i * b_s."""
         return self.table.row_block(s * self.dim, (s + 1) * self.dim)
 
-    def left(self, s: int) -> Csr:
-        """L_s, the left multiplication by b_s: row j holds b_s * b_j."""
-        i, j, m, c = self.entries()
-        mine = i == s  # stored in (j, i, m) order, so these are in (j, m) order
-        return from_sorted((self.dim, self.dim), j[mine], m[mine], c[mine])
-
 
 def normal_form(table: AlgebraTable, element) -> np.ndarray:
     """Coordinates of an element given as DSL expression text or a {word: coeff} dict."""
@@ -447,10 +441,11 @@ def build_table(rs: RewriteSystem) -> AlgebraTable:
     unit = np.zeros(d, dtype=np.int64)
     unit[list(trivial_indices)] = 1
 
-    table = from_entries(gf, (d * d, d),
-                         np.concatenate([b.rows + j * d for j, b in enumerate(blocks)]),
-                         np.concatenate([b.indices for b in blocks]),
-                         np.concatenate([b.data for b in blocks]))
+    # each block is canonical, so stacked at row offsets j*d they stay row-major
+    table = from_sorted((d * d, d),
+                        np.concatenate([b.rows + j * d for j, b in enumerate(blocks)]),
+                        np.concatenate([b.indices for b in blocks]),
+                        np.concatenate([b.data for b in blocks]))
     at = AlgebraTable(rs, basis, index, table, trivial_indices, unit)
     _audit(at)
     return at

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, NotNilpotent
-from .linalg import Subspace, annihilator, contains, intersect, row_space
+from .linalg import Subspace, contains, intersect, kernel, row_space
 from .rewriting import AlgebraTable
 from .sparse import contract
 
@@ -117,11 +117,16 @@ def _cached(fn):
     return cached
 
 
+def _left(at: AlgebraTable, s: int) -> np.ndarray:
+    """L_s, the left multiplication by b_s: row j holds b_s*b_j."""
+    return left_mult_matrix(at, np.eye(at.dim, dtype=np.int64)[s])
+
+
 def _generator_commutators(at: AlgebraTable):
     """Yield, for s each trivial path and arrow, the (d, d) block of rows
     [b_i, s] = b_i*s - s*b_i, which is R_s - L_s."""
     for s in list(at.trivial_indices) + at.arrow_indices:
-        yield at.gf.sub(at.right(s).to_dense(), at.left(s).to_dense())
+        yield at.gf.sub(at.right(s).to_dense(), _left(at, s))
 
 
 @dataclass(frozen=True)
@@ -138,15 +143,15 @@ class Socle:
 def socle(at: AlgebraTable) -> Socle:
     """Right and left socles: annihilators of the arrows on each side."""
     d, arrows = at.dim, at.arrow_indices
-    right = row_space(at.gf, (at.right(a).to_dense().T for a in arrows), d)  # x*b_a = x @ R_a
-    left = row_space(at.gf, (at.left(a).to_dense().T for a in arrows), d)    # b_a*x = x @ L_a
-    return Socle(annihilator(right), annihilator(left))
+    right = kernel(at.gf, (at.right(a).to_dense().T for a in arrows), d)  # x*b_a = x @ R_a
+    left = kernel(at.gf, (_left(at, a).T for a in arrows), d)             # b_a*x = x @ L_a
+    return Socle(right, left)
 
 
 @_cached
 def center(at: AlgebraTable) -> Subspace:
     """Elements commuting with every trivial path and arrow (hence with all of A)."""
-    z = annihilator(row_space(at.gf, (c.T for c in _generator_commutators(at)), at.dim))
+    z = kernel(at.gf, (c.T for c in _generator_commutators(at)), at.dim)
     if not contains(z, at.unit):
         raise InvariantViolation("center does not contain the unit")
     return z

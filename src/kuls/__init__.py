@@ -36,7 +36,6 @@ from .reynolds import (
     kuelshammer_space,
     reynolds_ideal,
     reynolds_sequence,
-    xi_map,
 )
 from .structure import center, commutator_space, radical, socle
 
@@ -70,7 +69,6 @@ __all__ = [
     "kuelshammer_space",
     "reynolds_ideal",
     "reynolds_sequence",
-    "xi_map",
     "compare",
     "brute_force_kuelshammer",
     "FamilySpec",

@@ -362,15 +362,19 @@ class GF:
         """Field sums by segment: out[k] is the sum of values[ids == k], for
         0 <= k < size; ids need not be sorted, and an empty segment sums to 0.
 
+        Over GF(p) the values may be any integers, int64 or float64 (such as
+        unreduced products), and each segment sum is reduced mod p once.
         Over GF(p**e) the sum is taken digit by digit (each digit plane
         summed, then reduced mod p), which is XOR for p = 2.  The float64
-        bincount is exact while a segment sum stays below 2**53: values are
-        below 2**16, so that holds for fewer than 2**37 values.
+        bincount is exact while every segment sum stays below 2**53 in
+        absolute value: for field elements, which are below 2**16, that
+        holds for fewer than 2**37 values.
         """
-        values = np.asarray(values, dtype=np.int64).ravel()
         ids = np.asarray(ids, dtype=np.int64).ravel()
         if self.e == 1:
+            values = np.asarray(values).ravel()
             return np.bincount(ids, weights=values, minlength=size).astype(np.int64) % self.p
+        values = np.asarray(values, dtype=np.int64).ravel()
         sums = np.array([np.bincount(ids, weights=plane, minlength=size)
                          for plane in np.take(self._digits, values, axis=1)])
         return (self.p ** np.arange(self.e, dtype=np.int64)) @ (sums.astype(np.int64) % self.p)

@@ -16,8 +16,8 @@ from .errors import (BadParameters, BudgetExceeded, CharacteristicMismatch,
                      InvariantViolation)
 from .form import SymmetrizingForm, orthogonal
 from .gf import GF
-from .linalg import (Subspace, contains, contains_subspace, frobenius_shift,
-                     kernel, reduce_mod, row_space, solve)
+from .linalg import (Subspace, contains_subspace, frobenius_shift, kernel, reduce_mod,
+                     row_space)
 from .rewriting import AlgebraTable
 from .structure import center, commutator_space, multiply, power, socle, socle_center
 
@@ -25,10 +25,8 @@ __all__ = [
     "ReynoldsRow",
     "ReynoldsReport",
     "Verdict",
-    "XiMap",
     "kuelshammer_space",
     "reynolds_ideal",
-    "xi_map",
     "reynolds_sequence",
     "compare",
     "brute_force_kuelshammer",
@@ -75,24 +73,6 @@ class Verdict:
     dims: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class XiMap:
-    """The linear map xi_n on the center, row j being xi_n(z_j)."""
-
-    center: Subspace
-    matrix: np.ndarray
-    n: int
-    image: Subspace
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """xi_n of a central element given in algebra coordinates."""
-        if not contains(self.center, v):
-            raise InvariantViolation("xi_n applied to a non-central element")
-        coeffs = np.asarray(v, dtype=np.int64)[list(self.center.pivots)]
-        gf = self.center.gf
-        return gf.matmul(coeffs.reshape(1, -1), self.matrix)[0]
-
-
 def kuelshammer_space(at: AlgebraTable, n: int) -> Subspace:
     """T_n(A) = {x : x**(p**n) in K(A)} by the semilinear-kernel method.
 
@@ -131,35 +111,6 @@ def _verified_perp(at: AlgebraTable, f: SymmetrizingForm, t: Subspace,
 def reynolds_ideal(at: AlgebraTable, f: SymmetrizingForm, n: int) -> Subspace:
     """T_n(A)^perp, verified to be an ideal of Z(A) between soc(A) cap Z(A) and Z(A)."""
     return _verified_perp(at, f, kuelshammer_space(at, n), center(at), socle_center(at))
-
-
-def xi_map(at: AlgebraTable, f: SymmetrizingForm, n: int) -> XiMap:
-    """The map xi_n on Z(A) defined by (xi_n(z), x)**(p**n) = (z, x**(p**n)).
-
-    For central z the right side is p**n-semilinear in x, so xi_n(z) is the
-    unique solution of a nonsingular linear system over the whole algebra
-    basis.  The image is verified to equal reynolds_ideal(at, f, n).
-    """
-    gf = at.gf
-    d = at.dim
-    z = center(at)
-    g = f.gram
-    pmat = power(at, np.eye(d, dtype=np.int64), gf.p ** n)  # row i is b_i**(p**n)
-    # rhs[j, i] = (z_j, b_i**(p**n)); take p**n-th roots entrywise, then
-    # solve w @ G = root-row for each center basis vector.
-    rhs = gf.matmul(gf.matmul(z.basis, g), pmat.T)
-    roots = gf.frob_inv(rhs, n)
-    mat = solve(gf, g.T, roots.T).T
-    for row in mat:
-        if not contains(z, row):
-            raise InvariantViolation("xi_n image is not central")
-    lhs = gf.pow(gf.matmul(mat, g), gf.p ** n)
-    if not np.array_equal(lhs, rhs):
-        raise InvariantViolation("xi_n does not satisfy its defining equation")
-    image = row_space(gf, mat, d)
-    if image != reynolds_ideal(at, f, n):
-        raise InvariantViolation("image of xi_n differs from T_n^perp")
-    return XiMap(center=z, matrix=mat, n=n, image=image)
 
 
 def reynolds_sequence(at: AlgebraTable, f: SymmetrizingForm,
@@ -236,6 +187,8 @@ def brute_force_kuelshammer(at: AlgebraTable, n: int,
     Elements are raised to the p**n-th power through structure.power, the
     same product path as the pipeline, in chunks of BRUTE_FORCE_CHUNK rows, so
     its temporaries of (chunk, table entries) stay small and peak RSS steady.
+    The members are counted as well as spanned: a set is the subspace it
+    spans iff it has q**dim elements, so the result is the member set itself.
     """
     gf = at.gf
     d = at.dim
@@ -246,13 +199,18 @@ def brute_force_kuelshammer(at: AlgebraTable, n: int,
     k = commutator_space(at)
     m = gf.p ** n
     span = row_space(gf, np.zeros((0, d), dtype=np.int64), d)
+    members = 0
     weights = gf.q ** np.arange(d, dtype=np.int64)
     for start in range(0, total, BRUTE_FORCE_CHUNK):
         idx = np.arange(start, min(start + BRUTE_FORCE_CHUNK, total), dtype=np.int64)
         vectors = (idx[:, None] // weights[None, :]) % gf.q
         powers = power(at, vectors, m)
         mask = ~reduce_mod(k, powers).any(axis=1)
+        members += int(mask.sum())
         new = reduce_mod(span, vectors[mask])  # one product per chunk; row_space only if T_n grows
         if new.any():
             span = row_space(gf, np.vstack([span.basis, new]), d)
+    if members != gf.q ** span.dim:
+        raise InvariantViolation(f"T_{n} has {members} members but spans "
+                                 f"{gf.q}**{span.dim} vectors; it is not a subspace")
     return span

@@ -98,8 +98,18 @@ def contract(gf, factors, data, ids, size: int) -> np.ndarray:
     factors.  Each x is an (r, n) stack of dense rows; the gather x[:, cols]
     is the join on the shared index.  Rows go in chunks that keep
     rows * entries within SPARSE_BLOCK.
+
+    Over GF(p) the joined products are one float64 chain data * x[:, cols]
+    * ... reduced mod p once per output cell by GF.segment_sum.  A product
+    is at most (p - 1)**(len(factors) + 1), below 2**48 for two factors
+    since p < 2**16, and a cell sums at most data.size of them, so the sums
+    are exact while data.size * (p - 1)**(len(factors) + 1) < 2**53; past
+    that bound each product is reduced mod p after every factor.  Over
+    GF(p**e) the products are field products (gf.mul).
     """
-    data = np.asarray(data, dtype=np.int64)
+    prime = gf.e == 1
+    data = np.asarray(data, dtype=np.float64 if prime else np.int64)
+    reduce = prime and data.size * (gf.p - 1) ** (len(factors) + 1) >= 2**53
     r = factors[0][0].shape[0]
     out = np.empty((r, size), dtype=np.int64)
     step = max(1, SPARSE_BLOCK // max(1, data.size))
@@ -107,7 +117,9 @@ def contract(gf, factors, data, ids, size: int) -> np.ndarray:
         hi = min(lo + step, r)
         vals = data
         for x, cols in factors:
-            vals = gf.mul(vals, x[lo:hi, cols])
+            vals = vals * x[lo:hi, cols] if prime else gf.mul(vals, x[lo:hi, cols])
+            if reduce:
+                vals %= gf.p
         cells = ids + size * np.arange(hi - lo, dtype=np.int64)[:, None]
         out[lo:hi] = gf.segment_sum(vals, cells, (hi - lo) * size).reshape(hi - lo, size)
     return out

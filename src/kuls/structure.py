@@ -54,16 +54,24 @@ def multiply(at: AlgebraTable, x, y) -> np.ndarray:
 
 
 def power(at: AlgebraTable, x, k: int) -> np.ndarray:
-    """k-th power by binary exponentiation, row-wise on a stack; x**0 is the unit."""
+    """k-th power by binary exponentiation, row-wise on a stack; x**0 is the unit.
+
+    The accumulator starts at the lowest set bit of k, so k >= 1 takes
+    bit_length(k) - 1 squarings and popcount(k) - 1 further products (n
+    products for x**(2**n)), and the result is never the caller's array.
+    """
     if k < 0:
         raise ValueError("negative powers are undefined here")
     base = _as_vec(at, x)
-    acc = np.broadcast_to(at.unit, base.shape).copy()
-    while k:
+    if k == 0:
+        return np.broadcast_to(at.unit, base.shape).copy()
+    while not k & 1:
+        base, k = multiply(at, base, base), k >> 1
+    acc = base.copy()
+    while k := k >> 1:
+        base = multiply(at, base, base)
         if k & 1:
             acc = multiply(at, acc, base)
-        base = multiply(at, base, base) if k > 1 else base
-        k >>= 1
     return acc
 
 

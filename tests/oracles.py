@@ -1,17 +1,22 @@
 """Independent cross-checks computed without the rewriting machinery."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from kuls.errors import ConsistencyFailure
-from kuls.linalg import row_space
+from kuls.errors import ConsistencyFailure, InvariantViolation
+from kuls.form import SymmetrizingForm
+from kuls.linalg import Subspace, contains, row_space, solve
 from kuls.presentation import PathWord, word_str
 from kuls.rewriting import AlgebraTable, _reduce, enumerate_basis
+from kuls.reynolds import reynolds_ideal
 from kuls.sparse import from_entries
+from kuls.structure import center, power
 
 __all__ = ["path_quotient_dim", "rank_mod_p", "all_pairs_commutator_space", "is_associative",
            "naive_matmul", "naive_rref", "dense_reference_table", "dense_table",
-           "table_from_dense"]
+           "table_from_dense", "XiMap", "xi_map"]
 
 
 def dense_reference_table(rs) -> np.ndarray:
@@ -217,3 +222,50 @@ def _windowed_dim(pres, max_len):
     pivots = set(pivot_columns(rows, p))
     lengths = [len(word) for j, (_, word) in enumerate(paths) if j not in pivots]
     return _survivor_count(lengths, max_len)
+
+
+@dataclass(frozen=True)
+class XiMap:
+    """The linear map xi_n on the center, row j being xi_n(z_j)."""
+
+    center: Subspace
+    matrix: np.ndarray
+    n: int
+    image: Subspace
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """xi_n of a central element given in algebra coordinates."""
+        if not contains(self.center, v):
+            raise InvariantViolation("xi_n applied to a non-central element")
+        coeffs = np.asarray(v, dtype=np.int64)[list(self.center.pivots)]
+        gf = self.center.gf
+        return gf.matmul(coeffs.reshape(1, -1), self.matrix)[0]
+
+
+def xi_map(at: AlgebraTable, f: SymmetrizingForm, n: int) -> XiMap:
+    """The map xi_n on Z(A) defined by (xi_n(z), x)**(p**n) = (z, x**(p**n)).
+
+    For central z the right side is p**n-semilinear in x, so xi_n(z) is the
+    unique solution of a nonsingular linear system over the whole algebra
+    basis.  The image is verified to equal reynolds_ideal(at, f, n).
+    """
+    gf = at.gf
+    d = at.dim
+    z = center(at)
+    g = f.gram
+    pmat = power(at, np.eye(d, dtype=np.int64), gf.p ** n)  # row i is b_i**(p**n)
+    # rhs[j, i] = (z_j, b_i**(p**n)); take p**n-th roots entrywise, then
+    # solve w @ G = root-row for each center basis vector.
+    rhs = gf.matmul(gf.matmul(z.basis, g), pmat.T)
+    roots = gf.frob_inv(rhs, n)
+    mat = solve(gf, g.T, roots.T).T
+    for row in mat:
+        if not contains(z, row):
+            raise InvariantViolation("xi_n image is not central")
+    lhs = gf.pow(gf.matmul(mat, g), gf.p ** n)
+    if not np.array_equal(lhs, rhs):
+        raise InvariantViolation("xi_n does not satisfy its defining equation")
+    image = row_space(gf, mat, d)
+    if image != reynolds_ideal(at, f, n):
+        raise InvariantViolation("image of xi_n differs from T_n^perp")
+    return XiMap(center=z, matrix=mat, n=n, image=image)

@@ -23,14 +23,13 @@ from kuls import (
     reynolds_ideal,
     reynolds_sequence,
     socle,
-    xi_map,
 )
 from kuls.errors import NotSymmetric
 from kuls.families import FamilySpec, family
 from kuls.gf import GF
 from kuls.linalg import contains, contains_subspace, intersect, row_space, subspace_sum
 from kuls.structure import multiply, power
-from oracles import path_quotient_dim
+from oracles import path_quotient_dim, xi_map
 
 
 @contextmanager

@@ -8,13 +8,15 @@ from collections.abc import Iterator
 import numpy as np
 import pytest
 
-from kuls import __version__
-from kuls import cli, linalg, structure
+from kuls import __version__, build_table, complete, parse_presentation
+from kuls import cli, linalg, reynolds, structure
 from kuls.cli import main
 from kuls.errors import ConsistencyFailure
 from kuls.families import FamilySpec, family
 from kuls.gf import GF
+from kuls.linalg import contains
 from kuls.reynolds import kuelshammer_space
+from kuls.structure import commutator_space
 
 DUAL = """algebra dual over GF(2) {
   vertices v;
@@ -371,6 +373,34 @@ def test_oracle_mismatch_is_exit_2(tmp_path, capsys, monkeypatch):
     assert main(["oracle", path, "--n", "1"]) == 2
     err = capsys.readouterr().err
     assert err == "InvariantViolation: T_1 mismatch: linear dim 0, brute dim 1\n"
+
+
+def test_oracle_rejects_a_member_set_that_is_not_a_subspace(tmp_path, capsys, monkeypatch):
+    """T_1 minus one nonzero member still spans T_1; only the count shows it."""
+    argv = ["invariants", "--family", "Omega", "--params", "n=2", "--char", "2",
+            "--emit-dsl"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    path = _write(tmp_path, "omega2.kuls", text)
+    at = build_table(complete(parse_presentation(text)))
+    t = kuelshammer_space(at, 1)
+    assert t.dim >= 2
+    dropped = at.gf.add(t.basis[0], t.basis[1])  # no row of the identity kuelshammer_space powers
+    outside = next(e for e in np.eye(at.dim, dtype=np.int64)
+                   if not contains(commutator_space(at), e))
+    real = reynolds.power
+
+    def power(at, x, k):
+        out = real(at, x, k)
+        out[(x == dropped).all(axis=1)] = outside  # its power leaves K(A)
+        return out
+
+    monkeypatch.setattr(reynolds, "power", power)
+    assert main(["oracle", path, "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("InvariantViolation: T_1 has ")
+    assert "it is not a subspace" in captured.err
 
 
 # -- plumbing --

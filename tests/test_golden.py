@@ -2,8 +2,9 @@
 
 Every pool op but the oracle ones (the invariants and compare ops of the
 large-prime, ext-field and catalogue workloads) is replayed through
-kuls.cli.main and its stdout compared with the recorded one.  expected.json
-is only read.
+kuls.cli.main and its stdout compared with the recorded one, and so are the
+two cheapest oracle ops, each on a DSL file written with --emit-dsl.
+expected.json is only read.
 """
 from __future__ import annotations
 
@@ -30,10 +31,24 @@ def _load_pools():
 
 with open(os.path.join(PERFBENCH, "expected.json"), encoding="utf-8") as f:
     EXPECTED = json.load(f)["ops"]
-OPS = [op for op in _load_pools().all_ops().values() if op["kind"] != "oracle"]
+ALL_OPS = _load_pools().all_ops()
+OPS = [op for op in ALL_OPS.values() if op["kind"] != "oracle"]
+ORACLE_OPS = [ALL_OPS[key] for key in ("oracle Tstar(r=2) GF(2) n=1",
+                                       "oracle Gamma(n=2) GF(2) n=1")]
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op["key"])
 def test_pool_op_stdout_matches_expected(op, capsys):
     assert main(op["argv"]) == 0
+    assert capsys.readouterr().out == EXPECTED[op["key"]]["stdout"]
+
+
+@pytest.mark.parametrize("op", ORACLE_OPS, ids=lambda op: op["key"])
+def test_oracle_op_stdout_matches_expected(op, tmp_path, capsys):
+    dsl = op["dsl"]
+    assert main(["invariants", "--family", dsl["family"], "--params", dsl["params"],
+                 "--field", dsl["field"], "--emit-dsl"]) == 0
+    path = tmp_path / f"{dsl['name']}.kuls"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main([a.replace("{file}", str(path)) for a in op["argv"]]) == 0
     assert capsys.readouterr().out == EXPECTED[op["key"]]["stdout"]

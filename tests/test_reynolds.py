@@ -22,7 +22,6 @@ from kuls import (
     reynolds_ideal,
     reynolds_sequence,
     socle,
-    xi_map,
 )
 from kuls.errors import (
     BadParameters,
@@ -31,6 +30,7 @@ from kuls.errors import (
     InvariantViolation,
 )
 from kuls.linalg import contains, contains_subspace, intersect
+from oracles import xi_map
 
 
 def truncated(p, k):

@@ -10,6 +10,7 @@ from conftest import make_table
 from kuls import GF, build_table, complete, parse_presentation
 from kuls.families import FAMILY_NAMES, FamilySpec, family
 from kuls.form import _gram
+from kuls.sparse import contract
 from kuls.structure import left_mult_matrix, multiply, right_mult_matrix
 from oracles import dense_reference_table, dense_table, naive_matmul
 
@@ -32,12 +33,20 @@ def test_table_matches_dense_reference(name, field):
     assert np.array_equal(dense_table(at), dense_reference_table(at.rs))
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=lambda f: _field_text(*f))
+def _reduces_products(gf, entries: int, factors: int) -> bool:
+    """contract's rule: over GF(p), joined products are reduced mod p before
+    summing iff entries * (p - 1)**(factors + 1) >= 2**53."""
+    return gf.e == 1 and entries * (gf.p - 1) ** (factors + 1) >= 2**53
+
+
+@pytest.mark.parametrize("field", FIELDS + [(65521, 1)], ids=lambda f: _field_text(*f))
 def test_multi_term_products_match_dense_oracle(field):
     at = build_table(complete(parse_presentation(MULTI_TERM.format(field=_field_text(*field)))))
     gf, d = at.gf, at.dim
     table = dense_reference_table(at.rs)
     assert d == 9
+    # multiply joins two factors: over GF(65521) its products are reduced before summing
+    assert _reduces_products(gf, at.table.data.size, 2) == (gf.p == 65521)
     assert np.count_nonzero((table != 0).sum(axis=2) >= 2) >= 16  # sums of two basis words
     assert np.array_equal(dense_table(at), table)
 
@@ -66,6 +75,24 @@ def test_segment_sum_matches_scalar_sums(field):
     for v, k in zip(values, ids):
         want[k] = gf.sadd(want[k], int(v))
     assert gf.segment_sum(values, ids, 14).tolist() == want
+
+
+@pytest.mark.parametrize("entries", [64, 300])
+def test_contract_sums_are_exact_past_the_float64_bound(entries):
+    """Over GF(65521) one output cell of entries two-factor products passes
+    2**53 unreduced; contract must still agree with scalar field sums."""
+    gf = GF(65521)
+    assert _reduces_products(gf, entries, 2)
+    rng = np.random.default_rng(entries)
+    cases = [np.full((3, entries), gf.p - 1),
+             rng.integers(gf.p - 64, gf.p, size=(3, entries))]  # odd products too
+    cols, cell = np.arange(entries), np.zeros(entries, dtype=np.int64)
+    for data, x, y in cases:
+        got = contract(gf, [(x[None], cols), (y[None], cols)], data, cell, 1)
+        want = 0
+        for c, a, b in zip(data.tolist(), x.tolist(), y.tolist()):
+            want = gf.sadd(want, gf.smul(gf.smul(c, a), b))
+        assert got.tolist() == [[want]]
 
 
 def test_build_table_allocates_no_cubic_array():

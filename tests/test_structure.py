@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_table
 from kuls import center, commutator_space, parse_presentation, radical, socle
-from kuls import build_table, complete
+from kuls import build_table, complete, structure
 from kuls.errors import DimensionMismatch, NotNilpotent
 from kuls.linalg import contains, contains_subspace, intersect, subspace_sum
 from kuls.structure import (left_mult_matrix, multiply, power, right_mult_matrix,
@@ -48,6 +48,54 @@ def test_multiply_and_power():
         power(at, a1, -1)
     with pytest.raises(DimensionMismatch):
         multiply(at, a1, np.zeros(3, dtype=np.int64))
+
+
+POWER_FIELDS = [(2, 1), (3, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("field", POWER_FIELDS, ids=lambda f: f"GF{f[0]}^{f[1]}")
+def test_power_matches_repeated_multiply(field):
+    at = make_table("Omega", gf=field, n=2)
+    x = np.random.default_rng(5).integers(0, at.gf.q, size=(4, at.dim))
+    chain = np.broadcast_to(at.unit, x.shape)
+    for k in range(10):
+        assert np.array_equal(power(at, x, k), chain), k
+        assert np.array_equal(power(at, x[0], k), chain[0]), k
+        chain = multiply(at, chain, x)
+
+
+def test_power_returns_a_fresh_array():
+    at = make_table("Omega", n=2)
+    x = at.normal_form("e_c + a1")
+    kept = x.copy()
+    for k in (0, 1, 2):
+        out = power(at, x, k)
+        assert out is not x
+        out[:] = 1
+        assert np.array_equal(x, kept)
+
+
+@pytest.mark.parametrize("field", POWER_FIELDS, ids=lambda f: f"GF{f[0]}^{f[1]}")
+def test_power_takes_one_product_per_bit_past_the_lowest(field, monkeypatch):
+    at = make_table("Omega", gf=field, n=2)
+    x = np.random.default_rng(6).integers(0, at.gf.q, size=(3, at.dim))
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return multiply(*args)
+
+    monkeypatch.setattr(structure, "multiply", spy)
+    for k in range(1, 20):
+        calls.clear()
+        power(at, x, k)
+        assert len(calls) == k.bit_length() + bin(k).count("1") - 2, k
+    p = at.gf.p
+    for n in range(4):
+        calls.clear()
+        power(at, x, p ** n)
+        if p == 2:
+            assert len(calls) == n  # x**(2**n) is n squarings, with no product by the unit
 
 
 def test_mult_matrices_agree_with_multiply():

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameters, Degenerate, DimensionMismatch, NotSymmetric
-from .linalg import Subspace, contains, full_space, kernel, rref
+from .linalg import Subspace, full_space, kernel, reduce_mod, rref
 from .presentation import PathWord, word_str
 from .rewriting import AlgebraTable
 from .sparse import contract
@@ -93,8 +93,8 @@ def _socle_word_indices(at: AlgebraTable) -> list[int]:
     s = socle(at)
     if not s.two_sided_equal:
         raise NotSymmetric("left and right socles differ; the algebra is not symmetric")
-    eye = np.eye(at.dim, dtype=np.int64)
-    idx = [i for i in range(at.dim) if contains(s.right, eye[i])]
+    outside = reduce_mod(s.right, np.eye(at.dim, dtype=np.int64)).any(axis=1)
+    idx = np.flatnonzero(~outside).tolist()
     if len(idx) != s.right.dim:
         raise Degenerate(
             "the socle is not spanned by basis words; supply explicit psi "

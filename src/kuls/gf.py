@@ -269,6 +269,8 @@ class GF:
         return np.take(self._neg, np.asarray(a, dtype=np.int64))
 
     def sub(self, a, b):
+        if self.e == 1:
+            return (np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)) % self.p
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):

@@ -27,12 +27,11 @@ __all__ = [
     "contains",
     "contains_subspace",
     "reduce_mod",
-    "solve",
     "frobenius_shift",
 ]
 
 
-def rref(gf: GF, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def rref(gf: GF, m: np.ndarray, prefix: tuple[int, ...] = ()) -> tuple[np.ndarray, list[int]]:
     """Return (reduced row echelon form, pivot columns).
 
     Pivot choice is deterministic: first nonzero entry scanning rows top
@@ -41,12 +40,18 @@ def rref(gf: GF, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     onward: a zero multiple of the pivot row changes nothing, and rows r
     onward, the pivot row among them, are zero left of c (each earlier
     column was cleared below its pivot, or had no pivot, being zero there).
+
+    prefix may give the pivots of leading rows already in RREF, every later
+    row being zero in those columns, as reduce_mod leaves it.  The updates
+    keep later rows inside their joint support, so only its columns are
+    visited; each new pivot is eliminated from all rows, prefix rows too,
+    and sorting the rows by pivot gives the RREF of the whole matrix.
     """
     a = np.atleast_2d(np.array(m, dtype=np.int64))
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
+    rows = a.shape[0]
+    pivots = list(prefix)
+    r = len(pivots)
+    for c in np.flatnonzero(a[r:].any(axis=0)).tolist():
         if r == rows:
             break
         nz = np.flatnonzero(a[:, c])
@@ -63,7 +68,8 @@ def rref(gf: GF, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
             a[hit, c:] = gf.sub(a[hit, c:], gf.mul(a[hit, c:c + 1], a[r, c:]))
         pivots.append(c)
         r += 1
-    return a, pivots
+    a[:r] = a[np.argsort(pivots)]  # new pivots may lie left of prefix pivots
+    return a, sorted(pivots)
 
 
 @dataclass(frozen=True)
@@ -97,9 +103,9 @@ def row_space(gf: GF, rows, ambient_dim: int | None = None) -> Subspace:
     """Canonicalize the span of the given row vectors: an (r, n) array, or
     an iterator of (r_i, n) blocks, taken one at a time (ambient_dim given).
 
-    Rows are taken n at a time (n the ambient dimension) and reduced modulo
-    the span so far; rref runs on its basis stacked on the nonzero residues,
-    so no elimination sees more than 2n rows.
+    Zero rows are dropped and the rest reduced n at a time (n the ambient
+    dimension) modulo the span so far; rref extends the span's RREF by the
+    nonzero residues, so no elimination sees more than 2n rows.
     """
     if isinstance(rows, Iterator):
         blocks, n = rows, ambient_dim
@@ -111,11 +117,12 @@ def row_space(gf: GF, rows, ambient_dim: int | None = None) -> Subspace:
         block = np.atleast_2d(np.asarray(block, dtype=np.int64))
         if block.shape[1] != n:
             raise DimensionMismatch(f"rows have {block.shape[1]} columns, ambient is {n}")
+        block = block[block.any(axis=1)]
         for start in range(0, block.shape[0], max(n, 1)):
             residues = reduce_mod(span, block[start:start + n])
             residues = residues[residues.any(axis=1)]
             if residues.size:
-                r, pivots = rref(gf, np.vstack([span.basis, residues]))
+                r, pivots = rref(gf, np.vstack([span.basis, residues]), span.pivots)
                 span = Subspace(gf, n, r[: len(pivots)].copy(), tuple(pivots))
     return span
 
@@ -185,19 +192,6 @@ def contains(s: Subspace, v: np.ndarray) -> bool:
 def contains_subspace(s: Subspace, t: Subspace) -> bool:
     _check_compatible(s, t)
     return t.dim == 0 or not np.any(reduce_mod(s, t.basis))
-
-
-def solve(gf: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unique solution x of a @ x = b for square nonsingular a."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    b = np.asarray(b, dtype=np.int64)
-    n = a.shape[0]
-    aug = np.hstack([a, b.reshape(n, -1)])
-    r, pivots = rref(gf, aug)
-    if list(pivots[:n]) != list(range(n)) or len(pivots) != n:
-        raise DimensionMismatch("matrix is singular")
-    x = r[:n, n:]
-    return x[:, 0] if b.ndim == 1 else x
 
 
 def frobenius_shift(s: Subspace, n: int = 1, direction: str = "inverse") -> Subspace:

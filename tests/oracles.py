@@ -5,9 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kuls.errors import ConsistencyFailure, InvariantViolation
+from kuls.errors import ConsistencyFailure, DimensionMismatch, InvariantViolation
 from kuls.form import SymmetrizingForm
-from kuls.linalg import Subspace, contains, row_space, solve
+from kuls.linalg import Subspace, contains, row_space, rref
 from kuls.presentation import PathWord, word_str
 from kuls.rewriting import AlgebraTable, _reduce, enumerate_basis
 from kuls.reynolds import reynolds_ideal
@@ -16,7 +16,7 @@ from kuls.structure import center, power
 
 __all__ = ["path_quotient_dim", "rank_mod_p", "all_pairs_commutator_space", "is_associative",
            "naive_matmul", "naive_rref", "dense_reference_table", "dense_table",
-           "table_from_dense", "XiMap", "xi_map"]
+           "table_from_dense", "solve", "XiMap", "xi_map"]
 
 
 def dense_reference_table(rs) -> np.ndarray:
@@ -222,6 +222,19 @@ def _windowed_dim(pres, max_len):
     pivots = set(pivot_columns(rows, p))
     lengths = [len(word) for j, (_, word) in enumerate(paths) if j not in pivots]
     return _survivor_count(lengths, max_len)
+
+
+def solve(gf, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unique solution x of a @ x = b for square nonsingular a."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
+    b = np.asarray(b, dtype=np.int64)
+    n = a.shape[0]
+    aug = np.hstack([a, b.reshape(n, -1)])
+    r, pivots = rref(gf, aug)
+    if list(pivots[:n]) != list(range(n)) or len(pivots) != n:
+        raise DimensionMismatch("matrix is singular")
+    x = r[:n, n:]
+    return x[:, 0] if b.ndim == 1 else x
 
 
 @dataclass(frozen=True)

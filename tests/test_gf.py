@@ -49,6 +49,22 @@ def test_array_ops_match_scalar_ops(p, e):
     assert np.array_equal(gf.div(nz, nz), np.ones(gf.q - 1, dtype=np.int64))
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (65521, 1), (2, 2), (3, 2)])
+def test_sub_is_add_of_neg(p, e):
+    """sub takes one (a - b) % p pass over GF(p); every pair agrees with add(a, neg(b))."""
+    gf = GF(p, e)
+    if gf.q <= 256:
+        els = np.arange(gf.q, dtype=np.int64)
+        a, b = np.repeat(els, gf.q), np.tile(els, gf.q)
+    else:
+        rng = np.random.default_rng(9)
+        a, b = rng.integers(0, gf.q, size=(2, 20000))
+        a[:3], b[:3] = [0, gf.q - 1, 1], [gf.q - 1, 0, gf.q - 1]
+    assert np.array_equal(gf.sub(a, b), gf.add(a, gf.neg(b)))
+    assert np.array_equal(gf.sub(a[:, None], b[:3]), gf.add(a[:, None], gf.neg(b[:3])))
+    assert int(gf.sub(int(a[1]), int(b[1]))) == gf.sadd(int(a[1]), gf.sneg(int(b[1])))
+
+
 @pytest.mark.parametrize("p,e", SMALL_FIELDS)
 def test_pow_matches_repeated_multiplication(p, e):
     gf = GF(p, e)

@@ -1,4 +1,4 @@
-"""Property test: rref, row_space, kernel and intersect against scalar elimination."""
+"""Property tests: rref, row_space, kernel and intersect against scalar elimination."""
 from __future__ import annotations
 
 from functools import lru_cache
@@ -22,6 +22,11 @@ def _field(p: int, e: int) -> GF:
     return GF(p, e)
 
 
+def _draw_field(draw) -> GF:
+    e = draw(st.integers(1, 8))
+    return _field(draw(st.sampled_from([p for p in PRIMES if p**e <= 256])), e)
+
+
 @st.composite
 def matrix_pairs(draw):
     """A field of order <= 256, an ambient dimension n and two matrices of 0 to 3n+1 rows.
@@ -31,8 +36,7 @@ def matrix_pairs(draw):
     and some rows are copies of others, so sparse, all-zero, dependent and
     duplicate rows all occur.
     """
-    e = draw(st.integers(1, 8))
-    gf = _field(draw(st.sampled_from([p for p in PRIMES if p**e <= 256])), e)
+    gf = _draw_field(draw)
     n = draw(st.integers(1, 6))
     density = draw(st.sampled_from([0.0, 0.15, 0.5, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -77,3 +81,59 @@ def test_elimination_matches_scalar_oracle(case):
     got = intersect(sa, sb)
     assert np.array_equal(got.basis, want)
     assert got.dim == sa.dim + sb.dim - len(_naive_span(gf, np.vstack([a, b]), n)[1])
+
+
+@st.composite
+def block_streams(draw):
+    """A field, an ambient dimension n and up to five blocks of 0 to 2n+1 rows.
+
+    Each block's rows are zero left of a leading column that moves left
+    from block to block, so later blocks bring pivots left of earlier
+    ones; some rows are set to zero and some replaced by combinations of
+    the rows of earlier blocks, which lie in the span already.
+    """
+    gf = _draw_field(draw)
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    leads = sorted(draw(st.lists(st.integers(0, n - 1), max_size=5)), reverse=True)
+    blocks, earlier = [], np.zeros((0, n), dtype=np.int64)
+    for lead in leads:
+        rows = draw(st.integers(0, 2 * n + 1))
+        m = rng.integers(1, gf.q, size=(rows, n)) * (rng.random((rows, n)) < 0.5)
+        m[:, :lead] = 0
+        m[rng.random(rows) < 0.3] = 0
+        old = np.flatnonzero(rng.random(rows) < 0.3)
+        if len(earlier) and old.size:
+            m[old] = naive_matmul(gf, rng.integers(0, gf.q, size=(old.size, len(earlier))), earlier)
+        blocks.append(m)
+        earlier = np.vstack([earlier, m])
+    return gf, n, blocks
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(block_streams())
+def test_row_space_of_blocks_matches_scalar_rref_of_their_rows(case):
+    gf, n, blocks = case
+    want, pivots = _naive_span(gf, np.vstack([np.zeros((0, n), dtype=np.int64)] + blocks), n)
+    got = row_space(gf, iter(blocks), n)
+    assert got.pivots == tuple(pivots) and np.array_equal(got.basis, want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(matrix_pairs(), st.lists(st.integers(0, 5), max_size=3))
+def test_rref_extending_a_prefix_matches_rref_from_scratch(case, holes):
+    """rref given the pivots of an RREF prefix, with later rows reduced
+    modulo it (zero rows among them), equals rref of the whole matrix.
+
+    The prefix spans the rows of a with the hole columns zeroed, so new
+    pivots also land left of old ones.
+    """
+    gf, n, a, b = case
+    a[:, [h for h in holes if h < n]] = 0
+    basis, pivots = _naive_span(gf, a, n)
+    m = np.vstack([basis, gf.sub(b, naive_matmul(gf, b[:, pivots], basis))])
+    kept = m.copy()
+    want, want_pivots = naive_rref(gf, m)
+    got, got_pivots = rref(gf, m, tuple(pivots))
+    assert got_pivots == want_pivots and np.array_equal(got, want)
+    assert np.array_equal(got, rref(gf, m)[0]) and np.array_equal(m, kept)

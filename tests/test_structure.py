@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_table
 from kuls import center, commutator_space, parse_presentation, radical, socle
-from kuls import build_table, complete, structure
+from kuls import build_table, complete, linalg, structure
 from kuls.errors import DimensionMismatch, NotNilpotent
 from kuls.linalg import contains, contains_subspace, intersect, subspace_sum
 from kuls.structure import (left_mult_matrix, multiply, power, right_mult_matrix,
@@ -269,3 +269,22 @@ def test_table_over_a_corrupted_copy_gets_fresh_spaces():
     assert center(bad) is not center(at)
     assert commutator_space(bad) is not commutator_space(at)
     assert socle_center(bad) is not socle_center(at)
+
+
+def test_commutator_space_reduces_only_the_nonzero_generator_rows(monkeypatch):
+    """row_space drops the zero rows of each R_s - L_s block before reducing it."""
+    at = make_table("Omega", n=8)
+    blocks = list(structure._generator_commutators(at))
+    nonzero = sum(int(b.any(axis=1).sum()) for b in blocks)
+    assert (nonzero, sum(len(b) for b in blocks)) == (290, 1496)
+    seen = []
+    real_reduce_mod = linalg.reduce_mod
+
+    def spy(s, v):
+        seen.append(len(v))
+        return real_reduce_mod(s, v)
+
+    monkeypatch.setattr(linalg, "reduce_mod", spy)
+    k = structure.commutator_space.__wrapped__(at)  # past the per-table cache
+    assert 0 < sum(seen) <= nonzero
+    assert k == all_pairs_commutator_space(at)

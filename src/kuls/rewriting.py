@@ -334,7 +334,7 @@ class AlgebraTable:
     table: Csr
     trivial_indices: tuple[int, ...]
     unit: np.ndarray
-    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # Z, K, soc
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # Z, K, soc, L_s
 
     @property
     def presentation(self) -> Presentation:

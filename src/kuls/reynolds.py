@@ -185,8 +185,8 @@ def brute_force_kuelshammer(at: AlgebraTable, n: int,
     """T_n(A) by enumerating every element; independent check of kuelshammer_space.
 
     Elements are raised to the p**n-th power through structure.power, the
-    same product path as the pipeline, in chunks of BRUTE_FORCE_CHUNK rows, so
-    its temporaries of (chunk, table entries) stay small and peak RSS steady.
+    same product path as the pipeline, in chunks of BRUTE_FORCE_CHUNK rows; the
+    chunk bounds only the (chunk, d) arrays, sparse.SPARSE_BLOCK the temporaries.
     The members are counted as well as spanned: a set is the subspace it
     spans iff it has q**dim elements, so the result is the member set itself.
     """

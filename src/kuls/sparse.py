@@ -19,7 +19,7 @@ import numpy as np
 
 __all__ = ["Csr", "SPARSE_BLOCK", "from_sorted", "from_entries", "product", "contract"]
 
-SPARSE_BLOCK = 2**20  # joined entries per temporary of contract
+SPARSE_BLOCK = 2**13  # joined entries per temporary of contract
 
 
 @dataclass(eq=False)
@@ -57,11 +57,6 @@ class Csr:
         flat = self.rows * self.shape[1] + self.indices
         return from_sorted(shape, flat // shape[1], flat % shape[1], self.data)
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.int64)
-        out[self.rows, self.indices] = self.data
-        return out
-
 
 def from_sorted(shape, rows, cols, vals) -> Csr:
     """The Csr of entries given in row-major order, without duplicates or zeros."""
@@ -96,8 +91,12 @@ def contract(gf, factors, data, ids, size: int) -> np.ndarray:
     """Row-wise sums over entries: out[r, k] is the sum, over the entries e
     with ids[e] == k, of data[e] times x[r, cols[e]] for every (x, cols) in
     factors.  Each x is an (r, n) stack of dense rows; the gather x[:, cols]
-    is the join on the shared index.  Rows go in chunks that keep
-    rows * entries within SPARSE_BLOCK.
+    is the join on the shared index.  Rows go in blocks of
+    max(1, SPARSE_BLOCK // entries), so a temporary holds at most 2**13
+    float64 or int64 values, 64 KB (or one row): it stays in cache and
+    below glibc's 128 KB mmap threshold, so the heap reuses it instead of
+    mapping and zero-filling fresh pages on every call, as 2**16 and more
+    do; 2**12 pays more per-block Python overhead than it saves.
 
     Over GF(p) the joined products are one float64 chain data * x[:, cols]
     * ... reduced mod p once per output cell by GF.segment_sum.  A product
@@ -113,6 +112,7 @@ def contract(gf, factors, data, ids, size: int) -> np.ndarray:
     r = factors[0][0].shape[0]
     out = np.empty((r, size), dtype=np.int64)
     step = max(1, SPARSE_BLOCK // max(1, data.size))
+    cells = ids + size * np.arange(min(step, r), dtype=np.int64)[:, None]
     for lo in range(0, r, step):
         hi = min(lo + step, r)
         vals = data
@@ -120,6 +120,5 @@ def contract(gf, factors, data, ids, size: int) -> np.ndarray:
             vals = vals * x[lo:hi, cols] if prime else gf.mul(vals, x[lo:hi, cols])
             if reduce:
                 vals %= gf.p
-        cells = ids + size * np.arange(hi - lo, dtype=np.int64)[:, None]
-        out[lo:hi] = gf.segment_sum(vals, cells, (hi - lo) * size).reshape(hi - lo, size)
+        out[lo:hi] = gf.segment_sum(vals, cells[:hi - lo], (hi - lo) * size).reshape(hi - lo, size)
     return out

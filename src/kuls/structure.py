@@ -125,16 +125,35 @@ def _cached(fn):
     return cached
 
 
-def _left(at: AlgebraTable, s: int) -> np.ndarray:
-    """L_s, the left multiplication by b_s: row j holds b_s*b_j."""
-    return left_mult_matrix(at, np.eye(at.dim, dtype=np.int64)[s])
+@_cached
+def _left(at: AlgebraTable) -> list[np.ndarray]:
+    """L_s for every s as unordered (j, m, c): b_s*b_j has b_m coefficient c."""
+    i, j, m, c = at.entries()
+    jmc = np.stack([j, m, c])[:, np.argsort(i)]  # grouped by i, once per table
+    ends = np.cumsum(np.bincount(i, minlength=at.dim)).tolist()
+    return [jmc[:, a:b] for a, b in zip([0] + ends, ends)]
 
 
-def _generator_commutators(at: AlgebraTable):
-    """Yield, for s each trivial path and arrow, the (d, d) block of rows
-    [b_i, s] = b_i*s - s*b_i, which is R_s - L_s."""
+def _candidate_rows(gf, d: int, terms, transpose: bool = False) -> np.ndarray:
+    """The rows holding an entry of the (d, d) matrix summing the (row, col, value)
+    terms (no term repeats a cell), or of its transpose, densely; the rest are zero."""
+    terms = [(k, r, v) if transpose else (r, k, v) for r, k, v in terms]
+    hit = np.zeros(d, dtype=bool)
+    hit[np.concatenate([t[0] for t in terms])] = True
+    pos = np.cumsum(hit, dtype=np.int64) - 1
+    out = np.zeros((pos[-1] + 1, d), dtype=np.int64)
+    for r, k, v in terms:
+        out[pos[r], k] = gf.add(out[pos[r], k], v)
+    return out
+
+
+def _generator_commutators(at: AlgebraTable, transpose: bool = False):
+    """Yield, for s each trivial path and arrow, the candidate rows of
+    R_s - L_s (row i is [b_i, s] = b_i*s - s*b_i), or of its transpose."""
     for s in list(at.trivial_indices) + at.arrow_indices:
-        yield at.gf.sub(at.right(s).to_dense(), _left(at, s))
+        r, (j, m, c) = at.right(s), _left(at)[s]
+        terms = [(r.rows, r.indices, r.data), (j, m, at.gf.neg(c))]
+        yield _candidate_rows(at.gf, at.dim, terms, transpose)
 
 
 @dataclass(frozen=True)
@@ -149,17 +168,19 @@ class Socle:
 
 @_cached
 def socle(at: AlgebraTable) -> Socle:
-    """Right and left socles: annihilators of the arrows on each side."""
-    d, arrows = at.dim, at.arrow_indices
-    right = kernel(at.gf, (at.right(a).to_dense().T for a in arrows), d)  # x*b_a = x @ R_a
-    left = kernel(at.gf, (_left(at, a).T for a in arrows), d)             # b_a*x = x @ L_a
+    """Right and left socles: annihilators of the arrows on each side, the
+    kernels of R_a^T and L_a^T (x*b_a = x @ R_a, b_a*x = x @ L_a)."""
+    gf, d, arrows = at.gf, at.dim, at.arrow_indices
+    right = kernel(gf, (_candidate_rows(gf, d, [(r.rows, r.indices, r.data)], True)
+                        for r in map(at.right, arrows)), d)
+    left = kernel(gf, (_candidate_rows(gf, d, [_left(at)[a]], True) for a in arrows), d)
     return Socle(right, left)
 
 
 @_cached
 def center(at: AlgebraTable) -> Subspace:
     """Elements commuting with every trivial path and arrow (hence with all of A)."""
-    z = kernel(at.gf, (c.T for c in _generator_commutators(at)), at.dim)
+    z = kernel(at.gf, _generator_commutators(at, transpose=True), at.dim)
     if not contains(z, at.unit):
         raise InvariantViolation("center does not contain the unit")
     return z
@@ -180,7 +201,7 @@ def commutator_space(at: AlgebraTable) -> Subspace:
     the length of c: a trivial path is some s, and for c = c1*s with s an
     arrow, [x, c1*s] = [x*c1, s] + [s*x, c1], where the first term is a
     combination of rows and the second has a shorter path.  Paths span A.
-    The rows are reduced one (d, d) block per s, so no more than one block
-    is held at a time.
+    The rows are reduced one block per s, so no more than one block is
+    held at a time.
     """
     return row_space(at.gf, _generator_commutators(at), at.dim)

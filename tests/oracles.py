@@ -7,14 +7,15 @@ import numpy as np
 
 from kuls.errors import ConsistencyFailure, DimensionMismatch, InvariantViolation
 from kuls.form import SymmetrizingForm
-from kuls.linalg import Subspace, contains, row_space, rref
+from kuls.linalg import Subspace, contains, kernel, row_space, rref
 from kuls.presentation import PathWord, word_str
 from kuls.rewriting import AlgebraTable, _reduce, enumerate_basis
 from kuls.reynolds import reynolds_ideal
 from kuls.sparse import from_entries
 from kuls.structure import center, power
 
-__all__ = ["path_quotient_dim", "rank_mod_p", "all_pairs_commutator_space", "is_associative",
+__all__ = ["path_quotient_dim", "rank_mod_p", "all_pairs_commutator_space", "all_pairs_center",
+           "all_pairs_socles", "is_associative",
            "naive_matmul", "naive_rref", "dense_reference_table", "dense_table",
            "table_from_dense", "solve", "XiMap", "xi_map"]
 
@@ -51,8 +52,10 @@ def dense_reference_table(rs) -> np.ndarray:
 
 def dense_table(at) -> np.ndarray:
     """at's structure constants as a dense table[i, j, m] = (b_i * b_j)_m."""
-    d = at.dim
-    return at.table.to_dense().reshape(d, d, d).transpose(1, 0, 2)
+    i, j, m, c = at.entries()
+    table = np.zeros((at.dim,) * 3, dtype=np.int64)
+    table[i, j, m] = c
+    return table
 
 
 def table_from_dense(at, dense) -> AlgebraTable:
@@ -110,6 +113,25 @@ def all_pairs_commutator_space(at):
     d, table = at.dim, dense_table(at)
     diffs = at.gf.sub(table, table.transpose(1, 0, 2)).reshape(d * d, d)
     return row_space(at.gf, diffs, d)
+
+
+def all_pairs_center(at) -> Subspace:
+    """Z(A) as the x with x*b_j = b_j*x for every basis word b_j: the kernel
+    of the d**2 rows (j, m) whose entry i is (b_i b_j - b_j b_i)_m."""
+    d, table = at.dim, dense_table(at)
+    diffs = at.gf.sub(table, table.transpose(1, 0, 2))  # [i, j, m]
+    return kernel(at.gf, diffs.transpose(1, 2, 0).reshape(d * d, d), d)
+
+
+def all_pairs_socles(at) -> tuple[Subspace, Subspace]:
+    """The right and left socles as {x : x*b_j = 0} and {x : b_j*x = 0} for
+    every non-trivial basis word b_j, the kernels of the rows (j, m) whose
+    entry i is (b_i b_j)_m, and (b_j b_i)_m."""
+    d, table = at.dim, dense_table(at)
+    rad = at.lengths() >= 1
+    right = table.transpose(1, 2, 0)[rad].reshape(-1, d)  # [j, m, i] = (b_i b_j)_m
+    left = table.transpose(0, 2, 1)[rad].reshape(-1, d)   # [j, m, i] = (b_j b_i)_m
+    return kernel(at.gf, right, d), kernel(at.gf, left, d)
 
 
 def is_associative(at) -> bool:

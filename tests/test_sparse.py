@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_table
-from kuls import GF, build_table, complete, parse_presentation
+from kuls import GF, build_table, complete, parse_presentation, sparse
 from kuls.families import FAMILY_NAMES, FamilySpec, family
 from kuls.form import _gram
 from kuls.sparse import contract
@@ -93,6 +93,47 @@ def test_contract_sums_are_exact_past_the_float64_bound(entries):
         for c, a, b in zip(data.tolist(), x.tolist(), y.tolist()):
             want = gf.sadd(want, gf.smul(gf.smul(c, a), b))
         assert got.tolist() == [[want]]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: _field_text(*f))
+def test_contract_blocks_cover_every_row(field, monkeypatch):
+    """With SPARSE_BLOCK cut so that rows go in several blocks, the last one
+    partial, contract gives the same rows as one unblocked pass, for one to
+    three factors and for an empty stack."""
+    gf = GF(*field)
+    rng = np.random.default_rng(17)
+    entries, n, size = 12, 7, 9
+    data = rng.integers(1, gf.q, size=entries)
+    ids = rng.integers(0, size, size=entries)
+    for rows in (37, 0):
+        for count in (1, 2, 3):
+            factors = [(rng.integers(0, gf.q, size=(rows, n)), rng.integers(0, n, size=entries))
+                       for _ in range(count)]
+            blocked = []  # all kept alive, so no result reuses another's memory
+            for block in (5 * entries, 2 * entries + 5, 1):  # 5, 2 and 1 rows a block
+                monkeypatch.setattr(sparse, "SPARSE_BLOCK", block)
+                blocked.append(contract(gf, factors, data, ids, size))
+            monkeypatch.setattr(sparse, "SPARSE_BLOCK", rows * entries + 1)
+            whole = contract(gf, factors, data, ids, size)
+            assert whole.shape == (rows, size)
+            for got in blocked:
+                assert np.array_equal(got, whole)
+
+
+def test_multiply_temporaries_stay_small():
+    """A (1024, d) multiply keeps each temporary within SPARSE_BLOCK values, so
+    the heap reuses it instead of mapping fresh pages on every call."""
+    at = make_table("Omega", n=3)
+    rng = np.random.default_rng(2)
+    x, y = (rng.integers(0, 2, size=(1024, at.dim)) for _ in range(2))
+    multiply(at, x, y)
+    tracemalloc.start()
+    try:
+        multiply(at, x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_build_table_allocates_no_cubic_array():

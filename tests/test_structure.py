@@ -11,7 +11,8 @@ from kuls.errors import DimensionMismatch, NotNilpotent
 from kuls.linalg import contains, contains_subspace, intersect, subspace_sum
 from kuls.structure import (left_mult_matrix, multiply, power, right_mult_matrix,
                             socle_center)
-from oracles import all_pairs_commutator_space, dense_table, table_from_dense
+from oracles import (all_pairs_center, all_pairs_commutator_space, all_pairs_socles, dense_table,
+                     table_from_dense)
 
 
 @pytest.mark.parametrize("name,params,dims", [
@@ -218,6 +219,15 @@ def test_commutator_space_from_generators_matches_all_pairs(name, params, gf):
     assert commutator_space(at) == all_pairs_commutator_space(at)
 
 
+@pytest.mark.parametrize("gf", [(2, 1), (3, 1), (2, 2), (3, 2)], ids=lambda f: f"GF{f[0]}^{f[1]}")
+@pytest.mark.parametrize("name,params", CATALOGUE, ids=[c[0] for c in CATALOGUE])
+def test_center_and_socles_from_generators_match_all_pairs(name, params, gf):
+    at = make_table(name, gf=gf, **params)
+    s = socle(at)
+    assert center(at) == all_pairs_center(at)
+    assert (s.right, s.left) == all_pairs_socles(at)
+
+
 def test_stacked_products_match_row_by_row():
     for field in [(3, 2), (3, 1)]:
         at = make_table("Omega", gf=field, n=2)
@@ -272,11 +282,13 @@ def test_table_over_a_corrupted_copy_gets_fresh_spaces():
 
 
 def test_commutator_space_reduces_only_the_nonzero_generator_rows(monkeypatch):
-    """row_space drops the zero rows of each R_s - L_s block before reducing it."""
+    """Each R_s - L_s block holds only the rows where R_s or L_s has an entry
+    (311 of the 17 * 88 = 1496 dense rows), and row_space drops the zero
+    rows among them before reducing it."""
     at = make_table("Omega", n=8)
     blocks = list(structure._generator_commutators(at))
     nonzero = sum(int(b.any(axis=1).sum()) for b in blocks)
-    assert (nonzero, sum(len(b) for b in blocks)) == (290, 1496)
+    assert (nonzero, sum(len(b) for b in blocks)) == (290, 311)
     seen = []
     real_reduce_mod = linalg.reduce_mod
 

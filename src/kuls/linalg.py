@@ -1,5 +1,5 @@
-"""Exact linear algebra over a GF: reduced row echelon form, kernels,
-subspace lattice operations and Frobenius shifts.
+"""Exact linear algebra over a GF: reduced row echelon form, kernels and
+subspace lattice operations.
 
 A Subspace is held in canonical form (RREF basis, strictly increasing
 pivots, no zero rows), so two subspaces are equal iff their basis arrays
@@ -27,7 +27,6 @@ __all__ = [
     "contains",
     "contains_subspace",
     "reduce_mod",
-    "frobenius_shift",
 ]
 
 
@@ -193,17 +192,3 @@ def contains_subspace(s: Subspace, t: Subspace) -> bool:
     _check_compatible(s, t)
     return t.dim == 0 or not np.any(reduce_mod(s, t.basis))
 
-
-def frobenius_shift(s: Subspace, n: int = 1, direction: str = "inverse") -> Subspace:
-    """Image of s under the coordinatewise field map x -> x**(p**n) or its inverse.
-
-    direction="inverse" returns {v : frob**n(v) in s}; "forward" returns
-    {frob**n(v) : v in s}.  Over prime fields both are s itself.
-    """
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"unknown direction {direction!r}")
-    gf = s.gf
-    if gf.e == 1 or n % gf.e == 0:
-        return s
-    mapped = gf.frob(s.basis, n) if direction == "forward" else gf.frob_inv(s.basis, n)
-    return row_space(gf, mapped, s.ambient_dim)

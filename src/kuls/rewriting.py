@@ -334,7 +334,8 @@ class AlgebraTable:
     table: Csr
     trivial_indices: tuple[int, ...]
     unit: np.ndarray
-    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # Z, K, soc, L_s
+    # Z, K, soc, L_s, the T_n chain T_0, T_1, ... and the rows b_i**p, once per table
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def presentation(self) -> Presentation:

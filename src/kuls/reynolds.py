@@ -16,8 +16,7 @@ from .errors import (BadParameters, BudgetExceeded, CharacteristicMismatch,
                      InvariantViolation)
 from .form import SymmetrizingForm, orthogonal
 from .gf import GF
-from .linalg import (Subspace, contains_subspace, frobenius_shift, kernel, reduce_mod,
-                     row_space)
+from .linalg import Subspace, contains_subspace, kernel, reduce_mod, row_space
 from .rewriting import AlgebraTable
 from .structure import center, commutator_space, multiply, power, socle, socle_center
 
@@ -74,21 +73,30 @@ class Verdict:
 
 
 def kuelshammer_space(at: AlgebraTable, n: int) -> Subspace:
-    """T_n(A) = {x : x**(p**n) in K(A)} by the semilinear-kernel method.
+    """T_n(A) = {x : x**(p**n) in K(A)}, one semilinear step per n from T_0 = K(A).
 
-    x -> x**(p**n) is additive modulo K(A) and p**n-semilinear, so with
-    r_i = b_i**(p**n) reduced mod K(A) the condition on x = sum c_i b_i is
-    sum c_i**(p**n) r_i = 0; solve for the twisted coordinates d_i and pull
-    back through the inverse Frobenius.
+    x**(p**n) = (x**p)**(p**(n-1)), so T_n = {x : x**p in T_(n-1)}.  The
+    chain ascends, as K(A)**p lies in K(A): [a, b]**p = (ab)**p - (ba)**p =
+    [a, (ba)**(p-1) b] mod K(A).  Modulo K(A), hence modulo T_(n-1),
+    x -> x**p is additive and p-semilinear, so with r_i = b_i**p reduced mod
+    T_(n-1) the condition on x = sum c_i b_i is sum c_i**p r_i = 0: solve for
+    the twisted coordinates c_i**p and take p-th roots entrywise.  A field
+    automorphism keeps an RREF and its pivots, so the roots need no
+    elimination.  The chain and the rows b_i**p are kept in at.cache; once
+    T_n = T_(n-1) the chain is constant (x in T_(n+1) iff x**p in T_n), so
+    any n costs at most d steps.
     """
     if n < 0:
         raise BadParameters("n must be nonnegative")
-    k = commutator_space(at)
-    if n == 0:
-        return k
-    residues = reduce_mod(k, power(at, np.eye(at.dim, dtype=np.int64), at.gf.p ** n))
-    twisted = kernel(at.gf, residues.T)
-    return frobenius_shift(twisted, n, "inverse")
+    gf, d = at.gf, at.dim
+    k = commutator_space(at)  # T_0, cached per table
+    chain = at.cache.setdefault("kuelshammer_chain", [k])
+    while n >= len(chain) and (len(chain) == 1 or chain[-1] != chain[-2]):
+        if "pth_powers" not in at.cache:
+            at.cache["pth_powers"] = power(at, np.eye(d, dtype=np.int64), gf.p)
+        twisted = kernel(gf, reduce_mod(chain[-1], at.cache["pth_powers"]).T)
+        chain.append(Subspace(gf, d, gf.frob_inv(twisted.basis), twisted.pivots))
+    return chain[min(n, len(chain) - 1)]
 
 
 def _verified_perp(at: AlgebraTable, f: SymmetrizingForm, t: Subspace,
@@ -189,7 +197,15 @@ def brute_force_kuelshammer(at: AlgebraTable, n: int,
     chunk bounds only the (chunk, d) arrays, sparse.SPARSE_BLOCK the temporaries.
     The members are counted as well as spanned: a set is the subspace it
     spans iff it has q**dim elements, so the result is the member set itself.
+
+    n > d is computed as n = d: T_n = T_min(n, d).  The chain ascends
+    (K(A)**p lies in K(A)), and after its first repeat T_m = T_(m+1) it is
+    constant (x in T_(m+2) iff x**p in T_(m+1) = T_m iff x in T_(m+1)).  So
+    its strict steps, each raising the dimension, number at most d and all
+    come before T_d.
     """
+    if n < 0:
+        raise BadParameters("n must be nonnegative")
     gf = at.gf
     d = at.dim
     total = gf.q ** d
@@ -197,7 +213,7 @@ def brute_force_kuelshammer(at: AlgebraTable, n: int,
         raise BudgetExceeded(
             f"enumerating {gf.q}**{d} = {total} elements exceeds the budget {budget}")
     k = commutator_space(at)
-    m = gf.p ** n
+    m = gf.p ** min(n, d)
     span = row_space(gf, np.zeros((0, d), dtype=np.int64), d)
     members = 0
     weights = gf.q ** np.arange(d, dtype=np.int64)

@@ -18,8 +18,6 @@ from .sparse import contract
 __all__ = [
     "multiply",
     "power",
-    "left_mult_matrix",
-    "right_mult_matrix",
     "radical",
     "Socle",
     "socle",
@@ -73,24 +71,6 @@ def power(at: AlgebraTable, x, k: int) -> np.ndarray:
         if k & 1:
             acc = multiply(at, acc, base)
     return acc
-
-
-def left_mult_matrix(at: AlgebraTable, x) -> np.ndarray:
-    """Matrix of y -> x*y acting on row coordinate vectors: (x*b_j)_l; (r, d, d) for a stack."""
-    d = at.dim
-    x = _as_vec(at, x)
-    i, j, m, c = at.entries()
-    out = contract(at.gf, [(x.reshape(-1, d), i)], c, j * d + m, d * d)
-    return out.reshape(x.shape[:-1] + (d, d))
-
-
-def right_mult_matrix(at: AlgebraTable, x) -> np.ndarray:
-    """Matrix of y -> y*x: rows are (b_i*x)_l."""
-    d = at.dim
-    x = _as_vec(at, x)
-    i, j, m, c = at.entries()
-    out = contract(at.gf, [(x.reshape(-1, d), j)], c, i * d + m, d * d)
-    return out.reshape(x.shape[:-1] + (d, d))
 
 
 def radical(at: AlgebraTable) -> Subspace:

@@ -5,6 +5,20 @@ from functools import lru_cache
 
 from kuls import GF, FamilySpec, build_table, complete, family
 
+# one small instance of each of the ten families, d = 6-18
+CATALOGUE = [
+    ("Omega", {"n": 2}),
+    ("A", {"p": 1, "q": 2}),
+    ("D", {"m": 2}),
+    ("Dprime", {"m": 2}),
+    ("Gamma", {"n": 1}),
+    ("Lambda", {"m": 2}),
+    ("Tpqr", {"p": 2, "q": 2, "r": 2}),
+    ("Tpq", {"p": 1, "q": 1}),
+    ("Tstar", {"r": 2}),
+    ("N", {"n": 2, "m": 1}),
+]
+
 
 @lru_cache(maxsize=None)
 def _table(name, items, p, e):

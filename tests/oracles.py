@@ -7,17 +7,18 @@ import numpy as np
 
 from kuls.errors import ConsistencyFailure, DimensionMismatch, InvariantViolation
 from kuls.form import SymmetrizingForm
-from kuls.linalg import Subspace, contains, kernel, row_space, rref
+from kuls.linalg import Subspace, contains, kernel, reduce_mod, row_space, rref
 from kuls.presentation import PathWord, word_str
 from kuls.rewriting import AlgebraTable, _reduce, enumerate_basis
 from kuls.reynolds import reynolds_ideal
-from kuls.sparse import from_entries
-from kuls.structure import center, power
+from kuls.sparse import contract, from_entries
+from kuls.structure import center, commutator_space, power
 
 __all__ = ["path_quotient_dim", "rank_mod_p", "all_pairs_commutator_space", "all_pairs_center",
            "all_pairs_socles", "is_associative",
            "naive_matmul", "naive_rref", "dense_reference_table", "dense_table",
-           "table_from_dense", "solve", "XiMap", "xi_map"]
+           "table_from_dense", "left_mult_matrix", "right_mult_matrix", "solve",
+           "XiMap", "xi_map", "direct_kuelshammer_space"]
 
 
 def dense_reference_table(rs) -> np.ndarray:
@@ -65,6 +66,24 @@ def table_from_dense(at, dense) -> AlgebraTable:
     rows, cols = np.nonzero(pairs)
     csr = from_entries(at.gf, (d * d, d), rows, cols, pairs[rows, cols])
     return AlgebraTable(at.rs, at.basis, at.index, csr, at.trivial_indices, at.unit)
+
+
+def left_mult_matrix(at, x) -> np.ndarray:
+    """Matrix of y -> x*y acting on row coordinate vectors: (x*b_j)_l; (r, d, d) for a stack."""
+    d = at.dim
+    x = np.asarray(x, dtype=np.int64)
+    i, j, m, c = at.entries()
+    out = contract(at.gf, [(x.reshape(-1, d), i)], c, j * d + m, d * d)
+    return out.reshape(x.shape[:-1] + (d, d))
+
+
+def right_mult_matrix(at, x) -> np.ndarray:
+    """Matrix of y -> y*x: rows are (b_i*x)_l."""
+    d = at.dim
+    x = np.asarray(x, dtype=np.int64)
+    i, j, m, c = at.entries()
+    out = contract(at.gf, [(x.reshape(-1, d), j)], c, i * d + m, d * d)
+    return out.reshape(x.shape[:-1] + (d, d))
 
 
 def naive_matmul(gf, a, b) -> np.ndarray:
@@ -304,3 +323,16 @@ def xi_map(at: AlgebraTable, f: SymmetrizingForm, n: int) -> XiMap:
     if image != reynolds_ideal(at, f, n):
         raise InvariantViolation("image of xi_n differs from T_n^perp")
     return XiMap(center=z, matrix=mat, n=n, image=image)
+
+
+def direct_kuelshammer_space(at: AlgebraTable, n: int) -> Subspace:
+    """T_n(A) in one step from K(A): x -> x**(p**n) is additive modulo K(A)
+    and p**n-semilinear, so with r_i = b_i**(p**n) reduced mod K(A) solve
+    sum d_i r_i = 0 and take p**n-th roots of the kernel coordinates."""
+    gf, d = at.gf, at.dim
+    k = commutator_space(at)
+    if n == 0:
+        return k
+    residues = reduce_mod(k, power(at, np.eye(d, dtype=np.int64), gf.p ** n))
+    twisted = kernel(gf, residues.T)
+    return row_space(gf, gf.frob_inv(twisted.basis, n), d)

@@ -11,7 +11,6 @@ from kuls.errors import DimensionMismatch
 from kuls.linalg import (
     contains,
     contains_subspace,
-    frobenius_shift,
     full_space,
     intersect,
     kernel,
@@ -176,23 +175,3 @@ def test_solve_roundtrip(gf):
     singular = np.zeros((4, 4), dtype=np.int64)
     with pytest.raises(DimensionMismatch):
         solve(gf, singular, b)
-
-
-def test_frobenius_shift_prime_field_is_identity():
-    gf = GF(5)
-    s = row_space(gf, np.array([[1, 2], [0, 3]]))
-    assert frobenius_shift(s) == s
-    assert frobenius_shift(s, 3, "forward") == s
-
-
-def test_frobenius_shift_moves_extension_subspaces():
-    gf = GF(2, 2)
-    t = gf.from_coeffs((0, 1))
-    s = row_space(gf, np.array([[1, t]], dtype=np.int64))
-    forward = frobenius_shift(s, 1, "forward")
-    assert forward != s  # (1, t) maps to (1, t + 1)
-    assert contains(forward, np.array([1, gf.frob(t)], dtype=np.int64))
-    assert frobenius_shift(forward, 1, "inverse") == s
-    assert frobenius_shift(s, 2) == s  # full Frobenius orbit
-    with pytest.raises(ValueError):
-        frobenius_shift(s, 1, "sideways")

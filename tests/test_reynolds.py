@@ -4,8 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import make_table
+from conftest import CATALOGUE, make_table
 from kuls import (
+    GF,
+    FamilySpec,
     brute_force_kuelshammer,
     build_table,
     canonical_form,
@@ -15,6 +17,7 @@ from kuls import (
     complete,
     consistent_form,
     custom_form,
+    family,
     kuelshammer_space,
     orthogonal,
     parse_presentation,
@@ -29,8 +32,8 @@ from kuls.errors import (
     CharacteristicMismatch,
     InvariantViolation,
 )
-from kuls.linalg import contains, contains_subspace, intersect
-from oracles import xi_map
+from kuls.linalg import contains, contains_subspace, intersect, row_space
+from oracles import direct_kuelshammer_space, xi_map
 
 
 def truncated(p, k):
@@ -108,6 +111,92 @@ def test_brute_force_agrees_with_semilinear_kernel(name, params, gf):
     at = make_table(name, gf=gf, **params)
     for n in (1, 2):
         assert brute_force_kuelshammer(at, n) == kuelshammer_space(at, n)
+
+
+@pytest.mark.parametrize("gf", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)],
+                         ids=lambda f: f"GF{f[0]}^{f[1]}")
+@pytest.mark.parametrize("name,params", CATALOGUE, ids=[c[0] for c in CATALOGUE])
+def test_chain_step_matches_direct_pth_power_method(name, params, gf):
+    # family constants lie in GF(p), so every T_n here has a GF(p) basis;
+    # the p-th root of the step is exercised by TWISTED below
+    at = make_table(name, gf=gf, **params)
+    for n in range(5):
+        assert kuelshammer_space(at, n) == direct_kuelshammer_space(at, n)
+
+
+# over GF(8), where the p-th root is not an involution, with t outside GF(2)
+# in the relations: T_1 is not spanned by GF(2)-rows, so taking a p-th power
+# instead of a p-th root gives another space
+TWISTED = [
+    "algebra s over GF(2^3) { vertices v; arrows { a: v -> v; b: v -> v; }"
+    " relations { a*a = (t)*b*b; a*b = b*a; a*a*a; } }",
+    "algebra m over GF(2^3) { vertices v; arrows { a: v -> v; b: v -> v; }"
+    " relations { a*a = (t)*a*b; b*b = (t+1)*b*a; a*b*a; } }",
+]
+
+
+@pytest.mark.parametrize("source", TWISTED, ids=["s", "m"])
+def test_chain_step_takes_pth_roots_off_the_prime_field(source):
+    at = build_table(complete(parse_presentation(source)))
+    gf = at.gf
+    t1 = kuelshammer_space(at, 1)
+    assert row_space(gf, gf.frob(t1.basis), at.dim) != t1
+    for n in range(5):
+        assert kuelshammer_space(at, n) == direct_kuelshammer_space(at, n)
+    if at.dim == 5:  # 8**5 elements
+        assert brute_force_kuelshammer(at, 1) == t1
+
+
+def _fresh_table(name, gf, **params):
+    return build_table(complete(family(FamilySpec(name, params, GF(*gf)))))
+
+
+def _counting(monkeypatch, module, attr, calls):
+    original = getattr(module, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counted)
+
+
+def test_chain_powers_the_identity_once_per_table(monkeypatch):
+    at = _fresh_table("Omega", (2, 2), n=2)
+    powers, kernels, commutators = [], [], []
+    _counting(monkeypatch, reynolds, "power", powers)
+    _counting(monkeypatch, reynolds, "kernel", kernels)
+    _counting(monkeypatch, reynolds, "commutator_space", commutators)
+    spaces = [kuelshammer_space(at, n) for n in range(7)]
+    stable = next(n for n in range(6) if spaces[n] == spaces[n + 1])
+    assert stable == 2
+    assert len(powers) == 1 and powers[0][1] == at.gf.p  # rows b_i**p, once
+    assert len(kernels) <= stable + 1
+    assert len(commutators) == 7  # T_0 is read on every call
+
+
+def test_large_n_returns_the_stable_space():
+    at = _fresh_table("D", (2, 1), m=2)
+    stable = kuelshammer_space(at, 10**6)
+    assert stable == kuelshammer_space(at, at.dim) == brute_force_kuelshammer(at, at.dim)
+    assert stable == kuelshammer_space(at, 3) != kuelshammer_space(at, 1)
+    with pytest.raises(BadParameters):
+        kuelshammer_space(at, -1)
+
+
+def test_brute_force_rejects_negative_n():
+    at = make_table("Omega", n=1)
+    with pytest.raises(BadParameters):
+        brute_force_kuelshammer(at, -1)
+
+
+def test_brute_force_caps_n_at_the_dimension(monkeypatch):
+    at = make_table("Omega", n=1)
+    exponents = []
+    _counting(monkeypatch, reynolds, "power", exponents)
+    big = brute_force_kuelshammer(at, 300)
+    assert {k for _, k in exponents} == {2 ** at.dim}  # T_300 = T_d
+    assert big == brute_force_kuelshammer(at, at.dim) == kuelshammer_space(at, 300)
 
 
 def test_brute_force_spans_several_chunks_over_an_extension_field(monkeypatch):

@@ -11,8 +11,9 @@ from kuls import GF, build_table, complete, parse_presentation, sparse
 from kuls.families import FAMILY_NAMES, FamilySpec, family
 from kuls.form import _gram
 from kuls.sparse import contract
-from kuls.structure import left_mult_matrix, multiply, right_mult_matrix
-from oracles import dense_reference_table, dense_table, naive_matmul
+from kuls.structure import multiply
+from oracles import (dense_reference_table, dense_table, left_mult_matrix, naive_matmul,
+                     right_mult_matrix)
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
 SMALL = {"A": {"p": 1, "q": 2}, "D": {"m": 3}, "Dprime": {"m": 3}, "Gamma": {"n": 2},

@@ -4,15 +4,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import make_table
+from conftest import CATALOGUE, make_table
 from kuls import center, commutator_space, parse_presentation, radical, socle
 from kuls import build_table, complete, linalg, structure
 from kuls.errors import DimensionMismatch, NotNilpotent
 from kuls.linalg import contains, contains_subspace, intersect, subspace_sum
-from kuls.structure import (left_mult_matrix, multiply, power, right_mult_matrix,
-                            socle_center)
+from kuls.structure import multiply, power, socle_center
 from oracles import (all_pairs_center, all_pairs_commutator_space, all_pairs_socles, dense_table,
-                     table_from_dense)
+                     left_mult_matrix, right_mult_matrix, table_from_dense)
 
 
 @pytest.mark.parametrize("name,params,dims", [
@@ -196,20 +195,6 @@ def test_lattice_relations_between_subspaces():
     assert intersect(z, k).dim < min(z.dim, k.dim)
     assert subspace_sum(z, k).dim == z.dim + k.dim - intersect(z, k).dim
     assert contains_subspace(z, intersect(s.right, z))
-
-
-CATALOGUE = [
-    ("Omega", {"n": 2}),
-    ("A", {"p": 1, "q": 2}),
-    ("D", {"m": 2}),
-    ("Dprime", {"m": 2}),
-    ("Gamma", {"n": 1}),
-    ("Lambda", {"m": 2}),
-    ("Tpqr", {"p": 2, "q": 2, "r": 2}),
-    ("Tpq", {"p": 1, "q": 1}),
-    ("Tstar", {"r": 2}),
-    ("N", {"n": 2, "m": 1}),
-]
 
 
 @pytest.mark.parametrize("gf", [(2, 1), (3, 1), (2, 2), (3, 2)], ids=lambda f: f"GF{f[0]}^{f[1]}")

@@ -31,7 +31,9 @@ __all__ = [
     "brute_force_kuelshammer",
 ]
 
-BRUTE_FORCE_CHUNK = 1024  # elements per stacked power in brute_force_kuelshammer
+# elements per stacked x**first in brute_force_kuelshammer; the chunk bounds only
+# the (chunk, d) arrays, sparse.SPARSE_BLOCK the product temporaries
+BRUTE_FORCE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -192,9 +194,19 @@ def brute_force_kuelshammer(at: AlgebraTable, n: int,
                             budget: int = 2**20) -> Subspace:
     """T_n(A) by enumerating every element; independent check of kuelshammer_space.
 
-    Elements are raised to the p**n-th power through structure.power, the
-    same product path as the pipeline, in chunks of BRUTE_FORCE_CHUNK rows; the
-    chunk bounds only the (chunk, d) arrays, sparse.SPARSE_BLOCK the temporaries.
+    Elements are raised to the power first = min(p**n, p) through
+    structure.power, the same product path as the pipeline, in chunks of
+    BRUTE_FORCE_CHUNK rows.  Each x**first is encoded as its base-q integer
+    code, and a memo of q**d int8 entries (q**d bytes, at most budget)
+    records per code whether it is unknown, in K(A) or not.  Only the first
+    occurrence of each unknown code is raised on to the power p**n // first
+    and reduced mod K(A).  This is exact: x**(p**n) = (x**first)**(p**n //
+    first) by power associativity, and equal elements have equal powers, so
+    whether x lies in T_n depends on x only through x**first.  Nothing here
+    uses additivity modulo K(A), so the check stays independent of the
+    semilinear chain it checks.  At n = 0 no code repeats, so every element
+    is reduced directly; the memo is allocated at every n all the same, so
+    an enumeration whose memo does not fit raises BudgetExceeded up front.
     The members are counted as well as spanned: a set is the subspace it
     spans iff it has q**dim elements, so the result is the member set itself.
 
@@ -212,16 +224,33 @@ def brute_force_kuelshammer(at: AlgebraTable, n: int,
     if total > budget:
         raise BudgetExceeded(
             f"enumerating {gf.q}**{d} = {total} elements exceeds the budget {budget}")
+    memo_bytes = f"a memo of {gf.q}**{d} = {total} bytes"
+    if total >= 2**63:  # the codes and weights are int64
+        raise BudgetExceeded(f"{memo_bytes} overflows the int64 element codes")
+    try:
+        memo = np.zeros(total, dtype=np.int8)  # 0 unknown, 1 in K(A), 2 not in K(A)
+    except (MemoryError, ValueError):
+        raise BudgetExceeded(f"{memo_bytes} cannot be allocated") from None
     k = commutator_space(at)
     m = gf.p ** min(n, d)
+    first = min(m, gf.p)
     span = row_space(gf, np.zeros((0, d), dtype=np.int64), d)
     members = 0
     weights = gf.q ** np.arange(d, dtype=np.int64)
     for start in range(0, total, BRUTE_FORCE_CHUNK):
         idx = np.arange(start, min(start + BRUTE_FORCE_CHUNK, total), dtype=np.int64)
-        vectors = (idx[:, None] // weights[None, :]) % gf.q
-        powers = power(at, vectors, m)
-        mask = ~reduce_mod(k, powers).any(axis=1)
+        vectors = np.stack(np.unravel_index(idx, (gf.q,) * d, order="F"), axis=-1)
+        firsts = power(at, vectors, first)
+        if m == 1:  # x**1 = x: no code repeats, so the memo would only add work
+            mask = ~reduce_mod(k, firsts).any(axis=1)
+        else:
+            codes = firsts @ weights
+            unknown = np.flatnonzero(memo[codes] == 0)
+            if len(unknown):
+                fresh, rep = np.unique(codes[unknown], return_index=True)
+                outside = reduce_mod(k, power(at, firsts[unknown[rep]], m // first)).any(axis=1)
+                memo[fresh] = np.where(outside, 2, 1)
+            mask = memo[codes] == 1
         members += int(mask.sum())
         new = reduce_mod(span, vectors[mask])  # one product per chunk; row_space only if T_n grows
         if new.any():

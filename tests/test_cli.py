@@ -366,6 +366,22 @@ def test_oracle_budget_exceeded(tmp_path, capsys):
     assert "2**10" in err
 
 
+@pytest.mark.parametrize("n,budget,projected", [(6, 2**60, "2**54"), (8, 2**100, "2**88")],
+                         ids=["d54", "d88"])
+def test_oracle_memo_beyond_any_address_space_is_budget_exceeded(tmp_path, capsys, n,
+                                                                 budget, projected):
+    # within the element budget, but the q**d-byte memo is 16 PiB (d = 54) or
+    # past the int64 codes (d = 88)
+    argv = ["invariants", "--family", "Omega", "--params", f"n={n}", "--char", "2",
+            "--emit-dsl"]
+    assert main(argv) == 0
+    path = _write(tmp_path, f"omega{n}.kuls", capsys.readouterr().out)
+    assert main(["oracle", path, "--n", "1", "--budget", str(budget)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("BudgetExceeded:")
+    assert projected in err and "Traceback" not in err
+
+
 def test_oracle_mismatch_is_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "kuelshammer_space",
                         lambda at, n: kuelshammer_space(at, 0))

@@ -33,6 +33,7 @@ from kuls.errors import (
     InvariantViolation,
 )
 from kuls.linalg import contains, contains_subspace, intersect, row_space
+from kuls.structure import multiply
 from oracles import direct_kuelshammer_space, xi_map
 
 
@@ -109,7 +110,7 @@ def test_max_n_must_be_positive():
 ])
 def test_brute_force_agrees_with_semilinear_kernel(name, params, gf):
     at = make_table(name, gf=gf, **params)
-    for n in (1, 2):
+    for n in range(4):  # N(1,2)/GF(3) at n = 3 raises x**3 on to the 9th power
         assert brute_force_kuelshammer(at, n) == kuelshammer_space(at, n)
 
 
@@ -144,7 +145,8 @@ def test_chain_step_takes_pth_roots_off_the_prime_field(source):
     for n in range(5):
         assert kuelshammer_space(at, n) == direct_kuelshammer_space(at, n)
     if at.dim == 5:  # 8**5 elements
-        assert brute_force_kuelshammer(at, 1) == t1
+        for n in (1, 2):  # n = 2 squares x**2 again, over GF(8)
+            assert brute_force_kuelshammer(at, n) == kuelshammer_space(at, n)
 
 
 def _fresh_table(name, gf, **params):
@@ -195,8 +197,22 @@ def test_brute_force_caps_n_at_the_dimension(monkeypatch):
     exponents = []
     _counting(monkeypatch, reynolds, "power", exponents)
     big = brute_force_kuelshammer(at, 300)
-    assert {k for _, k in exponents} == {2 ** at.dim}  # T_300 = T_d
+    # x**2, then (x**2)**(2**(d-1)) = x**(2**d): T_300 = T_d
+    assert {k for _, k in exponents} == {2, 2 ** (at.dim - 1)}
     assert big == brute_force_kuelshammer(at, at.dim) == kuelshammer_space(at, 300)
+
+
+def test_brute_force_raises_each_distinct_square_on_once(monkeypatch):
+    at = make_table("Omega", n=2)
+    d = at.dim
+    idx = np.arange(2 ** d, dtype=np.int64)
+    everything = (idx[:, None] >> np.arange(d)) & 1
+    squares = len(np.unique(multiply(at, everything, everything), axis=0))
+    assert squares < 2 ** d
+    calls = []
+    _counting(monkeypatch, reynolds, "power", calls)
+    assert brute_force_kuelshammer(at, 3) == kuelshammer_space(at, 3)
+    assert sum(len(x) for x, k in calls if k == 4) == squares  # x**8 = (x**2)**4
 
 
 def test_brute_force_spans_several_chunks_over_an_extension_field(monkeypatch):

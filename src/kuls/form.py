@@ -12,19 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameters, Degenerate, DimensionMismatch, NotSymmetric
-from .linalg import Subspace, full_space, kernel, reduce_mod, rref
+from .linalg import Subspace, kernel, reduce_mod, rref
 from .presentation import PathWord, word_str
 from .rewriting import AlgebraTable
 from .sparse import contract
-from .structure import commutator_space, socle
+from .structure import closed_part, closed_words, commutator_space, socle
 
-__all__ = [
-    "SymmetrizingForm",
-    "canonical_form",
-    "consistent_form",
-    "custom_form",
-    "orthogonal",
-]
+__all__ = ["SymmetrizingForm", "canonical_form", "consistent_form", "custom_form", "orthogonal"]
 
 
 @dataclass(frozen=True)
@@ -45,8 +39,7 @@ class SymmetrizingForm:
 
     def pair(self, x: np.ndarray, y: np.ndarray) -> int:
         """The form value (x, y) = psi(x*y) as an encoded field scalar."""
-        gf = self.gf
-        d = self.table.dim
+        gf, d = self.gf, self.table.dim
         row = gf.matmul(np.asarray(x, dtype=np.int64).reshape(1, d), self.gram)
         return int(gf.matmul(row, np.asarray(y, dtype=np.int64).reshape(d, 1))[0, 0])
 
@@ -60,7 +53,6 @@ def _gram(at: AlgebraTable, psi: np.ndarray) -> np.ndarray:
 
 def _build(at: AlgebraTable, psi: np.ndarray) -> SymmetrizingForm:
     """Contract psi against the structure constants and validate the Gram matrix."""
-    gf = at.gf
     gram = _gram(at, psi)
     if not np.array_equal(gram, gram.T):
         i, j = np.argwhere(gram != gram.T)[0]
@@ -69,10 +61,9 @@ def _build(at: AlgebraTable, psi: np.ndarray) -> SymmetrizingForm:
             f"{int(gram[i, j])} but ({at.word_name(int(j))}, {at.word_name(int(i))}) = "
             f"{int(gram[j, i])}; the algebra is not symmetric for this psi",
             witness=(int(i), int(j)))
-    rad = kernel(gf, gram)
+    rad = kernel(at.gf, gram)
     if rad.dim:
-        raise Degenerate("the form psi(x*y) is degenerate",
-                         kernel_vector=rad.basis[0].copy())
+        raise Degenerate("the form psi(x*y) is degenerate", kernel_vector=rad.basis[0].copy())
     return SymmetrizingForm(at, psi, gram)
 
 
@@ -96,9 +87,8 @@ def _socle_word_indices(at: AlgebraTable) -> list[int]:
     outside = reduce_mod(s.right, np.eye(at.dim, dtype=np.int64)).any(axis=1)
     idx = np.flatnonzero(~outside).tolist()
     if len(idx) != s.right.dim:
-        raise Degenerate(
-            "the socle is not spanned by basis words; supply explicit psi "
-            "values with custom_form")
+        raise Degenerate("the socle is not spanned by basis words; supply explicit psi "
+                         "values with custom_form")
     return idx
 
 
@@ -113,23 +103,23 @@ def consistent_form(at: AlgebraTable) -> SymmetrizingForm:
     socle words} with all free values set to 0, and validates the result.
     NotSymmetric when the system is infeasible (over GF(2) that is a proof
     that no symmetrizing form exists).
+
+    K(A) = O + pi(K(A)) (see structure.py): psi is 0 on open words, and
+    the system is infeasible if a socle word is open.  Else its RREF is the
+    unit rows of the open words beside that of [pi(K(A)); socle rows | 1].
     """
-    gf = at.gf
-    d = at.dim
-    soc_idx = _socle_word_indices(at)
-    k = commutator_space(at)
-    eye = np.eye(d, dtype=np.int64)
-    lhs = np.vstack([k.basis, eye[soc_idx]])
-    rhs = np.concatenate([np.zeros(k.dim, dtype=np.int64),
-                          np.ones(len(soc_idx), dtype=np.int64)])
-    r, pivots = rref(gf, np.hstack([lhs, rhs.reshape(-1, 1)]))
-    if d in pivots:
-        raise NotSymmetric(
-            "no symmetrizing form assigns a common value 1 to every socle "
-            "word while vanishing on the commutator subspace")
-    psi = np.zeros(d, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        psi[c] = int(r[i, d])
+    closed, soc_idx = closed_words(at), _socle_word_indices(at)
+    c, k = len(closed), closed_part(at, commutator_space(at))
+    system = np.zeros((k.dim + len(soc_idx), c + 1), dtype=np.int64)  # [pi(K(A)) | 0; socle | 1]
+    system[:k.dim, :c] = k.basis
+    system[np.arange(k.dim, len(system)), np.searchsorted(closed, soc_idx)] = 1
+    system[k.dim:, c] = 1
+    r, pivots = rref(at.gf, system)
+    if c in pivots or not np.isin(soc_idx, closed).all():
+        raise NotSymmetric("no symmetrizing form assigns a common value 1 to every socle "
+                           "word while vanishing on the commutator subspace")
+    psi = np.zeros(at.dim, dtype=np.int64)
+    psi[closed[pivots]] = r[:len(pivots), c]
     return _build(at, psi)
 
 
@@ -164,8 +154,5 @@ def orthogonal(f: SymmetrizingForm, s: Subspace) -> Subspace:
     """The complement {y : (x, y) = 0 for all x in s} under the form."""
     at = f.table
     if s.ambient_dim != at.dim:
-        raise DimensionMismatch(
-            f"subspace ambient {s.ambient_dim} != algebra dimension {at.dim}")
-    if s.dim == 0:
-        return full_space(f.gf, at.dim)
+        raise DimensionMismatch(f"subspace ambient {s.ambient_dim} != algebra dimension {at.dim}")
     return kernel(f.gf, f.gf.matmul(s.basis, f.gram))

@@ -334,7 +334,7 @@ class AlgebraTable:
     table: Csr
     trivial_indices: tuple[int, ...]
     unit: np.ndarray
-    # Z, K, soc, L_s, the T_n chain T_0, T_1, ... and the rows b_i**p, once per table
+    # per table: closed words, Z and K (lifts from C), soc, the chain T_n cap C, b_i**p on C
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property

@@ -12,24 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadParameters, BudgetExceeded, CharacteristicMismatch,
-                     InvariantViolation)
-from .form import SymmetrizingForm, orthogonal
+from .errors import BadParameters, BudgetExceeded, CharacteristicMismatch, InvariantViolation
+from .form import SymmetrizingForm
 from .gf import GF
-from .linalg import Subspace, contains_subspace, kernel, reduce_mod, row_space
+from .linalg import Subspace, contains_subspace, full_space, kernel, reduce_mod, row_space
 from .rewriting import AlgebraTable
-from .structure import center, commutator_space, multiply, power, socle, socle_center
+from .sparse import contract
+from .structure import (center, closed_part, closed_words, commutator_space, lift, power, socle,
+                        socle_center)
 
-__all__ = [
-    "ReynoldsRow",
-    "ReynoldsReport",
-    "Verdict",
-    "kuelshammer_space",
-    "reynolds_ideal",
-    "reynolds_sequence",
-    "compare",
-    "brute_force_kuelshammer",
-]
+__all__ = ["ReynoldsRow", "ReynoldsReport", "Verdict", "kuelshammer_space", "reynolds_ideal",
+           "reynolds_sequence", "compare", "brute_force_kuelshammer"]
 
 # elements per stacked x**first in brute_force_kuelshammer; the chunk bounds only
 # the (chunk, d) arrays, sparse.SPARSE_BLOCK the product temporaries
@@ -74,6 +67,22 @@ class Verdict:
     dims: tuple[int, int] | None = None
 
 
+def _chain(at: AlgebraTable, n: int) -> Subspace:
+    """T_n(A) cap C on the closed coordinates (see kuelshammer_space)."""
+    if n < 0:
+        raise BadParameters("n must be nonnegative")
+    gf, c = at.gf, len(closed_words(at))
+    k = commutator_space(at)  # T_0, cached per table
+    chain = at.cache.setdefault("kuelshammer_chain", [closed_part(at, k)])
+    while n >= len(chain) and (len(chain) == 1 or chain[-1] != chain[-2]):
+        if "pth_powers" not in at.cache:  # the closed words as elements of A, to the p
+            powers = power(at, lift(at, full_space(gf, c)).basis, gf.p)
+            at.cache["pth_powers"] = powers[:, closed_words(at)]
+        twisted = kernel(gf, reduce_mod(chain[-1], at.cache["pth_powers"]).T, c)
+        chain.append(Subspace(gf, c, gf.frob_inv(twisted.basis), twisted.pivots))
+    return chain[min(n, len(chain) - 1)]
+
+
 def kuelshammer_space(at: AlgebraTable, n: int) -> Subspace:
     """T_n(A) = {x : x**(p**n) in K(A)}, one semilinear step per n from T_0 = K(A).
 
@@ -84,102 +93,93 @@ def kuelshammer_space(at: AlgebraTable, n: int) -> Subspace:
     T_(n-1) the condition on x = sum c_i b_i is sum c_i**p r_i = 0: solve for
     the twisted coordinates c_i**p and take p-th roots entrywise.  A field
     automorphism keeps an RREF and its pivots, so the roots need no
-    elimination.  The chain and the rows b_i**p are kept in at.cache; once
-    T_n = T_(n-1) the chain is constant (x in T_(n+1) iff x**p in T_n), so
-    any n costs at most d steps.
+    elimination.  The steps run in C (see structure.py): T_n contains K(A)
+    and so O, hence T_n = O + (T_n cap C); for x in C, x**p lies in the
+    subalgebra C and differs from sum c_i**p b_i**p by an element of K(A)
+    cap C.  So only the closed b_i and their closed b_i**p enter.  The
+    chain T_n cap C and the rows b_i**p are kept in at.cache; once T_n =
+    T_(n-1) the chain is constant (x in T_(n+1) iff x**p in T_n): c steps at most.
     """
-    if n < 0:
-        raise BadParameters("n must be nonnegative")
-    gf, d = at.gf, at.dim
-    k = commutator_space(at)  # T_0, cached per table
-    chain = at.cache.setdefault("kuelshammer_chain", [k])
-    while n >= len(chain) and (len(chain) == 1 or chain[-1] != chain[-2]):
-        if "pth_powers" not in at.cache:
-            at.cache["pth_powers"] = power(at, np.eye(d, dtype=np.int64), gf.p)
-        twisted = kernel(gf, reduce_mod(chain[-1], at.cache["pth_powers"]).T)
-        chain.append(Subspace(gf, d, gf.frob_inv(twisted.basis), twisted.pivots))
-    return chain[min(n, len(chain) - 1)]
+    return lift(at, _chain(at, n), with_open=True)
 
 
-def _verified_perp(at: AlgebraTable, f: SymmetrizingForm, t: Subspace,
-                   z: Subspace, soc_z: Subspace) -> Subspace:
-    """orthogonal(f, t), checked to be an ideal of Z(A) containing soc and Z."""
-    perp = orthogonal(f, t)
+def _verified_perp(at: AlgebraTable, f: SymmetrizingForm, t: Subspace) -> Subspace:
+    """T_n^perp on the closed coordinates, from t = T_n cap C, checked to be
+    an ideal of Z(A) between soc(A) cap Z(A) and Z(A).
+
+    psi(xy) vanishes on K(A), hence on O, and a closed word times an open
+    one is 0 or open, so C and O are orthogonal: the nonsingular Gram
+    matrix is block diagonal on C + O, and y is orthogonal to O iff y is in
+    C.  As T_n = O + (T_n cap C), T_n^perp is the complement of T_n cap C
+    under the C block.  Z(A) and soc(A) cap Z(A) lie in C: so do the checks.
+    """
+    gf, closed, (i, j, m, c) = at.gf, closed_words(at), at.entries()
+    z, soc_z = closed_part(at, center(at)), closed_part(at, socle_center(at))
+    perp = kernel(gf, gf.matmul(t.basis, f.gram[np.ix_(closed, closed)]), len(closed))
     if not contains_subspace(z, perp):
         raise InvariantViolation("T_n^perp is not contained in the center")
     if not contains_subspace(perp, soc_z):
         raise InvariantViolation("T_n^perp does not contain soc(A) intersect Z(A)")
-    step = max(1, at.dim // max(1, z.dim))  # perp rows per stack of at most d products
-    for lo in range(0, perp.dim, step):
-        v = perp.basis[lo:lo + step]
-        prods = multiply(at, np.repeat(v, z.dim, axis=0), np.tile(z.basis, (len(v), 1)))
-        if np.any(reduce_mod(perp, prods)):  # v * w for v in perp, w in Z
-            raise InvariantViolation("T_n^perp is not an ideal of the center")
+    keep = np.isin(i, closed) & np.isin(j, closed)  # then b_m is closed
+    i, j, m = (np.searchsorted(closed, x[keep]) for x in (i, j, m))
+    prods = contract(gf, [(np.repeat(perp.basis, z.dim, axis=0), i),
+                          (np.tile(z.basis, (perp.dim, 1)), j)], c[keep], m, len(closed))
+    if np.any(reduce_mod(perp, prods)):  # v * w for v in perp, w in Z
+        raise InvariantViolation("T_n^perp is not an ideal of the center")
     return perp
 
 
 def reynolds_ideal(at: AlgebraTable, f: SymmetrizingForm, n: int) -> Subspace:
     """T_n(A)^perp, verified to be an ideal of Z(A) between soc(A) cap Z(A) and Z(A)."""
-    return _verified_perp(at, f, kuelshammer_space(at, n), center(at), socle_center(at))
+    return lift(at, _verified_perp(at, f, _chain(at, n)))
 
 
-def reynolds_sequence(at: AlgebraTable, f: SymmetrizingForm,
-                      max_n: int = 8) -> ReynoldsReport:
+def reynolds_sequence(at: AlgebraTable, f: SymmetrizingForm, max_n: int = 8) -> ReynoldsReport:
     """Rows (dim T_n, dim T_n^perp) for n = 0, 1, ... until stabilization.
 
     Stops after the first n with T_n = T_(n+1); stabilization is permanent
     because x in T_(n+2) iff x**p in T_(n+1).  The terminal complement is
-    checked to equal soc(A) intersect Z(A).
+    checked to equal soc(A) intersect Z(A).  All checks run on the closed
+    coordinates, which is exact: lifting to A is injective and keeps
+    inclusions.  dim T_n = (d - c) + dim(T_n cap C).
     """
     if max_n < 1:
         raise BadParameters("max_n must be at least 1")
-    z = center(at)
-    k = commutator_space(at)
-    s = socle(at)
+    z, k, s = center(at), commutator_space(at), socle(at)
     if not s.two_sided_equal:
         raise InvariantViolation("socle is one-sided although a form was validated")
-    soc_z = socle_center(at)
+    opened = at.dim - len(closed_words(at))
+    soc_z = closed_part(at, socle_center(at))
 
-    t = kuelshammer_space(at, 0)
-    if t != k:
+    t = _chain(at, 0)
+    if t != closed_part(at, k):
         raise InvariantViolation("T_0 differs from the commutator subspace")
-    perp = _verified_perp(at, f, t, z, soc_z)
-    if perp != z:
+    perp = _verified_perp(at, f, t)
+    if perp != closed_part(at, z):
         raise InvariantViolation("K(A)^perp is not the center")
-    rows = [ReynoldsRow(0, t.dim, perp.dim)]
-    stabilized_at = None
+    rows, stabilized_at = [ReynoldsRow(0, opened + t.dim, perp.dim)], None
     for n in range(1, max_n + 1):
-        t_next = kuelshammer_space(at, n)
+        t_next = _chain(at, n)
         if not contains_subspace(t_next, t):
             raise InvariantViolation("T_n chain is not ascending")
-        perp_next = _verified_perp(at, f, t_next, z, soc_z)
+        perp_next = _verified_perp(at, f, t_next)
         if not contains_subspace(perp, perp_next):
             raise InvariantViolation("T_n^perp chain is not descending")
-        rows.append(ReynoldsRow(n, t_next.dim, perp_next.dim))
+        rows.append(ReynoldsRow(n, opened + t_next.dim, perp_next.dim))
         if t_next == t:
             stabilized_at = n - 1
             if perp_next != soc_z:
-                raise InvariantViolation(
-                    "stabilized T_n^perp differs from soc(A) intersect Z(A)")
+                raise InvariantViolation("stabilized T_n^perp differs from soc(A) cap Z(A)")
             break
         t, perp = t_next, perp_next
-    return ReynoldsReport(
-        name=at.presentation.name,
-        gf=at.gf,
-        dim=at.dim,
-        dim_center=z.dim,
-        dim_socle=s.right.dim,
-        dim_commutator=k.dim,
-        rows=tuple(rows),
-        stabilized_at=stabilized_at,
-    )
+    return ReynoldsReport(at.presentation.name, at.gf, at.dim, z.dim, s.right.dim, k.dim,
+                          tuple(rows), stabilized_at)
 
 
 def compare(a: ReynoldsReport, b: ReynoldsReport) -> Verdict:
     """Distinguished when some aligned dim T_n^perp differs, else Inconclusive."""
     if a.gf.p != b.gf.p:
-        raise CharacteristicMismatch(
-            f"cannot compare characteristics {a.gf.p} and {b.gf.p}")
+        raise CharacteristicMismatch(f"cannot compare characteristics {a.gf.p} and {b.gf.p}")
     horizon = max(len(a.rows), len(b.rows))
     for n in range(horizon):
         da, db = a.perp_dim(n), b.perp_dim(n)
@@ -190,8 +190,7 @@ def compare(a: ReynoldsReport, b: ReynoldsReport) -> Verdict:
     return Verdict("inconclusive")
 
 
-def brute_force_kuelshammer(at: AlgebraTable, n: int,
-                            budget: int = 2**20) -> Subspace:
+def brute_force_kuelshammer(at: AlgebraTable, n: int, budget: int = 2**20) -> Subspace:
     """T_n(A) by enumerating every element; independent check of kuelshammer_space.
 
     Elements are raised to the power first = min(p**n, p) through
@@ -212,14 +211,12 @@ def brute_force_kuelshammer(at: AlgebraTable, n: int,
 
     n > d is computed as n = d: T_n = T_min(n, d).  The chain ascends
     (K(A)**p lies in K(A)), and after its first repeat T_m = T_(m+1) it is
-    constant (x in T_(m+2) iff x**p in T_(m+1) = T_m iff x in T_(m+1)).  So
-    its strict steps, each raising the dimension, number at most d and all
-    come before T_d.
+    constant (x in T_(m+2) iff x**p in T_(m+1) = T_m iff x in T_(m+1)), so
+    its strict steps, each raising the dimension, all come before T_d.
     """
     if n < 0:
         raise BadParameters("n must be nonnegative")
-    gf = at.gf
-    d = at.dim
+    gf, d = at.gf, at.dim
     total = gf.q ** d
     if total > budget:
         raise BudgetExceeded(

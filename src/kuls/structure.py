@@ -1,7 +1,12 @@
 """Multiplication of elements and the classical subspaces of a
 finite-dimensional algebra: radical, socle, center, commutator span.
 
-Elements are coordinate vectors over the table's monomial basis.
+Elements are coordinate vectors over the table's monomial basis.  A basis
+word is closed when its source is its target; C and O span the closed and
+the open words.  Each word b lies in one Peirce block, b = e_u b e_v, so
+pi(x) = sum over vertices v of e_v x e_v is the coordinate projection onto
+C, and C is a subalgebra: e_u A e_u times e_v A e_v is 0 for u != v, and
+lies in e_u A e_u for u = v.  Z(A) and K(A) are computed on C and lifted.
 """
 from __future__ import annotations
 
@@ -15,16 +20,8 @@ from .linalg import Subspace, contains, intersect, kernel, row_space
 from .rewriting import AlgebraTable
 from .sparse import contract
 
-__all__ = [
-    "multiply",
-    "power",
-    "radical",
-    "Socle",
-    "socle",
-    "center",
-    "socle_center",
-    "commutator_space",
-]
+__all__ = ["multiply", "power", "radical", "Socle", "socle", "center", "socle_center",
+           "commutator_space", "closed_words", "closed_part", "lift"]
 
 
 def _as_vec(at: AlgebraTable, x) -> np.ndarray:
@@ -105,35 +102,51 @@ def _cached(fn):
     return cached
 
 
+def _candidate_rows(gf, width: int, keys, cols, vals) -> np.ndarray:
+    """Densely, in key order, the rows summing vals[e] at (keys[e], cols[e]) that get a term."""
+    rows, pos = np.unique(keys, return_inverse=True)
+    return gf.segment_sum(vals, pos * width + cols, rows.size * width).reshape(rows.size, width)
+
+
 @_cached
-def _left(at: AlgebraTable) -> list[np.ndarray]:
-    """L_s for every s as unordered (j, m, c): b_s*b_j has b_m coefficient c."""
-    i, j, m, c = at.entries()
-    jmc = np.stack([j, m, c])[:, np.argsort(i)]  # grouped by i, once per table
-    ends = np.cumsum(np.bincount(i, minlength=at.dim)).tolist()
-    return [jmc[:, a:b] for a, b in zip([0] + ends, ends)]
+def closed_words(at: AlgebraTable) -> np.ndarray:
+    """Indices of the closed basis words, in basis order."""
+    return np.flatnonzero([w.source == at.quiver.path_target(w) for w in at.basis])
 
 
-def _candidate_rows(gf, d: int, terms, transpose: bool = False) -> np.ndarray:
-    """The rows holding an entry of the (d, d) matrix summing the (row, col, value)
-    terms (no term repeats a cell), or of its transpose, densely; the rest are zero."""
-    terms = [(k, r, v) if transpose else (r, k, v) for r, k, v in terms]
-    hit = np.zeros(d, dtype=bool)
-    hit[np.concatenate([t[0] for t in terms])] = True
-    pos = np.cumsum(hit, dtype=np.int64) - 1
-    out = np.zeros((pos[-1] + 1, d), dtype=np.int64)
-    for r, k, v in terms:
-        out[pos[r], k] = gf.add(out[pos[r], k], v)
-    return out
+def closed_part(at: AlgebraTable, s: Subspace) -> Subspace:
+    """s cap C on the closed coordinates, for s = (s cap O) + (s cap C): its
+    RREF is theirs merged by pivot, so the rows with a closed pivot, on C."""
+    closed = closed_words(at)
+    keep = np.isin(s.pivots, closed)
+    return Subspace(at.gf, len(closed), s.basis[keep][:, closed],
+                    tuple(np.searchsorted(closed, np.compress(keep, s.pivots)).tolist()))
 
 
-def _generator_commutators(at: AlgebraTable, transpose: bool = False):
-    """Yield, for s each trivial path and arrow, the candidate rows of
-    R_s - L_s (row i is [b_i, s] = b_i*s - s*b_i), or of its transpose."""
-    for s in list(at.trivial_indices) + at.arrow_indices:
-        r, (j, m, c) = at.right(s), _left(at)[s]
-        terms = [(r.rows, r.indices, r.data), (j, m, at.gf.neg(c))]
-        yield _candidate_rows(at.gf, at.dim, terms, transpose)
+def lift(at: AlgebraTable, s: Subspace, with_open: bool = False) -> Subspace:
+    """s, given on the closed coordinates, in A, plus O if with_open: the rows
+    of s and the unit vectors of the open words merged by pivot are an RREF."""
+    closed = closed_words(at)
+    opened = np.flatnonzero(~np.isin(np.arange(at.dim), closed)) if with_open else closed[:0]
+    pivots = np.concatenate([closed[list(s.pivots)], opened])
+    basis = np.zeros((len(pivots), at.dim), dtype=np.int64)
+    basis[:s.dim, closed] = s.basis
+    basis[np.arange(s.dim, len(pivots)), opened] = 1
+    order = np.argsort(pivots)
+    return Subspace(at.gf, at.dim, basis[order], tuple(pivots[order].tolist()))
+
+
+def _closed_commutators(at: AlgebraTable, by_output: bool) -> np.ndarray:
+    """The rows of [b_i, s] = b_i*s - s*b_i, s an arrow, on closed coordinates:
+    row (s, m) holds the b_m coefficients over the closed b_i (by_output),
+    else row (s, i) the closed coordinates.  A table entry (i, j, m, c) adds
+    c to [b_i, b_j] if b_j is an arrow, and -c to [b_j, b_i] if b_i is one."""
+    gf, closed, (i, j, m, c) = at.gf, closed_words(at), at.entries()
+    s, b, out = np.concatenate([j, i]), np.concatenate([i, j]), np.concatenate([m, m])
+    row, col = (out, b) if by_output else (b, out)
+    keep = np.isin(s, at.arrow_indices) & np.isin(col, closed)
+    return _candidate_rows(gf, len(closed), (s * at.dim + row)[keep],
+                           np.searchsorted(closed, col[keep]), np.concatenate([c, gf.neg(c)])[keep])
 
 
 @dataclass(frozen=True)
@@ -149,21 +162,22 @@ class Socle:
 @_cached
 def socle(at: AlgebraTable) -> Socle:
     """Right and left socles: annihilators of the arrows on each side, the
-    kernels of R_a^T and L_a^T (x*b_a = x @ R_a, b_a*x = x @ L_a)."""
-    gf, d, arrows = at.gf, at.dim, at.arrow_indices
-    right = kernel(gf, (_candidate_rows(gf, d, [(r.rows, r.indices, r.data)], True)
-                        for r in map(at.right, arrows)), d)
-    left = kernel(gf, (_candidate_rows(gf, d, [_left(at)[a]], True) for a in arrows), d)
-    return Socle(right, left)
+    kernels of R_a^T and L_a^T (x*b_a = x @ R_a, b_a*x = x @ L_a), whose
+    rows m hold the b_m coefficients of b_i*b_a and b_a*b_i over i."""
+    gf, d, (i, j, m, c) = at.gf, at.dim, at.entries()
+    return Socle(*(kernel(gf, (_candidate_rows(gf, d, m[f == a], o[f == a], c[f == a])
+                               for a in at.arrow_indices), d) for f, o in ((j, i), (i, j))))
 
 
 @_cached
 def center(at: AlgebraTable) -> Subspace:
-    """Elements commuting with every trivial path and arrow (hence with all of A)."""
-    z = kernel(at.gf, _generator_commutators(at, transpose=True), at.dim)
-    if not contains(z, at.unit):
+    """Z(A), computed in C: e_u z e_v = e_u e_v z = 0 for u != v and z central.
+    Each x in C commutes with every e_v (x e_v = e_v x e_v = e_v x), so it is
+    central iff [x, s] = 0 for every arrow s: the kernel of the rows (s, m)."""
+    z = kernel(at.gf, _closed_commutators(at, by_output=True), len(closed_words(at)))
+    if not contains(z, at.unit[closed_words(at)]):
         raise InvariantViolation("center does not contain the unit")
-    return z
+    return lift(at, z)
 
 
 @_cached
@@ -174,14 +188,16 @@ def socle_center(at: AlgebraTable) -> Subspace:
 
 @_cached
 def commutator_space(at: AlgebraTable) -> Subspace:
-    """K(A), the span of all commutators, from the d*(|Q0|+|Q1|) rows [b, s].
+    """K(A), the span of all commutators, as O + pi(K(A)).
 
-    Here b runs over the basis words and s over the trivial paths and
-    arrows.  These rows span every [x, c] for c a path, by induction on
-    the length of c: a trivial path is some s, and for c = c1*s with s an
-    arrow, [x, c1*s] = [x*c1, s] + [s*x, c1], where the first term is a
-    combination of rows and the second has a shorter path.  Paths span A.
-    The rows are reduced one block per s, so no more than one block is
-    held at a time.
+    The rows [b, s], b a basis word and s a trivial path or arrow, span
+    every [x, c] for c a path, by induction on the length of c: a trivial
+    path is some s, and for c = c1*s with s an arrow, [x, c1*s] = [x*c1, s]
+    + [s*x, c1], where the first term is a combination of rows and the
+    second has a shorter path.  Paths span A.  An open word w from u to v
+    is e_u*w - w*e_u, so O lies in K(A), and so does x - pi(x) for every x:
+    K(A) = O + pi(K(A)), and pi(K(A)) is spanned by the pi([b, s]).  Those
+    of a trivial s vanish, [b, e_v] being 0 or a multiple of an open b.
     """
-    return row_space(at.gf, _generator_commutators(at), at.dim)
+    k = row_space(at.gf, _closed_commutators(at, by_output=False), len(closed_words(at)))
+    return lift(at, k, with_open=True)

@@ -5,20 +5,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kuls.errors import ConsistencyFailure, DimensionMismatch, InvariantViolation
-from kuls.form import SymmetrizingForm
-from kuls.linalg import Subspace, contains, kernel, reduce_mod, row_space, rref
+from kuls.errors import ConsistencyFailure, DimensionMismatch, InvariantViolation, NotSymmetric
+from kuls.form import SymmetrizingForm, _socle_word_indices, orthogonal
+from kuls.linalg import (Subspace, contains, contains_subspace, intersect, kernel, reduce_mod,
+                         row_space, rref)
 from kuls.presentation import PathWord, word_str
 from kuls.rewriting import AlgebraTable, _reduce, enumerate_basis
-from kuls.reynolds import reynolds_ideal
+from kuls.reynolds import ReynoldsReport, ReynoldsRow, reynolds_ideal
 from kuls.sparse import contract, from_entries
-from kuls.structure import center, commutator_space, power
+from kuls.structure import center, multiply, power
 
 __all__ = ["path_quotient_dim", "rank_mod_p", "all_pairs_commutator_space", "all_pairs_center",
            "all_pairs_socles", "is_associative",
            "naive_matmul", "naive_rref", "dense_reference_table", "dense_table",
            "table_from_dense", "left_mult_matrix", "right_mult_matrix", "solve",
-           "XiMap", "xi_map", "direct_kuelshammer_space"]
+           "XiMap", "xi_map", "direct_kuelshammer_space", "dense_reynolds_report",
+           "dense_consistent_psi"]
 
 
 def dense_reference_table(rs) -> np.ndarray:
@@ -326,13 +328,74 @@ def xi_map(at: AlgebraTable, f: SymmetrizingForm, n: int) -> XiMap:
 
 
 def direct_kuelshammer_space(at: AlgebraTable, n: int) -> Subspace:
-    """T_n(A) in one step from K(A): x -> x**(p**n) is additive modulo K(A)
-    and p**n-semilinear, so with r_i = b_i**(p**n) reduced mod K(A) solve
-    sum d_i r_i = 0 and take p**n-th roots of the kernel coordinates."""
+    """T_n(A) in one step from K(A), on all d coordinates: x -> x**(p**n) is
+    additive modulo K(A) and p**n-semilinear, so with r_i = b_i**(p**n)
+    reduced mod K(A) solve sum d_i r_i = 0 and take p**n-th roots of the
+    kernel coordinates.  K(A) is all_pairs_commutator_space."""
     gf, d = at.gf, at.dim
-    k = commutator_space(at)
+    k = all_pairs_commutator_space(at)
     if n == 0:
         return k
     residues = reduce_mod(k, power(at, np.eye(d, dtype=np.int64), gf.p ** n))
     twisted = kernel(gf, residues.T)
     return row_space(gf, gf.frob_inv(twisted.basis, n), d)
+
+
+def _dense_verified_perp(at, f, t, z, soc_z) -> Subspace:
+    """orthogonal(f, t) on the full Gram, checked to be an ideal of Z(A)
+    containing soc(A) cap Z(A) and inside Z(A), with d-wide products."""
+    perp = orthogonal(f, t)
+    if not contains_subspace(z, perp):
+        raise InvariantViolation("T_n^perp is not contained in the center")
+    if not contains_subspace(perp, soc_z):
+        raise InvariantViolation("T_n^perp does not contain soc(A) intersect Z(A)")
+    prods = multiply(at, np.repeat(perp.basis, z.dim, axis=0), np.tile(z.basis, (perp.dim, 1)))
+    if np.any(reduce_mod(perp, prods)):
+        raise InvariantViolation("T_n^perp is not an ideal of the center")
+    return perp
+
+
+def dense_reynolds_report(at: AlgebraTable, f: SymmetrizingForm, max_n: int = 8) -> ReynoldsReport:
+    """reynolds_sequence's report and checks on all d coordinates, from the
+    references: Z, K and the socles from all basis pairs, T_n from
+    direct_kuelshammer_space, T_n^perp from orthogonal on the full Gram."""
+    z, k = all_pairs_center(at), all_pairs_commutator_space(at)
+    right, left = all_pairs_socles(at)
+    if right != left:
+        raise InvariantViolation("socle is one-sided although a form was validated")
+    soc_z = intersect(right, z)
+    t = direct_kuelshammer_space(at, 0)
+    perp = _dense_verified_perp(at, f, t, z, soc_z)
+    if t != k or perp != z:
+        raise InvariantViolation("T_0 is not K(A), or K(A)^perp is not the center")
+    rows, stabilized_at = [ReynoldsRow(0, t.dim, perp.dim)], None
+    for n in range(1, max_n + 1):
+        t_next = direct_kuelshammer_space(at, n)
+        perp_next = _dense_verified_perp(at, f, t_next, z, soc_z)
+        if not contains_subspace(t_next, t) or not contains_subspace(perp, perp_next):
+            raise InvariantViolation("T_n chain is not ascending, or T_n^perp not descending")
+        rows.append(ReynoldsRow(n, t_next.dim, perp_next.dim))
+        if t_next == t:
+            stabilized_at = n - 1
+            if perp_next != soc_z:
+                raise InvariantViolation("stabilized T_n^perp differs from soc(A) intersect Z(A)")
+            break
+        t, perp = t_next, perp_next
+    return ReynoldsReport(at.presentation.name, at.gf, at.dim, z.dim, right.dim, k.dim,
+                          tuple(rows), stabilized_at)
+
+
+def dense_consistent_psi(at: AlgebraTable) -> np.ndarray:
+    """consistent_form's psi from the d-dimensional system {psi(K(A)) = 0,
+    psi = 1 on socle words}, free values 0; NotSymmetric if infeasible."""
+    gf, d = at.gf, at.dim
+    soc_idx = _socle_word_indices(at)
+    k = all_pairs_commutator_space(at)
+    lhs = np.vstack([k.basis, np.eye(d, dtype=np.int64)[soc_idx]])
+    rhs = np.concatenate([np.zeros(k.dim, dtype=np.int64), np.ones(len(soc_idx), dtype=np.int64)])
+    r, pivots = rref(gf, np.hstack([lhs, rhs.reshape(-1, 1)]))
+    if d in pivots:
+        raise NotSymmetric("the psi system is infeasible")
+    psi = np.zeros(d, dtype=np.int64)
+    psi[pivots] = r[:len(pivots), d]
+    return psi

@@ -33,7 +33,7 @@ from kuls.errors import (
     InvariantViolation,
 )
 from kuls.linalg import contains, contains_subspace, intersect, row_space
-from kuls.structure import multiply
+from kuls.structure import closed_words, multiply
 from oracles import direct_kuelshammer_space, xi_map
 
 
@@ -173,6 +173,7 @@ def test_chain_powers_the_identity_once_per_table(monkeypatch):
     stable = next(n for n in range(6) if spaces[n] == spaces[n + 1])
     assert stable == 2
     assert len(powers) == 1 and powers[0][1] == at.gf.p  # rows b_i**p, once
+    assert powers[0][0].shape == (len(closed_words(at)), at.dim) == (6, 10)  # closed b_i only
     assert len(kernels) <= stable + 1
     assert len(commutators) == 7  # T_0 is read on every call
 
@@ -291,6 +292,20 @@ def test_extension_field_pipeline_matches_prime_field():
     small = make_table("Omega", gf=(2, 2), n=1)  # 4**4 vectors, cheap to enumerate
     for n in (1, 2):
         assert brute_force_kuelshammer(small, n) == kuelshammer_space(small, n)
+
+
+@pytest.mark.parametrize("name,params,form", [
+    ("Omega", {"n": 20}, canonical_form),
+    ("D", {"m": 20}, consistent_form),
+], ids=["Omega20", "D20"])
+def test_rungs_past_the_dense_wall(name, params, form):
+    # d = 460: the closed words span c = 42 of them
+    at = _fresh_table(name, (2, 1), **params)
+    rep = reynolds_sequence(at, form(at))
+    n = 20
+    assert (at.dim, len(closed_words(at))) == (460, 42)
+    assert [r.dim_t_perp for r in rep.rows] == [n + 2, n + 1, n, n] == [22, 21, 20, 20]
+    assert (rep.dim_center, rep.dim_commutator, rep.stabilized_at) == (22, 438, 2)
 
 
 def test_sequence_is_form_independent_for_d2():

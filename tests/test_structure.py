@@ -267,13 +267,15 @@ def test_table_over_a_corrupted_copy_gets_fresh_spaces():
 
 
 def test_commutator_space_reduces_only_the_nonzero_generator_rows(monkeypatch):
-    """Each R_s - L_s block holds only the rows where R_s or L_s has an entry
-    (311 of the 17 * 88 = 1496 dense rows), and row_space drops the zero
-    rows among them before reducing it."""
+    """pi(K(A)) comes from the rows [b_i, s], s one of the 9 arrows, that have
+    an entry on one of the 18 closed words: 13 rows of width 18 (against
+    17 * 88 dense rows of width 88 over all generators), and row_space drops
+    the zero rows among them before reducing the rest."""
     at = make_table("Omega", n=8)
-    blocks = list(structure._generator_commutators(at))
-    nonzero = sum(int(b.any(axis=1).sum()) for b in blocks)
-    assert (nonzero, sum(len(b) for b in blocks)) == (290, 311)
+    rows = structure._closed_commutators(at, by_output=False)
+    nonzero = int(rows.any(axis=1).sum())
+    assert (nonzero, rows.shape) == (10, (13, 18))
+    assert len(structure.closed_words(at)) == 18 and len(at.arrow_indices) == 9
     seen = []
     real_reduce_mod = linalg.reduce_mod
 

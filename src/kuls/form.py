@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameters, Degenerate, DimensionMismatch, NotSymmetric
-from .linalg import Subspace, kernel, reduce_mod, rref
+from .linalg import Subspace, kernel, rref
 from .presentation import PathWord, word_str
 from .rewriting import AlgebraTable
 from .sparse import contract
@@ -80,12 +80,17 @@ def canonical_form(at: AlgebraTable) -> SymmetrizingForm:
 
 
 def _socle_word_indices(at: AlgebraTable) -> list[int]:
-    """Indices of basis words lying in the socle; Degenerate if they do not span it."""
+    """Indices of basis words in the socle S; Degenerate if they do not span it.
+
+    e_k is in S iff k is a pivot of S's RREF whose row is e_k: in e_k =
+    sum_r c_r row_r, c_r is the entry in row r's pivot column, so c_r = 0
+    unless row r pivots at k, and then c_r = 1, the pivot entry.
+    """
     s = socle(at)
     if not s.two_sided_equal:
         raise NotSymmetric("left and right socles differ; the algebra is not symmetric")
-    outside = reduce_mod(s.right, np.eye(at.dim, dtype=np.int64)).any(axis=1)
-    idx = np.flatnonzero(~outside).tolist()
+    single = np.count_nonzero(s.right.basis, axis=1) == 1
+    idx = np.array(s.right.pivots, dtype=np.int64)[single].tolist()
     if len(idx) != s.right.dim:
         raise Degenerate("the socle is not spanned by basis words; supply explicit psi "
                          "values with custom_form")

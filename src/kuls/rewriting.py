@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConsistencyFailure, DegreeBoundExceeded, InfiniteDimensional
 from .presentation import PathWord, Presentation, Quiver, word_str
-from .sparse import Csr, from_entries, from_sorted, product
+from .sparse import Csr, from_entries, product
 
 __all__ = [
     "Rule",
@@ -383,7 +383,7 @@ class AlgebraTable:
 
     def right(self, s: int) -> Csr:
         """R_s, the right multiplication by b_s: row i holds b_i * b_s."""
-        return self.table.row_block(s * self.dim, (s + 1) * self.dim)
+        return self.table.take(np.arange(s * self.dim, (s + 1) * self.dim))
 
 
 def normal_form(table: AlgebraTable, element) -> np.ndarray:
@@ -397,56 +397,55 @@ def normal_form(table: AlgebraTable, element) -> np.ndarray:
 def build_table(rs: RewriteSystem) -> AlgebraTable:
     """Enumerate the basis and fill in structure constants, then audit them.
 
-    Only the products b_i * s with s an arrow are rewritten (d*|Q1| of
-    them); R_e for a trivial path e is read off the path targets.  Every
-    longer basis word w*s (s its last arrow) then gets R_(w*s) = R_w @ R_s,
-    since b_i*(w*s) = (b_i*w)*s, with R_w filled earlier: normal words are
-    prefix closed and the basis is deglex ordered (Bergman's diamond lemma).
-    The audit checks that relations vanish, the unit acts as identity,
-    multiplication is associative (see _audit), and the basis is factor
-    closed; any failure raises ConsistencyFailure.  The table is read-only.
+    Only the products b_i * s, s a trivial path or an arrow, that are not
+    basis words (the normal words) are rewritten.  A longer basis word w*s
+    (s its last arrow) gets R_(w*s) = R_w @ R_s, as b_i*(w*s) = (b_i*w)*s:
+    normal words are prefix closed and the basis is deglex ordered (Bergman's
+    diamond lemma), so one product per length stacks the R_w of the previous
+    length, each moved to the column block of its s, over [R_a; R_b; ...].
+    The audit (see _audit) checks the relations, the unit, associativity and
+    factor closure; any failure raises ConsistencyFailure.  The table is read-only.
     """
-    gf = rs.gf
-    quiver = rs.quiver
+    gf, quiver = rs.gf, rs.quiver
     basis = tuple(enumerate_basis(rs))
     index = {w: i for i, w in enumerate(basis)}
-    d = len(basis)
-    rmap = rs.rule_map()
+    d, t, rmap = len(basis), len(quiver.vertices), rs.rule_map()
+    lengths = [len(w.arrows) for w in basis]
+    starts = np.searchsorted(lengths, np.arange(max(lengths[-1], 1) + 2))  # length L: starts[L] ..
 
     targets = np.array([quiver.path_target(w) for w in basis], dtype=np.int64)
-    blocks: list[Csr] = []  # blocks[j] = R_j
-    for w in basis:
-        if len(w.arrows) > 1:
-            head = index.get(PathWord(w.source, w.arrows[:-1]))
-            last = index.get(PathWord(quiver.a_source[w.arrows[-1]], w.arrows[-1:]))
-            if head is None or last is None:
-                raise ConsistencyFailure("basis is not factor closed")
-            blocks.append(product(gf, blocks[head], blocks[last]))
-            continue
-        rows, cols, vals = [], [], []
+    entries = []  # (row, column, value) of R_w for the trivial paths and the arrows w
+    for k, w in enumerate(basis[:starts[2]]):
         for i in np.flatnonzero(targets == w.source):
-            u = basis[i]
-            prod = (_reduce(gf, {PathWord(u.source, u.arrows + w.arrows): 1}, rmap)
-                    if u.arrows and w.arrows else {u if w.is_trivial else w: 1})
-            for v, c in prod.items():
-                m = index.get(v)
-                if m is None:
+            uw = PathWord(basis[i].source, basis[i].arrows + w.arrows)
+            for v, c in ({uw: 1} if uw in index else _reduce(gf, {uw: 1}, rmap)).items():
+                if v not in index:
                     raise ConsistencyFailure(
                         f"product reduced to non-basis word {word_str(quiver, v)}")
-                rows.append(i)
-                cols.append(m)
-                vals.append(c)
-        blocks.append(from_entries(gf, (d, d), rows, cols, vals))
+                entries.append((k * d + i, index[v], c))
+    blocks = [from_entries(gf, (starts[2] * d, d), *np.array(entries, dtype=np.int64).T)]
+    arrows = prev = blocks[0].take(np.arange(t * d, starts[2] * d))  # [R_a; R_b; ...]
+    for below, lo, hi in zip(starts[1:], starts[2:], starts[3:]):  # words lo .. hi - 1: one length
+        heads = [index.get(PathWord(w.source, w.arrows[:-1])) for w in basis[lo:hi]]
+        lasts = [index.get(PathWord(quiver.a_source[w.arrows[-1]], w.arrows[-1:]))
+                 for w in basis[lo:hi]]
+        if None in heads or None in lasts:
+            raise ConsistencyFailure("basis is not factor closed")
+        stacked = prev.take(((np.array(heads) - below)[:, None] * d + np.arange(d)).ravel())
+        shift = np.repeat(np.repeat((np.array(lasts) - t) * d, d), np.diff(stacked.indptr))
+        prev = product(gf, Csr((stacked.shape[0], arrows.shape[0]), stacked.indptr,
+                               stacked.indices + shift, stacked.data), arrows)
+        blocks.append(prev)
 
     trivial_indices = tuple(index[PathWord(v, ())] for v in range(len(quiver.vertices)))
     unit = np.zeros(d, dtype=np.int64)
     unit[list(trivial_indices)] = 1
 
-    # each block is canonical, so stacked at row offsets j*d they stay row-major
-    table = from_sorted((d * d, d),
-                        np.concatenate([b.rows + j * d for j, b in enumerate(blocks)]),
-                        np.concatenate([b.indices for b in blocks]),
-                        np.concatenate([b.data for b in blocks]))
+    # each block is canonical, so stacked one after another they stay row-major
+    offsets = np.cumsum([0] + [b.data.size for b in blocks])
+    indptr = np.concatenate([[0]] + [b.indptr[1:] + o for b, o in zip(blocks, offsets)])
+    table = Csr((d * d, d), indptr, np.concatenate([b.indices for b in blocks]),
+                np.concatenate([b.data for b in blocks]))
     at = AlgebraTable(rs, basis, index, table, trivial_indices, unit)
     _audit(at)
     return at
@@ -465,9 +464,13 @@ def _audit(at: AlgebraTable) -> None:
     the fold identity gives the first and last steps, the induction
     hypothesis the third, and the generator check (bilinear in x, y) the rest.
 
-    Each check compares canonical Csr against R_s: over the pairs (i, j),
-    (b_i b_j) s is the table times R_s, and b_i (b_j s) is R_s times the
-    table read as (d, d*d), row l holding every b_i b_l.
+    For the generators s < g, column block s of table @ [R_0 | ... | R_(g-1)]
+    is table @ R_s: ((b_i b_j) s)_y at row j*d + i.  Row block s of
+    [R_0; ...; R_(g-1)] @ (table read as (d, d*d)) is R_s @ it: (b_i (b_j s))_y
+    at row s*d + j, column i*d + y.  Both get the key ((s*d + j)*d + i)*d + y,
+    one to one and below g*d**3 < 2**63.  Canonical entries (no zero, no
+    repeat) agree for every s iff the sorted keys and values do, and the
+    least key of a pair on one side only names the first failing s.
     """
     gf, d, table = at.gf, at.dim, at.table
 
@@ -475,6 +478,7 @@ def _audit(at: AlgebraTable) -> None:
         if at.rs.reduce({w: c for c, w in rel.terms}):
             raise ConsistencyFailure("a defining relation does not reduce to zero")
 
+    words, folds = [], []  # z and its row z1 * s of the table
     for k, w in enumerate(at.basis):
         if w.arrows:
             head = at.index.get(PathWord(w.source, w.arrows[:-1]))
@@ -484,9 +488,15 @@ def _audit(at: AlgebraTable) -> None:
             last = at.index.get(PathWord(at.quiver.a_source[w.arrows[-1]], w.arrows[-1:]))
             if tail not in at.index or last is None:
                 raise ConsistencyFailure("basis is not suffix closed")
-            row = table.row_block(last * d + head, last * d + head + 1)
-            if row.indices.tolist() != [k] or row.data.tolist() != [1]:
-                raise ConsistencyFailure(f"{at.word_name(k)} is not its prefix times its last arrow")
+            words.append(k)
+            folds.append(last * d + head)
+    words, folds = np.array(words, dtype=np.int64), np.array(folds, dtype=np.int64)
+    first = table.indptr[folds]
+    ok = table.indptr[folds + 1] - first == 1
+    ok[ok] = (table.indices[first[ok]] == words[ok]) & (table.data[first[ok]] == 1)
+    if not ok.all():
+        raise ConsistencyFailure(
+            f"{at.word_name(int(words[~ok][0]))} is not its prefix times its last arrow")
 
     i, j, m, c = at.entries()
     eye = from_entries(gf, (d, d), np.arange(d), np.arange(d), np.ones(d, dtype=np.int64))
@@ -496,10 +506,12 @@ def _audit(at: AlgebraTable) -> None:
     if left != eye or right != eye:
         raise ConsistencyFailure("unit does not act as two-sided identity")
 
-    by_right = table.reshape((d, d * d))  # row l: b_i b_l at column i*d + m
-    for s in list(at.trivial_indices) + at.arrow_indices:
-        r_s = at.right(s)
-        lhs = product(gf, table, r_s)                              # (b_i b_j) s at row j*d + i
-        rhs = product(gf, r_s, by_right).reshape((d * d, d))       # b_i (b_j s) at row j*d + i
-        if lhs != rhs:
-            raise ConsistencyFailure(f"associativity fails against {at.word_name(s)}")
+    gen = j < (g := len(at.trivial_indices) + len(at.arrow_indices))
+    lhs = product(gf, table, from_entries(gf, (d, g * d), i[gen], j[gen] * d + m[gen], c[gen]))
+    rhs = product(gf, table.take(np.arange(g * d)), table.reshape((d, d * d)))
+    keys = (lhs.indices // d * d * d + lhs.rows) * d + lhs.indices % d
+    order = np.argsort(keys)
+    keys, vals, want = keys[order], lhs.data[order], rhs.rows * d * d + rhs.indices
+    if not (np.array_equal(keys, want) and np.array_equal(vals, rhs.data)):
+        diff = set(zip(keys.tolist(), vals.tolist())) ^ set(zip(want.tolist(), rhs.data.tolist()))
+        raise ConsistencyFailure(f"associativity fails against {at.word_name(min(diff)[0] // d**3)}")

@@ -46,11 +46,12 @@ class Csr:
 
     __hash__ = None
 
-    def row_block(self, start: int, stop: int) -> Csr:
-        """Rows start .. stop - 1 as a (stop - start, cols) matrix."""
-        lo, hi = self.indptr[start], self.indptr[stop]
-        return Csr((stop - start, self.shape[1]), self.indptr[start:stop + 1] - lo,
-                   self.indices[lo:hi], self.data[lo:hi])
+    def take(self, rows: np.ndarray) -> Csr:
+        """The listed rows, in that order, as a (len(rows), cols) matrix."""
+        counts = self.indptr[rows + 1] - self.indptr[rows]
+        indptr = np.append(0, np.cumsum(counts))
+        pos = np.repeat(self.indptr[rows] - indptr[:-1], counts) + np.arange(indptr[-1])
+        return Csr((len(rows), self.shape[1]), indptr, self.indices[pos], self.data[pos])
 
     def reshape(self, shape: tuple[int, int]) -> Csr:
         """The same entries in row-major order read as a matrix of another shape."""
@@ -78,13 +79,10 @@ def from_entries(gf, shape, rows, cols, vals) -> Csr:
 
 def product(gf, a: Csr, b: Csr) -> Csr:
     """a @ b: entry (r, k) of a joins every entry of row k of b."""
-    starts = b.indptr[a.indices]
-    counts = b.indptr[a.indices + 1] - starts
-    left = np.repeat(np.arange(a.data.size), counts)
-    # position within b of the t-th joined entry of a's entry e: starts[e] + t
-    pos = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(left.size)
-    return from_entries(gf, (a.shape[0], b.shape[1]), a.rows[left], b.indices[pos],
-                        gf.mul(a.data[left], b.data[pos]))
+    joined = b.take(a.indices)  # row e: the entries of b that a's entry e joins
+    left = np.repeat(np.arange(a.data.size), np.diff(joined.indptr))
+    return from_entries(gf, (a.shape[0], b.shape[1]), a.rows[left], joined.indices,
+                        gf.mul(a.data[left], joined.data))
 
 
 def contract(gf, factors, data, ids, size: int) -> np.ndarray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import make_table
+from conftest import CATALOGUE, make_table
 from kuls import (
     build_table,
     canonical_form,
@@ -18,7 +18,8 @@ from kuls import (
     socle,
 )
 from kuls.errors import BadParameters, Degenerate, DimensionMismatch, NotSymmetric
-from kuls.linalg import contains, full_space, intersect, zero_subspace
+from kuls.form import _socle_word_indices
+from kuls.linalg import contains, full_space, intersect, reduce_mod, zero_subspace
 from kuls.structure import multiply
 
 
@@ -119,6 +120,38 @@ def test_custom_form_paths():
     gf4 = make_table("Omega", gf=(2, 2), n=2)
     with pytest.raises(BadParameters):
         custom_form(gf4, {"a1*a1": 7, "b2*a1*b1": 1})  # 7 is not an encoded element
+
+
+# every product of two arrows is a*a, so a - b lies in the socle beside a*a
+OFF_WORDS = ("algebra ab over GF(3) { vertices v; arrows { a: v -> v; b: v -> v; }"
+             " relations { a*b = a*a; b*a = a*a; b*b = a*a; a*a*a; } }")
+
+
+@pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 3), (3, 2)], ids=["2", "3", "2^3", "3^2"])
+@pytest.mark.parametrize("name,params", CATALOGUE, ids=[c[0] for c in CATALOGUE])
+def test_socle_words_are_the_identity_rows_inside_the_socle(name, params, field):
+    """The socle words read off the RREF are the e_k that reduce to 0 mod the socle."""
+    at = make_table(name, gf=field, **params)
+    s = socle(at)
+    inside = np.flatnonzero(~reduce_mod(s.right, np.eye(at.dim, dtype=np.int64)).any(axis=1))
+    if not s.two_sided_equal:
+        with pytest.raises(NotSymmetric):
+            _socle_word_indices(at)
+    elif inside.size < s.right.dim:
+        with pytest.raises(Degenerate):
+            _socle_word_indices(at)
+    else:
+        assert _socle_word_indices(at) == inside.tolist()
+
+
+def test_socle_off_the_basis_words_is_degenerate():
+    at = build_table(complete(parse_presentation(OFF_WORDS)))
+    s = socle(at)
+    assert s.two_sided_equal
+    assert np.count_nonzero(s.right.basis, axis=1).tolist() == [2, 1]  # a - b, then a*a
+    for make in (canonical_form, consistent_form):
+        with pytest.raises(Degenerate, match="not spanned by basis words"):
+            make(at)
 
 
 def test_degenerate_forms_are_rejected():

@@ -1,15 +1,19 @@
 """Completion, basis enumeration, structure constants, and their failure modes."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from conftest import make_table
-from kuls import GF, build_table, complete, normal_form, parse_element, parse_presentation
+from kuls import (GF, FamilySpec, build_table, complete, family, normal_form, parse_element,
+                  parse_presentation, rewriting)
 from kuls.errors import ConsistencyFailure, DegreeBoundExceeded, InfiniteDimensional
 from kuls.presentation import PathWord, word_str
 from kuls.rewriting import _audit, enumerate_basis
-from oracles import dense_table, is_associative, path_quotient_dim, table_from_dense
+from oracles import (dense_reference_table, dense_table, is_associative, path_quotient_dim,
+                     table_from_dense)
 
 
 def truncated_polynomials(p, k):
@@ -131,6 +135,8 @@ def test_audit_catches_corrupted_structure_constants():
     ("Lambda", 2, {"m": 2}),
     ("Tpq", 2, {"p": 1, "q": 1}),
     ("N", 3, {"n": 2, "m": 1}),
+    ("Omega", (2, 2), {"n": 2}),
+    ("N", (3, 2), {"n": 2, "m": 1}),
 ])
 def test_audit_catches_every_non_associative_corruption(name, gf, params):
     """The generator and fold checks reject every table the all-triples oracle rejects."""
@@ -153,6 +159,98 @@ def test_audit_catches_every_non_associative_corruption(name, gf, params):
                 _audit(bad)
             rejected += 1
     assert rejected > len(entries) // 2
+
+
+def _first_failing_generator(at, dense) -> int | None:
+    """The first trivial path or arrow s, in basis order, with
+    (b_i b_j) s != b_i (b_j s) for some i, j, one generator at a time."""
+    for s in list(at.trivial_indices) + at.arrow_indices:
+        r_s = dense[:, s, :]  # row l: b_l s
+        if not np.array_equal(at.gf.matmul(dense, r_s), at.gf.matmul(r_s[None], dense)):
+            return s
+    return None
+
+
+@pytest.mark.parametrize("name,gf,params", [
+    ("Omega", 2, {"n": 2}),
+    ("Omega", (2, 2), {"n": 2}),
+    ("N", (3, 2), {"n": 2, "m": 2}),
+], ids=["Omega2-GF2", "Omega2-GF4", "N22-GF9"])
+def test_audit_names_the_generator_associativity_fails_against(name, gf, params):
+    """A corrupted product of two non-trivial words that is no fold entry
+    passes the unit and fold checks; the batched check then names the same
+    generator as a comparison of (b_i b_j) s with b_i (b_j s) for one s at
+    a time.  Over GF(4) and GF(9) every other draw scales a stored constant
+    by a field element other than 0 and 1, which changes values only."""
+    at = make_table(name, gf=gf, **params)
+    gf, d, q = at.gf, at.dim, at.gf.q
+    folds = {(at.index[PathWord(w.source, w.arrows[:-1])],
+              at.index[PathWord(at.quiver.a_source[w.arrows[-1]], w.arrows[-1:])])
+             for w in at.basis if w.arrows}
+    stored = [(i, j, m) for i, j, m in zip(*(x.tolist() for x in at.entries()[:3]))
+              if i not in at.trivial_indices and j not in at.trivial_indices
+              and (i, j) not in folds]
+    rng = np.random.default_rng(7)
+    named, scaled = set(), 0
+    for draw in range(80):
+        scale = q > 2 and draw % 2
+        i, j, m = (stored[rng.integers(len(stored))] if scale
+                   else (int(x) for x in rng.integers(0, d, size=3)))
+        if i in at.trivial_indices or j in at.trivial_indices or (i, j) in folds:
+            continue
+        bad_table = dense_table(at)
+        bad_table[i, j, m] = (gf.smul(int(bad_table[i, j, m]), int(rng.integers(2, q))) if scale
+                              else (bad_table[i, j, m] + int(rng.integers(1, q))) % q)
+        s = _first_failing_generator(at, bad_table)
+        if s is None:
+            continue
+        with pytest.raises(ConsistencyFailure,
+                           match=f"^associativity fails against {re.escape(at.word_name(s))}$"):
+            _audit(table_from_dense(at, bad_table))
+        named.add(s)
+        scaled += scale
+    assert len(named) >= 2  # more than one generator is named
+    assert scaled >= 5 or q == 2
+
+
+def test_table_and_audit_make_one_product_per_word_length(monkeypatch):
+    """build_table makes one sparse product per word length >= 2 and _audit
+    two, however many basis words and generators there are."""
+    calls, at_audit = [], []
+    product, audit = rewriting.product, rewriting._audit
+
+    def counted_product(*args):
+        calls.append(args)
+        return product(*args)
+
+    def counted_audit(at):
+        at_audit.append(len(calls))
+        audit(at)
+        at_audit.append(len(calls))
+
+    monkeypatch.setattr(rewriting, "product", counted_product)
+    monkeypatch.setattr(rewriting, "_audit", counted_audit)
+    at = build_table(complete(family(FamilySpec("Omega", {"n": 8}, GF(2)))))
+    longest = max(len(w.arrows) for w in at.basis)
+    assert at.dim == 88
+    assert at_audit[0] <= longest - 1 < at.dim
+    assert at_audit[1] - at_audit[0] == 2
+
+
+@pytest.mark.parametrize("body,dim", [("arrows { } relations { }", 1),
+                                      ("arrows { a: v -> v; } relations { a*a; }", 2)],
+                         ids=["field", "dual-numbers"])
+def test_tables_without_words_of_length_two(body, dim):
+    """Only the generator blocks: no product per word length is needed."""
+    at = build_table(complete(parse_presentation(f"algebra s over GF(2) {{ vertices v; {body} }}")))
+    assert at.dim == dim
+    assert np.array_equal(dense_table(at), dense_reference_table(at.rs))
+
+
+def test_omega20_table_builds_and_audits():
+    at = build_table(complete(family(FamilySpec("Omega", {"n": 20}, GF(2)))))
+    assert (at.dim, at.table.data.size) == (460, 5311)
+    _audit(at)
 
 
 def test_coords_rejects_non_basis_words():

@@ -14,6 +14,7 @@ from kuls.sparse import contract
 from kuls.structure import multiply
 from oracles import (dense_reference_table, dense_table, left_mult_matrix, naive_matmul,
                      right_mult_matrix)
+from test_reynolds import TWISTED
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
 SMALL = {"A": {"p": 1, "q": 2}, "D": {"m": 3}, "Dprime": {"m": 3}, "Gamma": {"n": 2},
@@ -27,10 +28,18 @@ def _field_text(p, e):
     return str(p) if e == 1 else f"{p}^{e}"
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=lambda f: _field_text(*f))
+@pytest.mark.parametrize("field", FIELDS + [(2, 3)], ids=lambda f: _field_text(*f))
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_table_matches_dense_reference(name, field):
     at = make_table(name, gf=field, **SMALL[name])
+    assert np.array_equal(dense_table(at), dense_reference_table(at.rs))
+
+
+@pytest.mark.parametrize("source", TWISTED + [MULTI_TERM.format(field=f) for f in ("2", "3^2", "2^3")],
+                         ids=["twisted-s", "twisted-m", "multi-2", "multi-3^2", "multi-2^3"])
+def test_presented_table_matches_dense_reference(source):
+    """Relations with field coefficients off GF(2) and sums of basis words."""
+    at = build_table(complete(parse_presentation(source)))
     assert np.array_equal(dense_table(at), dense_reference_table(at.rs))
 
 

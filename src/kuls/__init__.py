@@ -42,56 +42,15 @@ from .structure import center, commutator_space, radical, socle
 __version__ = "0.1.0"
 
 __all__ = [
-    "GF",
-    "Subspace",
-    "Presentation",
-    "Quiver",
-    "parse_presentation",
-    "parse_element",
-    "validate",
-    "emit",
-    "RewriteSystem",
-    "AlgebraTable",
-    "complete",
-    "build_table",
-    "normal_form",
-    "center",
-    "socle",
-    "commutator_space",
-    "radical",
-    "SymmetrizingForm",
-    "canonical_form",
-    "consistent_form",
-    "custom_form",
-    "orthogonal",
-    "ReynoldsReport",
-    "Verdict",
-    "kuelshammer_space",
-    "reynolds_ideal",
-    "reynolds_sequence",
-    "compare",
-    "brute_force_kuelshammer",
-    "FamilySpec",
-    "family",
-    "family_source",
-    "list_families",
-    "KulsError",
-    "BadField",
-    "BadParameters",
-    "BudgetExceeded",
-    "CharacteristicMismatch",
-    "ConsistencyFailure",
-    "Degenerate",
-    "DegreeBoundExceeded",
-    "DimensionMismatch",
-    "DslSyntaxError",
-    "InfiniteDimensional",
-    "InvariantViolation",
-    "NonAdmissibleRelation",
-    "NonComposablePath",
-    "NonParallelRelation",
-    "NotNilpotent",
-    "NotSymmetric",
-    "UnknownName",
+    "GF", "Subspace", "Presentation", "Quiver", "parse_presentation", "parse_element",
+    "validate", "emit", "RewriteSystem", "AlgebraTable", "complete", "build_table",
+    "normal_form", "center", "socle", "commutator_space", "radical", "SymmetrizingForm",
+    "canonical_form", "consistent_form", "custom_form", "orthogonal", "ReynoldsReport",
+    "Verdict", "kuelshammer_space", "reynolds_ideal", "reynolds_sequence", "compare",
+    "brute_force_kuelshammer", "FamilySpec", "family", "family_source", "list_families",
+    "KulsError", "BadField", "BadParameters", "BudgetExceeded", "CharacteristicMismatch",
+    "ConsistencyFailure", "Degenerate", "DegreeBoundExceeded", "DimensionMismatch",
+    "DslSyntaxError", "InfiniteDimensional", "InvariantViolation", "NonAdmissibleRelation",
+    "NonComposablePath", "NonParallelRelation", "NotNilpotent", "NotSymmetric", "UnknownName",
     "__version__",
 ]

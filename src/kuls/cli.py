@@ -88,34 +88,30 @@ def _field_arg(args) -> GF | None:
     return None
 
 
-def _parse_params(text: str) -> dict:
-    params = {}
-    for item in text.split(","):
-        key, eq, value = item.partition("=")
-        if not eq or not value.lstrip("-").isdigit():
-            raise BadParameters(f"cannot parse parameter {item!r}; expected k=v")
-        params[key.strip()] = int(value)
-    return params
-
-
-def _parse_psi(text: str) -> dict:
+def _parse_params(text: str, entry: str = "parameter", form: str = "k=v") -> dict:
+    """KEY=INT,... with INT an optional minus sign and decimal digits, as int() reads them."""
     values = {}
     for item in text.split(","):
-        word, eq, value = item.partition("=")
-        if not eq or not value.lstrip("-").isdigit():
-            raise BadParameters(f"cannot parse psi entry {item!r}; expected WORD=COEFF")
-        values[word.strip()] = int(value)
+        key, eq, value = item.partition("=")
+        if not eq or not value.removeprefix("-").isdecimal():
+            raise BadParameters(f"cannot parse {entry} {item!r}; expected {form}")
+        values[key.strip()] = int(value)
     return values
+
+
+def _family(name: str, params: str | None, gf: GF | None) -> tuple[str, str]:
+    """The DSL source and the label of a family instance, params k=v,... ."""
+    if gf is None:
+        raise BadParameters("family inputs need --char or --field")
+    spec = FamilySpec(name, _parse_params(params) if params else {}, gf)
+    return family_source(spec), spec.label()
 
 
 def _load(source: str, gf: GF | None) -> Presentation:
     """A family instance Name(k=v,...) if it matches, otherwise a file path."""
     m = _FAMILY_RE.match(source)
     if m and m.group(1) in FAMILY_NAMES:
-        if gf is None:
-            raise BadParameters("family inputs need --char or --field")
-        spec = FamilySpec(m.group(1), _parse_params(m.group(2)), gf)
-        return parse_presentation(family_source(spec))
+        return parse_presentation(_family(m.group(1), m.group(2), gf)[0])
     with open(source, encoding="utf-8") as handle:
         text = handle.read()
     pres = parse_presentation(text)
@@ -141,10 +137,12 @@ def _pick_form(at: AlgebraTable, psi: dict | None) -> SymmetrizingForm:
         return form
 
 
-def _analyze(pres: Presentation, source: str, args) -> AnalysisDocument:
+def _analyze(pres: Presentation, source: str, args, psi: str | None) -> AnalysisDocument:
+    """The report of pres under the psi values WORD=COEFF,... if given (see _pick_form)."""
+    psi_values = _parse_params(psi, "psi entry", "WORD=COEFF") if psi else None
     start = time.perf_counter()
     at = build_table(complete(pres, degree_bound=args.degree_bound))
-    form = _pick_form(at, getattr(args, "psi_values", None))
+    form = _pick_form(at, psi_values)
     report = reynolds_sequence(at, form, max_n=args.max_n)
     print(f"timing: {source}: {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return AnalysisDocument(__version__, source, report)
@@ -175,12 +173,7 @@ def cmd_invariants(args) -> int:
     if args.family is not None:
         if args.file is not None:
             raise BadParameters("give a FILE or --family, not both")
-        if gf is None:
-            raise BadParameters("family inputs need --char or --field")
-        params = _parse_params(args.params) if args.params else {}
-        spec = FamilySpec(args.family, params, gf)
-        source_text = family_source(spec)
-        source = spec.label()
+        source_text, source = _family(args.family, args.params, gf)
         pres = parse_presentation(source_text)
     elif args.file is not None:
         pres = _load(args.file, gf)
@@ -191,8 +184,7 @@ def cmd_invariants(args) -> int:
     if args.emit_dsl:
         sys.stdout.write(source_text)
         return 0
-    args.psi_values = _parse_psi(args.psi) if args.psi else None
-    doc = _analyze(pres, source, args)
+    doc = _analyze(pres, source, args, args.psi)
     print(_dump(doc.json_payload()) if args.json else doc.text())
     return 0
 
@@ -209,9 +201,7 @@ def cmd_compare(args) -> int:
     gf = _field_arg(args)
     docs = []
     for source, psi_text in ((args.input1, args.psi1), (args.input2, args.psi2)):
-        pres = _load(source, gf)
-        args.psi_values = _parse_psi(psi_text) if psi_text else None
-        docs.append(_analyze(pres, source, args))
+        docs.append(_analyze(_load(source, gf), source, args, psi_text))
     verdict = compare(docs[0].report, docs[1].report)
     if args.json:
         dims = list(verdict.dims) if verdict.dims else None

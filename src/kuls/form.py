@@ -3,7 +3,7 @@
 A symmetrizing form on a finite-dimensional algebra is an associative,
 symmetric, nondegenerate bilinear form (x, y) = psi(x*y) for a linear
 functional psi.  Associativity is automatic from this shape; symmetry and
-nondegeneracy are validated on the Gram matrix before a form is returned.
+nondegeneracy are checked from the generators and the socle (see _build).
 """
 from __future__ import annotations
 
@@ -16,22 +16,21 @@ from .linalg import Subspace, kernel, rref
 from .presentation import PathWord, word_str
 from .rewriting import AlgebraTable
 from .sparse import contract
-from .structure import closed_part, closed_words, commutator_space, socle
+from .structure import closed_part, closed_words, commutator_space, multiply, socle
 
 __all__ = ["SymmetrizingForm", "canonical_form", "consistent_form", "custom_form", "orthogonal"]
 
 
 @dataclass(frozen=True)
 class SymmetrizingForm:
-    """A validated form, stored as psi on basis words plus its Gram matrix.
+    """A validated form, stored as psi on the basis words.
 
-    gram[i, j] = psi(b_i * b_j) is symmetric and nonsingular; psi therefore
-    vanishes on every commutator.
+    (b_i, b_j) = psi(b_i * b_j) is symmetric and nondegenerate; psi
+    therefore vanishes on every commutator.
     """
 
     table: AlgebraTable
     psi: np.ndarray
-    gram: np.ndarray
 
     @property
     def gf(self):
@@ -39,40 +38,68 @@ class SymmetrizingForm:
 
     def pair(self, x: np.ndarray, y: np.ndarray) -> int:
         """The form value (x, y) = psi(x*y) as an encoded field scalar."""
-        gf, d = self.gf, self.table.dim
-        row = gf.matmul(np.asarray(x, dtype=np.int64).reshape(1, d), self.gram)
-        return int(gf.matmul(row, np.asarray(y, dtype=np.int64).reshape(d, 1))[0, 0])
+        xy = multiply(self.table, x, y).reshape(1, -1)
+        return int(self.gf.matmul(xy, self.psi.reshape(-1, 1))[0, 0])
 
 
-def _gram(at: AlgebraTable, psi: np.ndarray) -> np.ndarray:
-    """gram[i, j] = psi(b_i * b_j): psi[m] * c summed over the stored constants (i, j, m, c)."""
-    d = at.dim
+def _form_entries(at: AlgebraTable, psi: np.ndarray):
+    """(i, j, w) over the stored constants (i, j, m, c) with psi[m] != 0,
+    w = psi[m] * c: (b_i, b_j) is the sum of the w at (i, j)."""
     i, j, m, c = at.entries()
-    return contract(at.gf, [(psi.reshape(1, d), m)], c, i * d + j, d * d).reshape(d, d)
+    keep = psi[m] != 0
+    return i[keep], j[keep], at.gf.mul(psi[m[keep]], c[keep])
+
+
+def _null_vector(at: AlgebraTable, psi: np.ndarray):
+    """A nonzero x with psi(x*A) = 0, or None when psi(x*y) is nondegenerate.
+
+    L = {x : psi(x*A) = 0} is a right ideal, as psi((x*a)*y) = psi(x*(a*y)),
+    so if L != 0 it contains a minimal right ideal, which lies in the right
+    socle S = {x : x*rad = 0} (Lam, Lectures on Modules and Rings, 16).  For
+    x in S, x*y = sum_v y_v x*e_v (y_v the e_v coordinate of y), and x*e_v
+    keeps the x_i of the words b_i ending at v.  So L cap S = 0 iff the
+    (dim S x |Q0|) matrix S @ P, P[i, target(b_i)] = psi_i, has full row
+    rank; a left null vector c of it gives x = c @ S in L.
+    """
+    gf, s, used = at.gf, socle(at).right, np.flatnonzero(psi)
+    ends = np.zeros((used.size, len(at.quiver.vertices)), dtype=np.int64)
+    ends[np.arange(used.size), [at.quiver.path_target(at.basis[i]) for i in used]] = psi[used]
+    null = kernel(gf, gf.matmul(s.basis[:, used], ends).T, s.dim)
+    return gf.matmul(null.basis[:1], s.basis)[0] if null.dim else None
 
 
 def _build(at: AlgebraTable, psi: np.ndarray) -> SymmetrizingForm:
-    """Contract psi against the structure constants and validate the Gram matrix."""
-    gram = _gram(at, psi)
-    if not np.array_equal(gram, gram.T):
-        i, j = np.argwhere(gram != gram.T)[0]
-        raise NotSymmetric(
-            f"({at.word_name(int(i))}, {at.word_name(int(j))}) = "
-            f"{int(gram[i, j])} but ({at.word_name(int(j))}, {at.word_name(int(i))}) = "
-            f"{int(gram[j, i])}; the algebra is not symmetric for this psi",
-            witness=(int(i), int(j)))
-    rad = kernel(at.gf, gram)
-    if rad.dim:
-        raise Degenerate("the form psi(x*y) is degenerate", kernel_vector=rad.basis[0].copy())
-    return SymmetrizingForm(at, psi, gram)
+    """The form of psi, checked to be symmetric, then nondegenerate (_null_vector).
+
+    It is symmetric iff psi vanishes on K(A), which the [b_j, s], s a vertex
+    or an arrow, span (see structure.commutator_space): iff (s, b_j) =
+    (b_j, s) for every generator s and every j, a g x d slab of rows and one
+    of columns.  The generators are the g lowest basis indices, and a pair
+    swapped stays asymmetric; so if any pair is asymmetric, one starts with
+    a generator, and the first in row-major order is the slab's first.
+    """
+    gf, d, (i, j, w) = at.gf, at.dim, _form_entries(at, psi)
+    g = int(np.searchsorted(at.lengths(), 2))
+    rows, cols = (gf.segment_sum(w[a < g], a[a < g] * d + b[a < g], g * d).reshape(g, d)
+                  for a, b in ((i, j), (j, i)))  # rows[s, k] = (b_s, b_k), cols[s, k] = (b_k, b_s)
+    bad = np.argwhere(rows != cols)
+    if bad.size:
+        s, k = bad[0].tolist()
+        raise NotSymmetric(f"({at.word_name(s)}, {at.word_name(k)}) = {rows[s, k]} but "
+                           f"({at.word_name(k)}, {at.word_name(s)}) = {cols[s, k]}; "
+                           "the algebra is not symmetric for this psi", witness=(s, k))
+    x = _null_vector(at, psi)
+    if x is not None:
+        raise Degenerate("the form psi(x*y) is degenerate", kernel_vector=x)
+    return SymmetrizingForm(at, psi)
 
 
 def canonical_form(at: AlgebraTable) -> SymmetrizingForm:
     """The 0/1 form: psi(b) = 1 exactly when the basis word b lies in the socle.
 
-    Errors: NotSymmetric when the Gram matrix is asymmetric (or the left and
-    right socles differ); Degenerate when the socle is not spanned by basis
-    words, or the resulting Gram matrix is singular.
+    Errors: NotSymmetric when the form is asymmetric (or the left and right
+    socles differ); Degenerate when the socle is not spanned by basis words,
+    or the resulting form is degenerate.
     """
     psi = np.zeros(at.dim, dtype=np.int64)
     psi[_socle_word_indices(at)] = 1
@@ -155,9 +182,19 @@ def custom_form(at: AlgebraTable, psi_values: dict) -> SymmetrizingForm:
     return _build(at, psi)
 
 
+def _complement(f: SymmetrizingForm, rows: np.ndarray, words: np.ndarray) -> Subspace:
+    """{y : psi(x*y) = 0 for every row x}, with the rows and y on the
+    coordinates of the listed basis words: the kernel of one contraction of
+    the rows against the entries whose two factors are both listed."""
+    i, j, w = _form_entries(f.table, f.psi)
+    keep = np.isin(i, words) & np.isin(j, words)
+    i, j = (np.searchsorted(words, x[keep]) for x in (i, j))
+    return kernel(f.gf, contract(f.gf, [(rows, i)], w[keep], j, len(words)), len(words))
+
+
 def orthogonal(f: SymmetrizingForm, s: Subspace) -> Subspace:
     """The complement {y : (x, y) = 0 for all x in s} under the form."""
     at = f.table
     if s.ambient_dim != at.dim:
         raise DimensionMismatch(f"subspace ambient {s.ambient_dim} != algebra dimension {at.dim}")
-    return kernel(f.gf, f.gf.matmul(s.basis, f.gram))
+    return _complement(f, s.basis, np.arange(at.dim))

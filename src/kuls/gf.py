@@ -149,12 +149,15 @@ class GF:
     """The field GF(p**e) with vectorized arithmetic on encoded elements."""
 
     def __init__(self, p: int, e: int = 1, modulus: tuple[int, ...] | None = None):
+        # bounded first: trial division of a huge p, or p**e for a huge e, would hang;
+        # p >= 2 gives p**bits > MAX_FIELD_SIZE, so capping e at bits keeps the verdict
+        bits = MAX_FIELD_SIZE.bit_length()
+        if p > MAX_FIELD_SIZE or (p > 1 and p ** min(e, bits) > MAX_FIELD_SIZE):
+            raise BadField(f"field size {p}**{e} exceeds {MAX_FIELD_SIZE}")
         if not is_prime(p):
             raise BadField(f"{p} is not prime")
         if e < 1:
             raise BadField(f"extension degree must be >= 1, got {e}")
-        if p**e > MAX_FIELD_SIZE:
-            raise BadField(f"field size {p}**{e} exceeds {MAX_FIELD_SIZE}")
         self.p = p
         self.e = e
         self.q = p**e

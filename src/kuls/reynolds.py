@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameters, BudgetExceeded, CharacteristicMismatch, InvariantViolation
-from .form import SymmetrizingForm
+from .form import SymmetrizingForm, _complement
 from .gf import GF
 from .linalg import Subspace, contains_subspace, full_space, kernel, reduce_mod, row_space
 from .rewriting import AlgebraTable
@@ -108,14 +108,15 @@ def _verified_perp(at: AlgebraTable, f: SymmetrizingForm, t: Subspace) -> Subspa
     an ideal of Z(A) between soc(A) cap Z(A) and Z(A).
 
     psi(xy) vanishes on K(A), hence on O, and a closed word times an open
-    one is 0 or open, so C and O are orthogonal: the nonsingular Gram
-    matrix is block diagonal on C + O, and y is orthogonal to O iff y is in
-    C.  As T_n = O + (T_n cap C), T_n^perp is the complement of T_n cap C
-    under the C block.  Z(A) and soc(A) cap Z(A) lie in C: so do the checks.
+    one is 0 or open, so C and O are orthogonal: the nondegenerate form is
+    nondegenerate on C, and y is orthogonal to O iff y is in C.  As T_n =
+    O + (T_n cap C), T_n^perp is the complement of T_n cap C under the form
+    on C, which only the entries with both factors closed enter.  Z(A) and
+    soc(A) cap Z(A) lie in C: so do the checks.
     """
     gf, closed, (i, j, m, c) = at.gf, closed_words(at), at.entries()
     z, soc_z = closed_part(at, center(at)), closed_part(at, socle_center(at))
-    perp = kernel(gf, gf.matmul(t.basis, f.gram[np.ix_(closed, closed)]), len(closed))
+    perp = _complement(f, t.basis, closed)
     if not contains_subspace(z, perp):
         raise InvariantViolation("T_n^perp is not contained in the center")
     if not contains_subspace(perp, soc_z):

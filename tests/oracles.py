@@ -20,7 +20,7 @@ __all__ = ["path_quotient_dim", "rank_mod_p", "all_pairs_commutator_space", "all
            "naive_matmul", "naive_rref", "dense_reference_table", "dense_table",
            "table_from_dense", "left_mult_matrix", "right_mult_matrix", "solve",
            "XiMap", "xi_map", "direct_kuelshammer_space", "dense_reynolds_report",
-           "dense_consistent_psi"]
+           "dense_consistent_psi", "dense_gram"]
 
 
 def dense_reference_table(rs) -> np.ndarray:
@@ -51,6 +51,14 @@ def dense_reference_table(rs) -> np.ndarray:
                         f"product reduced to non-basis word {word_str(quiver, w)}")
                 table[i, j, m] = c
     return table
+
+
+def dense_gram(f: SymmetrizingForm) -> np.ndarray:
+    """gram[i, j] = psi(b_i * b_j): psi[m] * c summed over the stored
+    constants (i, j, m, c).  f need not be validated."""
+    at, d = f.table, f.table.dim
+    i, j, m, c = at.entries()
+    return contract(at.gf, [(f.psi.reshape(1, d), m)], c, i * d + j, d * d).reshape(d, d)
 
 
 def dense_table(at) -> np.ndarray:
@@ -308,7 +316,7 @@ def xi_map(at: AlgebraTable, f: SymmetrizingForm, n: int) -> XiMap:
     gf = at.gf
     d = at.dim
     z = center(at)
-    g = f.gram
+    g = dense_gram(f)
     pmat = power(at, np.eye(d, dtype=np.int64), gf.p ** n)  # row i is b_i**(p**n)
     # rhs[j, i] = (z_j, b_i**(p**n)); take p**n-th roots entrywise, then
     # solve w @ G = root-row for each center basis vector.

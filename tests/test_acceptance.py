@@ -29,7 +29,7 @@ from kuls.families import FamilySpec, family
 from kuls.gf import GF
 from kuls.linalg import contains, contains_subspace, intersect, row_space, subspace_sum
 from kuls.structure import multiply, power
-from oracles import path_quotient_dim, xi_map
+from oracles import dense_gram, path_quotient_dim, xi_map
 
 
 @contextmanager
@@ -190,8 +190,9 @@ def _check_universal(at) -> bool:
     if form is None:
         return False
     gf = at.gf
-    assert np.array_equal(form.gram, form.gram.T)
-    assert row_space(gf, form.gram).dim == at.dim
+    gram = dense_gram(form)
+    assert np.array_equal(gram, gram.T)
+    assert row_space(gf, gram).dim == at.dim
     k = commutator_space(at)
     z = center(at)
     soc = socle(at).right
@@ -218,8 +219,8 @@ def _check_universal(at) -> bool:
         assert xi.image == perp
         pn = gf.p ** row.n
         powers = np.stack([power(at, eye[i], pn) for i in range(at.dim)])
-        lhs = gf.pow(gf.matmul(xi.matrix, form.gram), pn)
-        rhs = gf.matmul(gf.matmul(z.basis, form.gram), powers.T)
+        lhs = gf.pow(gf.matmul(xi.matrix, gram), pn)
+        rhs = gf.matmul(gf.matmul(z.basis, gram), powers.T)
         assert np.array_equal(lhs, rhs)
     assert prev_perp == intersect(soc, z)
     return True

@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 from collections.abc import Iterator
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,6 +420,40 @@ def test_oracle_rejects_a_member_set_that_is_not_a_subspace(tmp_path, capsys, mo
     assert captured.out == ""
     assert captured.err.startswith("InvariantViolation: T_1 has ")
     assert "it is not a subspace" in captured.err
+
+
+# -- hostile inputs, each in a fresh interpreter so that a hang shows as a timeout --
+
+HUGE_P, HUGE_E = "GF(1000000000000000003)", "GF(3,1000000000)"
+OMEGA1 = ["invariants", "--family", "Omega", "--params", "n=1"]
+
+
+@pytest.mark.parametrize("argv,stream,expected", [
+    (["parse", "huge_p.kuls"], "stdout",
+     "huge_p.kuls: field size 1000000000000000003**1 exceeds 65536"),
+    (["parse", "huge_e.kuls"], "stdout", "huge_e.kuls: field size 3**1000000000 exceeds 65536"),
+    (["invariants", "huge_p.kuls"], "stderr", "BadField: field size 1000000000000000003**1"),
+    (OMEGA1 + ["--field", HUGE_P], "stderr", "BadField: field size 1000000000000000003**1"),
+    (OMEGA1 + ["--field", HUGE_E], "stderr", "BadField: field size 3**1000000000 exceeds"),
+    (["invariants", "--family", "Omega", "--params", "n=--5", "--char", "2"], "stderr",
+     "BadParameters: cannot parse parameter 'n=--5'; expected k=v"),
+    (OMEGA1 + ["--char", "2", "--psi", "a1*a1=--1"], "stderr",
+     "BadParameters: cannot parse psi entry 'a1*a1=--1'; expected WORD=COEFF"),
+], ids=["parse-huge-p", "parse-huge-e", "file-huge-p", "field-huge-p", "field-huge-e",
+        "params-double-minus", "psi-double-minus"])
+def test_hostile_inputs_exit_1_without_traceback(tmp_path, argv, stream, expected):
+    """Exit 1 with the KulsError's message, never a traceback or a hang.
+    `kuls parse` reports on stdout after the file name, the others on stderr
+    after the error's class name."""
+    _write(tmp_path, "huge_p.kuls", DUAL.replace("GF(2)", HUGE_P))
+    _write(tmp_path, "huge_e.kuls", DUAL.replace("GF(2)", "GF(3^1000000000)"))
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-m", "kuls.cli", *argv], cwd=tmp_path,
+                            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                            capture_output=True, text=True, timeout=20)
+    assert result.returncode == 1
+    assert getattr(result, stream).startswith(expected)
+    assert "Traceback" not in result.stdout + result.stderr
 
 
 # -- plumbing --

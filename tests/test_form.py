@@ -17,18 +17,22 @@ from kuls import (
     parse_presentation,
     socle,
 )
+from kuls import form, linalg
 from kuls.errors import BadParameters, Degenerate, DimensionMismatch, NotSymmetric
-from kuls.form import _socle_word_indices
-from kuls.linalg import contains, full_space, intersect, reduce_mod, zero_subspace
+from kuls.form import SymmetrizingForm, _build, _socle_word_indices
+from kuls.linalg import contains, full_space, intersect, reduce_mod, row_space, zero_subspace
 from kuls.structure import multiply
+from oracles import dense_gram
+from test_cli import _spy
 
 
 def test_canonical_form_on_omega2():
     at = make_table("Omega", n=2)
     f = canonical_form(at)
     assert f.psi.tolist() == [0, 0, 0, 0, 0, 1, 0, 0, 0, 1]  # a1*a1 and b2*a1*b1
-    assert np.array_equal(f.gram, f.gram.T)
-    assert f.gram[0, at.index[at.quiver.word("a1", "a1")]] == 1  # (e_c, a1*a1)
+    gram = dense_gram(f)
+    assert np.array_equal(gram, gram.T)
+    assert gram[0, at.index[at.quiver.word("a1", "a1")]] == 1  # (e_c, a1*a1)
 
 
 def test_form_is_associative_and_vanishes_on_commutators():
@@ -154,18 +158,96 @@ def test_socle_off_the_basis_words_is_degenerate():
             make(at)
 
 
+SQUARE_ZERO = ("algebra sz over GF(2) {\n  vertices v;\n"
+               "  arrows { a: v -> v; b: v -> v; }\n"
+               "  relations { a*a; a*b; b*a; b*b; }\n}\n")
+DUAL = ("algebra k2 over GF(2) {\n  vertices v;\n  arrows { a: v -> v; }\n"
+        "  relations { a*a; }\n}\n")
+
+
 def test_degenerate_forms_are_rejected():
-    square_zero = build_table(complete(parse_presentation(
-        "algebra sz over GF(2) {\n  vertices v;\n"
-        "  arrows { a: v -> v; b: v -> v; }\n"
-        "  relations { a*a; a*b; b*a; b*b; }\n}\n")))
+    square_zero = build_table(complete(parse_presentation(SQUARE_ZERO)))
     with pytest.raises(Degenerate) as err:
         canonical_form(square_zero)  # gram rows of a and b coincide
     assert err.value.kernel_vector is not None
-    dual = build_table(complete(parse_presentation(
-        "algebra k2 over GF(2) {\n  vertices v;\n  arrows { a: v -> v; }\n"
-        "  relations { a*a; }\n}\n")))
+    dual = build_table(complete(parse_presentation(DUAL)))
     with pytest.raises(Degenerate):
         custom_form(dual, {"e_v": 1})  # psi supported off the socle
     f = canonical_form(dual)  # psi(a) = 1 works: gram [[0,1],[1,0]]
-    assert f.gram.tolist() == [[0, 1], [1, 0]]
+    assert dense_gram(f).tolist() == [[0, 1], [1, 0]]
+
+
+def _check_build_against_dense_gram(at, psi) -> tuple[bool, bool]:
+    """_build's verdicts, witness, message and null vector against the dense
+    Gram matrix of psi; returns (symmetric, nondegenerate) of the Gram."""
+    gf, gram = at.gf, dense_gram(SymmetrizingForm(at, psi))
+    symmetric, nondegenerate = np.array_equal(gram, gram.T), row_space(gf, gram).dim == at.dim
+    null = form._null_vector(at, psi)  # checked apart from symmetry: all four cases occur
+    assert (null is None) == nondegenerate
+    if null is not None:
+        assert null.any() and not gf.matmul(null.reshape(1, -1), gram).any()
+    if not symmetric:
+        i, j = (int(k) for k in np.argwhere(gram != gram.T)[0])
+        with pytest.raises(NotSymmetric) as err:
+            _build(at, psi)
+        assert err.value.witness == (i, j)
+        assert str(err.value) == (
+            f"({at.word_name(i)}, {at.word_name(j)}) = {gram[i, j]} but "
+            f"({at.word_name(j)}, {at.word_name(i)}) = {gram[j, i]}; "
+            "the algebra is not symmetric for this psi")
+    elif not nondegenerate:
+        with pytest.raises(Degenerate) as err:
+            _build(at, psi)
+        assert not gf.matmul(gram, err.value.kernel_vector.reshape(-1, 1)).any()
+    else:
+        assert _build(at, psi).psi is psi
+    return symmetric, nondegenerate
+
+
+@pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)],
+                         ids=["2", "3", "4", "8", "9"])
+def test_build_matches_the_dense_gram(field):
+    """The generator slab and the socle criterion give the dense Gram's verdicts:
+    psi the socle words, random on all words, and random on the socle pivots."""
+    seen = set()
+    for k, (name, params) in enumerate(CATALOGUE):
+        at = make_table(name, gf=field, **params)
+        gf, s, rng = at.gf, socle(at).right, np.random.default_rng(k)
+        on_socle = np.zeros((4, at.dim), dtype=np.int64)
+        on_socle[0, np.array(s.pivots)[np.count_nonzero(s.basis, axis=1) == 1]] = 1
+        on_socle[1:, list(s.pivots)] = rng.integers(0, gf.q, size=(3, s.dim))
+        for psi in [*on_socle, *rng.integers(0, gf.q, size=(3, at.dim))]:
+            seen.add(_check_build_against_dense_gram(at, psi))
+    assert len(seen) >= 3
+    if field == (2, 1):
+        assert len(seen) == 4
+
+
+# not self-injective: e_w and a both end at w, and the left and right socles differ
+PATH_A2 = "algebra a2 over GF(3) { vertices v, w; arrows { a: v -> w; } relations { } }"
+# self-injective but not symmetric: the socle words a and b are open
+NAKAYAMA = ("algebra n2 over GF(2) { vertices v, w; arrows { a: v -> w; b: w -> v; }"
+            " relations { a*b; b*a; } }")
+
+
+def test_build_matches_the_dense_gram_on_small_algebras():
+    for text in (SQUARE_ZERO, DUAL, OFF_WORDS, PATH_A2, NAKAYAMA):
+        at = build_table(complete(parse_presentation(text)))
+        rng = np.random.default_rng(at.dim)
+        psis = rng.integers(0, at.gf.q, size=(8, at.dim))
+        for psi in [np.eye(at.dim, dtype=np.int64)[-1], *psis]:
+            _check_build_against_dense_gram(at, psi)
+
+
+def test_forms_make_no_d_wide_elimination(monkeypatch):
+    """With the socle cached, building either form of Omega(20) (d = 460)
+    hands no row_space, kernel or rref a matrix with d columns."""
+    at = make_table("Omega", n=20)
+    socle(at)
+    widths = []
+    for fn in (linalg.row_space, linalg.kernel):
+        _spy(monkeypatch, fn, lambda args: widths.append(
+            args[2] if len(args) > 2 and args[2] is not None else np.atleast_2d(args[1]).shape[1]))
+    _spy(monkeypatch, linalg.rref, lambda args: widths.append(np.atleast_2d(args[1]).shape[1]))
+    assert canonical_form(at).psi.tolist() == consistent_form(at).psi.tolist()
+    assert widths and max(widths) < at.dim

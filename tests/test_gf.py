@@ -166,6 +166,18 @@ def test_bad_fields_are_rejected():
         GF(2, 2, modulus=(1, 1, 0, 1))  # degree 3 != e
 
 
+def test_oversized_fields_are_rejected_before_primality_and_powers():
+    """A huge p would stall trial division and a huge e the power p**e; both
+    are bounded first, and GF(4), GF(1) still fail as not prime."""
+    for p, e in ((1000000000000000003, 1), (3, 1000000000), (65537, 1), (4, 100)):
+        with pytest.raises(BadField, match=f"field size {p}\\*\\*{e} exceeds 65536"):
+            GF(p, e)
+    for p in (4, 1):
+        with pytest.raises(BadField, match=f"{p} is not prime"):
+            GF(p)
+    assert GF(65521).q == 65521
+
+
 def test_equality_depends_on_modulus():
     assert GF(2) == GF(2, 1)
     assert GF(2) != GF(3)

@@ -9,11 +9,11 @@ import pytest
 from conftest import make_table
 from kuls import GF, build_table, complete, parse_presentation, sparse
 from kuls.families import FAMILY_NAMES, FamilySpec, family
-from kuls.form import _gram
+from kuls.form import SymmetrizingForm
 from kuls.sparse import contract
 from kuls.structure import multiply
-from oracles import (dense_reference_table, dense_table, left_mult_matrix, naive_matmul,
-                     right_mult_matrix)
+from oracles import (dense_gram, dense_reference_table, dense_table, left_mult_matrix,
+                     naive_matmul, right_mult_matrix)
 from test_reynolds import TWISTED
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
@@ -72,7 +72,7 @@ def test_multi_term_products_match_dense_oracle(field):
 
     psi = rng.integers(0, gf.q, size=d)
     gram = naive_matmul(gf, table.reshape(d * d, d), psi.reshape(d, 1)).reshape(d, d)
-    assert np.array_equal(_gram(at, psi), gram)
+    assert np.array_equal(dense_gram(SymmetrizingForm(at, psi)), gram)
 
 
 @pytest.mark.parametrize("field", [(2, 1), (5, 1), (2, 3), (3, 2)], ids=lambda f: _field_text(*f))

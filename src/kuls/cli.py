@@ -75,7 +75,15 @@ def _parse_field(text: str) -> GF:
     m = _FIELD_RE.match(text)
     if not m:
         raise BadParameters(f"cannot parse field {text!r}; expected GF(p) or GF(p,e)")
-    return GF(int(m.group(1)), int(m.group(2) or 1))
+    return GF(_int(m.group(1), "field characteristic"), _int(m.group(2) or "1", "field degree"))
+
+
+def _int(text: str, what: str) -> int:
+    """int(text) for decimal digits, BadParameters past sys.get_int_max_str_digits()."""
+    try:
+        return int(text)
+    except ValueError:
+        raise BadParameters(f"{what} has {len(text)} digits, too many to read") from None
 
 
 def _field_arg(args) -> GF | None:
@@ -95,7 +103,7 @@ def _parse_params(text: str, entry: str = "parameter", form: str = "k=v") -> dic
         key, eq, value = item.partition("=")
         if not eq or not value.removeprefix("-").isdecimal():
             raise BadParameters(f"cannot parse {entry} {item!r}; expected {form}")
-        values[key.strip()] = int(value)
+        values[key.strip()] = _int(value, f"{entry} {key.strip()!r}")
     return values
 
 

@@ -114,22 +114,30 @@ class _Parser:
     def keyword(self, word: str):
         self.expect("NAME", word, expected=f"keyword {word!r}")
 
+    def integer(self, expected: str) -> int:
+        t = self.expect("INT", expected=expected)
+        try:
+            return int(t.text)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise DslSyntaxError(f"{expected} has {len(t.text)} digits, too many to read",
+                                 t.line, t.col, expected=expected) from None
+
     # -- field --
 
     def parse_field(self) -> GF:
         self.expect("NAME", "GF", expected="GF")
         self.expect("SYM", "(")
-        p = int(self.expect("INT", expected="prime").text)
+        p = self.integer("prime")
         e, modulus = 1, None
         if self.at_sym("^"):
             self.advance()
-            e = int(self.expect("INT", expected="extension degree").text)
+            e = self.integer("extension degree")
             if self.at_sym(","):
                 self.advance()
                 modulus = self._parse_tpoly(stop=")")
         elif self.at_sym(","):
             self.advance()
-            e = int(self.expect("INT", expected="extension degree").text)
+            e = self.integer("extension degree")
         self.expect("SYM", ")")
         return GF(p, e, tuple(modulus) if modulus else None)
 
@@ -145,7 +153,7 @@ class _Parser:
                 continue
             c, deg = 1, 0
             if t.kind == "INT":
-                c = int(self.advance().text)
+                c = self.integer("coefficient")
                 if self.at_sym("*"):
                     self.advance()
                     t = self.peek()
@@ -155,7 +163,7 @@ class _Parser:
                 deg = 1
                 if self.at_sym("^"):
                     self.advance()
-                    deg = int(self.expect("INT", expected="exponent").text)
+                    deg = self.integer("exponent")
             coeffs[deg] = coeffs.get(deg, 0) + sign * c
             sign = 1
             if self.at_sym("+"):
@@ -177,7 +185,7 @@ class _Parser:
     def parse_coeff(self, gf: GF) -> int:
         t = self.peek()
         if t.kind == "INT":
-            return gf.from_int(int(self.advance().text))
+            return gf.from_int(self.integer("coefficient"))
         if self.at_sym("("):
             self.advance()
             coeffs = self._parse_tpoly(stop=")")

@@ -10,6 +10,7 @@ acyclic; its paths then spell the monomial basis.
 """
 from __future__ import annotations
 
+import graphlib
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import ConsistencyFailure, DegreeBoundExceeded, InfiniteDimensional
 from .presentation import PathWord, Presentation, Quiver, word_str
-from .sparse import Csr, from_entries, product
+from .sparse import Sparse, from_entries, product
 
 __all__ = [
     "Rule",
@@ -281,30 +282,13 @@ def enumerate_basis(rs: RewriteSystem) -> list[PathWord]:
                 queue.append(nxt)
         edges[state] = outs
 
-    # iterative three-color cycle detection
-    color: dict[tuple, int] = {}
-    for root in starts:
-        if color.get(root):
-            continue
-        stack = [(root, iter(edges[root]))]
-        color[root] = 1
-        while stack:
-            state, it = stack[-1]
-            advanced = False
-            for _, nxt in it:
-                c = color.get(nxt, 0)
-                if c == 1:
-                    raise InfiniteDimensional(
-                        "normal words admit unbounded repetition "
-                        f"(cycle through vertex {quiver.vertices[nxt[0]]!r})")
-                if c == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(edges[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[state] = 2
-                stack.pop()
+    successors = {state: [nxt for _, nxt in outs] for state, outs in edges.items()}
+    try:
+        graphlib.TopologicalSorter(successors).prepare()
+    except graphlib.CycleError as err:  # err.args[1] lists the states of one cycle
+        raise InfiniteDimensional(
+            "normal words admit unbounded repetition "
+            f"(cycle through vertex {quiver.vertices[err.args[1][0][0]]!r})") from None
 
     words: list[PathWord] = []
     for v, _ in starts:
@@ -322,16 +306,17 @@ def enumerate_basis(rs: RewriteSystem) -> list[PathWord]:
 class AlgebraTable:
     """Structure constants of the quotient algebra on its monomial basis.
 
-    table is a (d*d, d) Csr whose row j*d + i holds the coordinates of
+    table is a (d*d, d) Sparse whose row j*d + i holds the coordinates of
     b_i * b_j, so rows j*d .. j*d + d - 1 are R_j, the matrix of right
-    multiplication by b_j.  The basis is ordered trivial paths first, then
-    deglex.
+    multiplication by b_j.  It stores only the nonzero constants, each with
+    its row, so its size is the number of constants and no part of it has
+    d*d entries.  The basis is ordered trivial paths first, then deglex.
     """
 
     rs: RewriteSystem
     basis: tuple[PathWord, ...]
     index: dict[PathWord, int]
-    table: Csr
+    table: Sparse
     trivial_indices: tuple[int, ...]
     unit: np.ndarray
     # per table: closed words, Z and K (lifts from C), soc, the chain T_n cap C, b_i**p on C
@@ -381,10 +366,6 @@ class AlgebraTable:
         j, i = np.divmod(self.table.rows, self.dim)
         return i, j, self.table.indices, self.table.data
 
-    def right(self, s: int) -> Csr:
-        """R_s, the right multiplication by b_s: row i holds b_i * b_s."""
-        return self.table.take(np.arange(s * self.dim, (s + 1) * self.dim))
-
 
 def normal_form(table: AlgebraTable, element) -> np.ndarray:
     """Coordinates of an element given as DSL expression text or a {word: coeff} dict."""
@@ -431,10 +412,12 @@ def build_table(rs: RewriteSystem) -> AlgebraTable:
                  for w in basis[lo:hi]]
         if None in heads or None in lasts:
             raise ConsistencyFailure("basis is not factor closed")
-        stacked = prev.take(((np.array(heads) - below)[:, None] * d + np.arange(d)).ravel())
-        shift = np.repeat(np.repeat((np.array(lasts) - t) * d, d), np.diff(stacked.indptr))
-        prev = product(gf, Csr((stacked.shape[0], arrows.shape[0]), stacked.indptr,
-                               stacked.indices + shift, stacked.data), arrows)
+        # row k*d + i: b_i * (head of word lo + k), from its R_w read as one row of d*d
+        stacked = prev.reshape((prev.shape[0] // d, d * d)).take(np.array(heads) - below)
+        stacked = stacked.reshape(((hi - lo) * d, d))
+        shift = ((np.array(lasts) - t) * d)[stacked.rows // d]
+        prev = product(gf, Sparse((stacked.shape[0], arrows.shape[0]), stacked.rows,
+                                  stacked.indices + shift, stacked.data), arrows)
         blocks.append(prev)
 
     trivial_indices = tuple(index[PathWord(v, ())] for v in range(len(quiver.vertices)))
@@ -442,10 +425,10 @@ def build_table(rs: RewriteSystem) -> AlgebraTable:
     unit[list(trivial_indices)] = 1
 
     # each block is canonical, so stacked one after another they stay row-major
-    offsets = np.cumsum([0] + [b.data.size for b in blocks])
-    indptr = np.concatenate([[0]] + [b.indptr[1:] + o for b, o in zip(blocks, offsets)])
-    table = Csr((d * d, d), indptr, np.concatenate([b.indices for b in blocks]),
-                np.concatenate([b.data for b in blocks]))
+    offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
+    table = Sparse((d * d, d), np.concatenate([b.rows + o for b, o in zip(blocks, offsets)]),
+                   np.concatenate([b.indices for b in blocks]),
+                   np.concatenate([b.data for b in blocks]))
     at = AlgebraTable(rs, basis, index, table, trivial_indices, unit)
     _audit(at)
     return at
@@ -491,8 +474,8 @@ def _audit(at: AlgebraTable) -> None:
             words.append(k)
             folds.append(last * d + head)
     words, folds = np.array(words, dtype=np.int64), np.array(folds, dtype=np.int64)
-    first = table.indptr[folds]
-    ok = table.indptr[folds + 1] - first == 1
+    first = np.searchsorted(table.rows, folds)
+    ok = np.searchsorted(table.rows, folds, side="right") - first == 1
     ok[ok] = (table.indices[first[ok]] == words[ok]) & (table.data[first[ok]] == 1)
     if not ok.all():
         raise ConsistencyFailure(

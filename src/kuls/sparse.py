@@ -1,88 +1,77 @@
-"""Sparse matrices over GF(p**e) in CSR form, and their one product kernel.
+"""Sparse matrices over GF(p**e) as sorted entries, and their one product kernel.
 
-A Csr holds the nonzero entries of a (rows, cols) matrix row by row: row r
-has the columns indices[indptr[r]:indptr[r + 1]], strictly increasing, and
-their encoded field values in data, none of them zero.  This form is
-canonical, so two Csr are equal iff their arrays are.  scipy.sparse is not
-used: its arithmetic is not GF(p**e) arithmetic.
+A Sparse holds the nonzero entries of a (rows, cols) matrix in row-major
+order: entry e sits at (rows[e], indices[e]) with the encoded field value
+data[e], no two entries at one cell and none of them zero.  This form is
+canonical, so two Sparse are equal iff their arrays are.  It stores no
+per-row pointer, so nothing in it grows with the number of rows: a row's
+entries are found by np.searchsorted on rows.  scipy.sparse is not used:
+its arithmetic is not GF(p**e) arithmetic.
 
 Every product is a join on the shared index followed by one field segment
 sum (GF.segment_sum) of the joined products by output cell: `product`
-joins two Csr, `contract` joins the columns of dense stacked rows.
+joins two Sparse, `contract` joins the columns of dense stacked rows.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Csr", "SPARSE_BLOCK", "from_sorted", "from_entries", "product", "contract"]
+__all__ = ["Sparse", "SPARSE_BLOCK", "from_entries", "product", "contract"]
 
 SPARSE_BLOCK = 2**13  # joined entries per temporary of contract
 
 
 @dataclass(eq=False)
-class Csr:
+class Sparse:
     shape: tuple[int, int]
-    indptr: np.ndarray
+    rows: np.ndarray
     indices: np.ndarray
     data: np.ndarray
 
     def __post_init__(self):
-        for a in (self.indptr, self.indices, self.data):
+        for a in (self.rows, self.indices, self.data):
             a.flags.writeable = False  # tables are shared, e.g. across cached spaces
 
-    @functools.cached_property
-    def rows(self) -> np.ndarray:
-        """Row of each stored entry."""
-        return np.repeat(np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr))
-
     def __eq__(self, other):
-        return (isinstance(other, Csr) and tuple(self.shape) == tuple(other.shape)
+        return (isinstance(other, Sparse) and tuple(self.shape) == tuple(other.shape)
                 and all(np.array_equal(a, b) for a, b in
-                        zip((self.indptr, self.indices, self.data),
-                            (other.indptr, other.indices, other.data))))
+                        zip((self.rows, self.indices, self.data),
+                            (other.rows, other.indices, other.data))))
 
     __hash__ = None
 
-    def take(self, rows: np.ndarray) -> Csr:
+    def take(self, rows: np.ndarray) -> Sparse:
         """The listed rows, in that order, as a (len(rows), cols) matrix."""
-        counts = self.indptr[rows + 1] - self.indptr[rows]
-        indptr = np.append(0, np.cumsum(counts))
-        pos = np.repeat(self.indptr[rows] - indptr[:-1], counts) + np.arange(indptr[-1])
-        return Csr((len(rows), self.shape[1]), indptr, self.indices[pos], self.data[pos])
+        lo = np.searchsorted(self.rows, rows)
+        counts = np.searchsorted(self.rows, rows, side="right") - lo
+        out = np.repeat(np.arange(len(rows)), counts)
+        pos = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(out.size)
+        return Sparse((len(rows), self.shape[1]), out, self.indices[pos], self.data[pos])
 
-    def reshape(self, shape: tuple[int, int]) -> Csr:
+    def reshape(self, shape: tuple[int, int]) -> Sparse:
         """The same entries in row-major order read as a matrix of another shape."""
-        flat = self.rows * self.shape[1] + self.indices
-        return from_sorted(shape, flat // shape[1], flat % shape[1], self.data)
+        rows, cols = np.divmod(self.rows * self.shape[1] + self.indices, shape[1])
+        return Sparse(tuple(shape), rows, cols, self.data)
 
 
-def from_sorted(shape, rows, cols, vals) -> Csr:
-    """The Csr of entries given in row-major order, without duplicates or zeros."""
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return Csr(tuple(shape), indptr, np.asarray(cols, dtype=np.int64),
-               np.asarray(vals, dtype=np.int64))
-
-
-def from_entries(gf, shape, rows, cols, vals) -> Csr:
-    """The canonical Csr of the sum of vals[e] at (rows[e], cols[e]): entries
-    at one cell are summed in the field, and zero sums are dropped."""
+def from_entries(gf, shape, rows, cols, vals) -> Sparse:
+    """The canonical Sparse of the sum of vals[e] at (rows[e], cols[e]):
+    entries at one cell are summed in the field, and zero sums are dropped."""
     cells, ids = np.unique(np.asarray(rows, dtype=np.int64) * shape[1]
                            + np.asarray(cols, dtype=np.int64), return_inverse=True)
     sums = gf.segment_sum(vals, ids, cells.size)
     keep = sums != 0
-    return from_sorted(shape, cells[keep] // shape[1], cells[keep] % shape[1], sums[keep])
+    rows, cols = np.divmod(cells[keep], shape[1])
+    return Sparse(tuple(shape), rows, cols, sums[keep])
 
 
-def product(gf, a: Csr, b: Csr) -> Csr:
+def product(gf, a: Sparse, b: Sparse) -> Sparse:
     """a @ b: entry (r, k) of a joins every entry of row k of b."""
     joined = b.take(a.indices)  # row e: the entries of b that a's entry e joins
-    left = np.repeat(np.arange(a.data.size), np.diff(joined.indptr))
-    return from_entries(gf, (a.shape[0], b.shape[1]), a.rows[left], joined.indices,
-                        gf.mul(a.data[left], joined.data))
+    return from_entries(gf, (a.shape[0], b.shape[1]), a.rows[joined.rows], joined.indices,
+                        gf.mul(a.data[joined.rows], joined.data))
 
 
 def contract(gf, factors, data, ids, size: int) -> np.ndarray:

@@ -80,14 +80,15 @@ def radical(at: AlgebraTable) -> Subspace:
     d = at.dim
     eye = np.eye(d, dtype=np.int64)
     rad = row_space(at.gf, eye[at.lengths() >= 1], d)
-    arrows = [at.right(a) for a in at.arrow_indices]
+    i, j, m, c = at.entries()
+    arrows = [np.flatnonzero(j == a) for a in at.arrow_indices]  # the entries of R_a
     t = row_space(at.gf, eye[at.lengths() == 1], d)
     steps = 1
     while t.dim:
         if steps > d:
             raise NotNilpotent("arrow products never die out; the relations are not admissible")
-        t = row_space(at.gf, (contract(at.gf, [(t.basis, r.rows)], r.data, r.indices, d)
-                              for r in arrows), d)
+        t = row_space(at.gf, (contract(at.gf, [(t.basis, i[e])], c[e], m[e], d)
+                              for e in arrows), d)
         steps += 1
     return rad
 

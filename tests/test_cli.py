@@ -425,6 +425,7 @@ def test_oracle_rejects_a_member_set_that_is_not_a_subspace(tmp_path, capsys, mo
 # -- hostile inputs, each in a fresh interpreter so that a hang shows as a timeout --
 
 HUGE_P, HUGE_E = "GF(1000000000000000003)", "GF(3,1000000000)"
+ONES = "1" * 5000  # past Python's 4300-digit limit on int() of a string
 OMEGA1 = ["invariants", "--family", "Omega", "--params", "n=1"]
 
 
@@ -439,14 +440,27 @@ OMEGA1 = ["invariants", "--family", "Omega", "--params", "n=1"]
      "BadParameters: cannot parse parameter 'n=--5'; expected k=v"),
     (OMEGA1 + ["--char", "2", "--psi", "a1*a1=--1"], "stderr",
      "BadParameters: cannot parse psi entry 'a1*a1=--1'; expected WORD=COEFF"),
+    (["parse", "long_p.kuls"], "stdout",
+     "long_p.kuls: 1:22: prime has 5000 digits, too many to read"),
+    (["parse", "long_coeff.kuls"], "stdout",
+     "long_coeff.kuls: 7:5: coefficient has 5000 digits, too many to read"),
+    (["invariants", "--family", "Omega", "--params", f"n={ONES}", "--char", "2"], "stderr",
+     "BadParameters: parameter 'n' has 5000 digits, too many to read"),
+    (OMEGA1 + ["--char", "2", "--psi", f"a1*b1*b2={ONES}"], "stderr",
+     "BadParameters: psi entry 'a1*b1*b2' has 5000 digits, too many to read"),
+    (OMEGA1 + ["--field", f"GF({ONES})"], "stderr",
+     "BadParameters: field characteristic has 5000 digits, too many to read"),
 ], ids=["parse-huge-p", "parse-huge-e", "file-huge-p", "field-huge-p", "field-huge-e",
-        "params-double-minus", "psi-double-minus"])
+        "params-double-minus", "psi-double-minus", "parse-long-p", "parse-long-coeff",
+        "params-long", "psi-long", "field-long-p"])
 def test_hostile_inputs_exit_1_without_traceback(tmp_path, argv, stream, expected):
     """Exit 1 with the KulsError's message, never a traceback or a hang.
     `kuls parse` reports on stdout after the file name, the others on stderr
     after the error's class name."""
     _write(tmp_path, "huge_p.kuls", DUAL.replace("GF(2)", HUGE_P))
     _write(tmp_path, "huge_e.kuls", DUAL.replace("GF(2)", "GF(3^1000000000)"))
+    _write(tmp_path, "long_p.kuls", DUAL.replace("GF(2)", f"GF({ONES})"))
+    _write(tmp_path, "long_coeff.kuls", DUAL.replace("a*a = 0", f"{ONES}*a*a = 0"))
     root = Path(__file__).resolve().parents[1]
     result = subprocess.run([sys.executable, "-m", "kuls.cli", *argv], cwd=tmp_path,
                             env=dict(os.environ, PYTHONPATH=str(root / "src")),

@@ -1,0 +1,48 @@
+"""Import hygiene of the package, the tests and the demos, read from their syntax trees."""
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+FILES = sorted(p for d in ("src/kuls", "tests", "demos") for p in (ROOT / d).glob("*.py"))
+MODULES = sorted(f"kuls.{p.stem}" for p in (ROOT / "src/kuls").glob("*.py"))
+
+
+def _all(tree: ast.Module) -> list[str]:
+    """The literal __all__ of a module, or [] if it has none."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _imported(tree: ast.Module):
+    """(name, line) of every name an import statement binds, anywhere in the file."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_import_is_used_or_exported(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(_all(tree))
+    unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
+    assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names what it does not define: {missing}"

@@ -106,6 +106,18 @@ def test_infinite_dimensional_quotients_are_detected():
         build_table(complete(two_loops))  # a*b*a*b*... never terminates
 
 
+@pytest.mark.parametrize("arrows,on_cycle", [("a: v -> w; b: w -> v;", {"v", "w"}),
+                                             ("a: v -> w; c: w -> w;", {"w"})],
+                         ids=["two-cycle", "loop-reached-from-v"])
+def test_infinite_dimensional_names_a_vertex_on_the_cycle(arrows, on_cycle):
+    pres = parse_presentation(
+        f"algebra cyc over GF(2) {{ vertices v, w; arrows {{ {arrows} }} relations {{ }} }}")
+    with pytest.raises(InfiniteDimensional) as err:
+        enumerate_basis(complete(pres))
+    named = re.search(r"cycle through vertex '(\w+)'", str(err.value)).group(1)
+    assert named in on_cycle
+
+
 def test_degree_bound_guards_completion():
     pres = make_table("Omega", n=2).presentation
     with pytest.raises(DegreeBoundExceeded) as err:

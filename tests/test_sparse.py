@@ -5,12 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_table
 from kuls import GF, build_table, complete, parse_presentation, sparse
 from kuls.families import FAMILY_NAMES, FamilySpec, family
 from kuls.form import SymmetrizingForm
-from kuls.sparse import contract
+from kuls.sparse import Sparse, contract, from_entries, product
 from kuls.structure import multiply
 from oracles import (dense_gram, dense_reference_table, dense_table, left_mult_matrix,
                      naive_matmul, right_mult_matrix)
@@ -156,3 +157,86 @@ def test_build_table_allocates_no_cubic_array():
         tracemalloc.stop()
     assert at.dim == 460
     assert peak < 64 * 2**20  # a dense d*d*d int64 table alone is 778 MB
+
+
+SPARSE_FIELDS = [GF(2), GF(3), GF(2, 2)]
+
+
+@st.composite
+def entries(draw, gf=None, shape=None):
+    """A field, a (rows, cols) shape and entries (rows, cols, vals) over it.
+
+    Cells repeat, values may be zero, a drawn prefix of the entries is
+    added again negated, so some cells sum to zero, and the rows past a
+    drawn count get no entry, so the last rows are often empty.
+    """
+    gf = gf or draw(st.sampled_from(SPARSE_FIELDS))
+    rows, cols = shape or (draw(st.integers(0, 6)), draw(st.integers(1, 6)))
+    used = draw(st.integers(0, rows))
+    cell = st.tuples(st.integers(0, max(used - 1, 0)), st.integers(0, cols - 1),
+                     st.integers(0, gf.q - 1))
+    cells = draw(st.lists(cell, max_size=12)) if used else []
+    cells += [(r, c, gf.sneg(v)) for r, c, v in cells[:draw(st.integers(0, len(cells)))]]
+    return gf, (rows, cols), *np.array(cells, dtype=np.int64).reshape(-1, 3).T
+
+
+def _summed(gf, shape, rows, cols, vals) -> np.ndarray:
+    out = np.zeros(shape, dtype=np.int64)
+    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        out[r, c] = gf.sadd(int(out[r, c]), v)
+    return out
+
+
+def _canonical_dense(m: Sparse) -> np.ndarray:
+    """m as a dense array, once its entries are checked to be sorted row-major,
+    in range, one per cell and nonzero."""
+    keys = m.rows * m.shape[1] + m.indices
+    assert (np.diff(keys) > 0).all() and (m.data != 0).all()
+    assert ((m.indices >= 0) & (m.indices < m.shape[1])).all()
+    assert ((m.rows >= 0) & (m.rows < m.shape[0])).all()
+    out = np.zeros(m.shape, dtype=np.int64)
+    out[m.rows, m.indices] = m.data
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(entries(), st.data())
+def test_sparse_entries_take_and_reshape_match_dense(drawn, data):
+    gf, shape, *cells = drawn
+    m, dense = from_entries(gf, shape, *cells), _summed(gf, shape, *cells)
+    assert np.array_equal(_canonical_dense(m), dense)
+    wanted = data.draw(st.lists(st.integers(0, shape[0] - 1), max_size=8) if shape[0]
+                       else st.just([]))  # unsorted, repeated, empty and trailing rows
+    assert np.array_equal(_canonical_dense(m.take(np.array(wanted, dtype=np.int64))),
+                          dense[wanted])
+    size = dense.size
+    width = data.draw(st.sampled_from([w for w in range(1, size + 1) if size % w == 0]
+                                      or [shape[1]]))
+    assert np.array_equal(_canonical_dense(m.reshape((size // width, width))),
+                          dense.reshape(size // width, width))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(entries(), st.data())
+def test_sparse_product_matches_dense(drawn, data):
+    gf, shape, *cells = drawn
+    other = data.draw(entries(gf, (shape[1], data.draw(st.integers(1, 6)))))[1:]
+    got = product(gf, from_entries(gf, shape, *cells), from_entries(gf, *other))
+    assert np.array_equal(_canonical_dense(got),
+                          naive_matmul(gf, _summed(gf, shape, *cells), _summed(gf, *other)))
+
+
+def test_build_table_allocates_nothing_of_d_squared_size():
+    """At Omega(40) (d = 1720) building and auditing the table stays below
+    one d x d int64 array, and the table holds nnz values per array."""
+    rs = complete(family(FamilySpec("Omega", {"n": 40}, GF(2))), degree_bound=100)
+    tracemalloc.start()
+    try:
+        at = build_table(rs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    d, nnz = at.dim, at.table.data.size
+    assert (d, nnz) == (1720, 37021)
+    assert peak < d * d * 8  # 22.6 MB
+    assert all(part.size == nnz for part in (at.table.rows, at.table.indices, at.table.data))

@@ -245,7 +245,7 @@ def test_structure_spaces_are_computed_once_and_read_only():
         assert not space.basis.flags.writeable
         with pytest.raises(ValueError):
             space.basis[0, 0] = 1
-    for part in (at.table.indptr, at.table.indices, at.table.data):
+    for part in (at.table.rows, at.table.indices, at.table.data):
         assert not part.flags.writeable
 
 

@@ -159,11 +159,7 @@ def _analyze(pres: Presentation, source: str, args, psi: str | None) -> Analysis
 def cmd_parse(args) -> int:
     with open(args.file, encoding="utf-8") as handle:
         text = handle.read()
-    try:
-        pres = parse_presentation(text)
-    except KulsError as exc:
-        print(f"{args.file}: {exc}")
-        return 1
+    pres = parse_presentation(text)
     diags = validate(pres)
     for d in diags:
         print(f"{args.file}:{d.line}:{d.col}: {d.code}: {d.message}")

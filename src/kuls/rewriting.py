@@ -57,11 +57,9 @@ def _find_factor(word: tuple[int, ...], lead: tuple[int, ...]) -> int:
 
 
 def _reduce(gf, poly: Poly, rules: dict[PathWord, tuple]) -> Poly:
-    """Fully rewrite a {word: coeff} combination to its normal form."""
+    """Fully rewrite a {word: coeff} combination to its normal form; each word
+    by the first rule in the map whose lead divides it (maps are in okey order)."""
     work = {w: c for w, c in poly.items() if c}
-    if not rules:
-        return work
-    leads = sorted(rules, key=okey)
     todo = sorted(work, key=okey, reverse=True)
     while todo:
         w = todo.pop()
@@ -69,7 +67,7 @@ def _reduce(gf, poly: Poly, rules: dict[PathWord, tuple]) -> Poly:
         if not c:
             continue
         arr = w.arrows
-        for lead in leads:
+        for lead in rules:
             la = lead.arrows
             pos = _find_factor(arr, la)
             if pos < 0:
@@ -137,7 +135,7 @@ class RewriteSystem:
         return self.presentation.quiver
 
     def rule_map(self) -> dict[PathWord, tuple]:
-        return {r.lead: r.tail for r in self.rules}
+        return {r.lead: r.tail for r in self.rules}  # complete sorts the rules by okey
 
     def reduce(self, poly: Poly) -> Poly:
         return _reduce(self.gf, poly, self.rule_map())
@@ -166,8 +164,8 @@ def complete(pres: Presentation, degree_bound: int = 50) -> RewriteSystem:
     pairs: list = []  # (ambiguity degree, tiebreak, id_u, id_v, a, b)
     tiebreak = 0
 
-    def active_map() -> dict[PathWord, tuple]:
-        return {r.lead: r.tail for r in rules.values()}
+    def active_map() -> dict[PathWord, tuple]:  # in okey order of the leads, for _reduce
+        return {r.lead: r.tail for r in sorted(rules.values(), key=lambda r: okey(r.lead))}
 
     def enqueue(i: int, j: int):
         nonlocal tiebreak

@@ -18,14 +18,15 @@ from .gf import GF
 from .linalg import Subspace, contains_subspace, full_space, kernel, reduce_mod, row_space
 from .rewriting import AlgebraTable
 from .sparse import contract
-from .structure import (center, closed_part, closed_words, commutator_space, lift, power, socle,
-                        socle_center)
+from .structure import (center, closed_part, closed_words, commutator_space, lift, multiply,
+                        power, socle, socle_center)
 
 __all__ = ["ReynoldsRow", "ReynoldsReport", "Verdict", "kuelshammer_space", "reynolds_ideal",
            "reynolds_sequence", "compare", "brute_force_kuelshammer"]
 
-# elements per stacked x**first in brute_force_kuelshammer; the chunk bounds only
-# the (chunk, d) arrays, sparse.SPARSE_BLOCK the product temporaries
+# bound on q**b, the elements per chunk of brute_force_kuelshammer: each chunk
+# is one high part plus every vector of the b low coordinates, and the chunk
+# bounds only its (q**b, d) arrays
 BRUTE_FORCE_CHUNK = 1024
 
 
@@ -191,19 +192,38 @@ def compare(a: ReynoldsReport, b: ReynoldsReport) -> Verdict:
     return Verdict("inconclusive")
 
 
+def _first_power(at: AlgebraTable, first: int, x: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """x**first for a chunk x from its squares, first being 2 or an odd prime
+    p: x**p = (x**2)**((p - 1) / 2) * x by power associativity."""
+    if first == 2:
+        return squares
+    return multiply(at, power(at, squares, (first - 1) // 2), x)
+
+
 def brute_force_kuelshammer(at: AlgebraTable, n: int, budget: int = 2**20) -> Subspace:
     """T_n(A) by enumerating every element; independent check of kuelshammer_space.
 
-    Elements are raised to the power first = min(p**n, p) through
-    structure.power, the same product path as the pipeline, in chunks of
-    BRUTE_FORCE_CHUNK rows.  Each x**first is encoded as its base-q integer
-    code, and a memo of q**d int8 entries (q**d bytes, at most budget)
-    records per code whether it is unknown, in K(A) or not.  Only the first
-    occurrence of each unknown code is raised on to the power p**n // first
-    and reduced mod K(A).  This is exact: x**(p**n) = (x**first)**(p**n //
-    first) by power associativity, and equal elements have equal powers, so
-    whether x lies in T_n depends on x only through x**first.  Nothing here
-    uses additivity modulo K(A), so the check stays independent of the
+    The q**d elements go in chunks x = h + l: a fixed h on the coordinates
+    b, ..., d - 1 plus every l = sum_j l_j b_j on the coordinates j < b, b
+    the largest with b <= d and q**b <= BRUTE_FORCE_CHUNK.  Distributivity
+    and bilinearity of the product give, in any algebra,
+
+        x**2 = h**2 + l**2 + (h l + l h) = h**2 + l**2 + sum_j l_j (h b_j + b_j h),
+
+    and h b_j + b_j h = sum_k h_k (b_k b_j + b_j b_k).  So with the l**2,
+    the h**2 and the rows b_k b_j + b_j b_k taken once per call, a chunk's
+    squares are [l | 1 | l**2] @ [rows h b_j + b_j h; h**2; I], its rows h
+    b_j + b_j h being h @ (those rows).  _first_power turns them into x**first,
+    first = min(p**n, p); at n = 0 no power is taken.  Each x**first is
+    encoded as its base-q integer code, and a memo of q**d int8 entries
+    (q**d bytes, at most budget) records per code whether it is unknown, in
+    K(A) or not.  Only the first occurrence of each unknown code is raised
+    on to the power p**n // first through structure.power and reduced mod
+    K(A).  This is exact: x**(p**n) = (x**first)**(p**n // first) by power
+    associativity, and equal elements have equal powers, so whether x lies
+    in T_n depends on x only through x**first.  The split of x**2 is an
+    identity in A itself, not modulo K(A): nothing here uses the additivity
+    of x -> x**p modulo K(A), so the check stays independent of the
     semilinear chain it checks.  At n = 0 no code repeats, so every element
     is reduced directly; the memo is allocated at every n all the same, so
     an enumeration whose memo does not fit raises BudgetExceeded up front.
@@ -234,14 +254,28 @@ def brute_force_kuelshammer(at: AlgebraTable, n: int, budget: int = 2**20) -> Su
     first = min(m, gf.p)
     span = row_space(gf, np.zeros((0, d), dtype=np.int64), d)
     members = 0
-    weights = gf.q ** np.arange(d, dtype=np.int64)
-    for start in range(0, total, BRUTE_FORCE_CHUNK):
-        idx = np.arange(start, min(start + BRUTE_FORCE_CHUNK, total), dtype=np.int64)
-        vectors = np.stack(np.unravel_index(idx, (gf.q,) * d, order="F"), axis=-1)
-        firsts = power(at, vectors, first)
+    q, b = gf.q, 0
+    weights = q ** np.arange(d, dtype=np.int64)
+    while b < d and q ** (b + 1) <= BRUTE_FORCE_CHUNK:
+        b += 1
+    low, high = (np.zeros((q ** w, d), dtype=np.int64) for w in (b, d - b))
+    low[:, :b] = (np.arange(q ** b)[:, None] // weights[:b]) % q  # coordinate 0 fastest
+    high[:, b:] = (np.arange(q ** (d - b))[:, None] // weights[:d - b]) % q
+    if m > 1:
+        eye = np.eye(d, dtype=np.int64)
+        rows_k, rows_j = np.repeat(eye, b, axis=0), np.tile(eye[:b], (d, 1))  # row k*b + j
+        pairs = gf.add(multiply(at, rows_k, rows_j), multiply(at, rows_j, rows_k))
+        pairs = pairs.reshape(d, b * d)  # [k, j*d + i]: b_i coefficient of b_k b_j + b_j b_k
+        lows = np.hstack([low[:, :b], np.ones((q ** b, 1), dtype=np.int64), multiply(at, low, low)])
+        high_squares = multiply(at, high, high)
+    for t, h in enumerate(high):
+        vectors = low + h  # disjoint supports: the sum needs no field addition
         if m == 1:  # x**1 = x: no code repeats, so the memo would only add work
-            mask = ~reduce_mod(k, firsts).any(axis=1)
+            mask = ~reduce_mod(k, vectors).any(axis=1)
         else:
+            cross = gf.matmul(h, pairs).reshape(b, d)  # row j: h b_j + b_j h
+            squares = gf.matmul(lows, np.vstack([cross, high_squares[t:t + 1], eye]))
+            firsts = _first_power(at, first, vectors, squares)
             codes = firsts @ weights
             unknown = np.flatnonzero(memo[codes] == 0)
             if len(unknown):

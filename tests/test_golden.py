@@ -1,10 +1,9 @@
 """Byte-identity of the benchmark's ops with perfbench/expected.json.
 
-Every pool op but the oracle ones (the invariants and compare ops of the
-large-prime, ext-field and catalogue workloads) is replayed through
-kuls.cli.main and its stdout compared with the recorded one, and so are
-four oracle ops, the two cheapest at n = 1 and two at n = 2 (N(2,4) has the
-most distinct squares), each on a DSL file written with --emit-dsl.
+Every pool op is replayed through kuls.cli.main and its stdout compared
+with the recorded one: the invariants and compare ops of the large-prime,
+ext-field and catalogue workloads, and all sixteen oracle ops (eight
+algebras at n = 1 and n = 2), each on a DSL file written with --emit-dsl.
 expected.json is only read.
 """
 from __future__ import annotations
@@ -34,10 +33,7 @@ with open(os.path.join(PERFBENCH, "expected.json"), encoding="utf-8") as f:
     EXPECTED = json.load(f)["ops"]
 ALL_OPS = _load_pools().all_ops()
 OPS = [op for op in ALL_OPS.values() if op["kind"] != "oracle"]
-ORACLE_OPS = [ALL_OPS[key] for key in ("oracle Tstar(r=2) GF(2) n=1",
-                                       "oracle Gamma(n=2) GF(2) n=1",
-                                       "oracle Tstar(r=2) GF(2) n=2",
-                                       "oracle N(n=2,m=4) GF(2) n=2")]
+ORACLE_OPS = [op for op in ALL_OPS.values() if op["kind"] == "oracle"]
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op["key"])

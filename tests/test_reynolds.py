@@ -33,7 +33,7 @@ from kuls.errors import (
     InvariantViolation,
 )
 from kuls.linalg import contains, contains_subspace, intersect, row_space
-from kuls.structure import closed_words, multiply
+from kuls.structure import closed_words, multiply, power
 from oracles import direct_kuelshammer_space, xi_map
 
 
@@ -102,11 +102,14 @@ def test_max_n_must_be_positive():
 
 
 @pytest.mark.parametrize("name,params,gf", [
-    ("Omega", {"n": 1}, (2, 1)),
-    ("Omega", {"n": 2}, (2, 1)),
+    ("Omega", {"n": 1}, (2, 1)),  # d = 4: one chunk, no high part
+    ("Omega", {"n": 2}, (2, 1)),  # d = 10: q**d is the chunk
     ("A", {"p": 1, "q": 1}, (2, 1)),
     ("N", {"n": 1, "m": 2}, (3, 1)),
     ("D", {"m": 2}, (2, 1)),
+    ("A", {"p": 1, "q": 2}, (3, 1)),  # d = 10: 81 chunks of 3**6 = 729
+    ("N", {"n": 1, "m": 2}, (5, 1)),  # x**5 = (x**2)**2 * x
+    ("Omega", {"n": 1}, (2, 2)),
 ])
 def test_brute_force_agrees_with_semilinear_kernel(name, params, gf):
     at = make_table(name, gf=gf, **params)
@@ -195,11 +198,13 @@ def test_brute_force_rejects_negative_n():
 
 def test_brute_force_caps_n_at_the_dimension(monkeypatch):
     at = make_table("Omega", n=1)
-    exponents = []
+    firsts, exponents = [], []
+    _counting(monkeypatch, reynolds, "_first_power", firsts)
     _counting(monkeypatch, reynolds, "power", exponents)
     big = brute_force_kuelshammer(at, 300)
     # x**2, then (x**2)**(2**(d-1)) = x**(2**d): T_300 = T_d
-    assert {k for _, k in exponents} == {2, 2 ** (at.dim - 1)}
+    assert {first for first, _, _ in firsts} == {2}
+    assert {k for _, k in exponents} == {2 ** (at.dim - 1)}
     assert big == brute_force_kuelshammer(at, at.dim) == kuelshammer_space(at, 300)
 
 
@@ -218,9 +223,39 @@ def test_brute_force_raises_each_distinct_square_on_once(monkeypatch):
 
 def test_brute_force_spans_several_chunks_over_an_extension_field(monkeypatch):
     at = make_table("Omega", gf=(2, 2), n=1)  # 4**4 = 256 elements
-    monkeypatch.setattr(reynolds, "BRUTE_FORCE_CHUNK", 7)  # 37 chunks, the last one partial
+    monkeypatch.setattr(reynolds, "BRUTE_FORCE_CHUNK", 7)  # 4**1 <= 7: 64 chunks of 4
     for n in (1, 2):
         assert brute_force_kuelshammer(at, n) == kuelshammer_space(at, n)
+
+
+@pytest.mark.parametrize("name,params,gf,chunk", [
+    ("Omega", {"n": 2}, (2, 1), 7),  # 2**2 <= 7: 256 chunks of 4
+    ("A", {"p": 1, "q": 2}, (3, 1), 1024),  # 81 chunks of 3**6
+    ("N", {"n": 1, "m": 2}, (5, 1), 7),  # x**5 = (x**2)**2 * x in 25 chunks of 5
+    ("Tpq", {"p": 1, "q": 1}, (2, 2), 1024),  # d = 8: 64 chunks of 4**5, noncommutative
+], ids=["GF2", "GF3", "GF5", "GF4"])
+def test_brute_force_squares_every_element_exactly(monkeypatch, name, params, gf, chunk):
+    """x -> x**p is additive modulo K(A), so a square off by a commutator
+    (a lost h*l + l*h, say) leaves every T_n unchanged: check each chunk's
+    squares and x**first against structure itself, and that the chunks
+    enumerate every element once."""
+    at = make_table(name, gf=gf, **params)
+    monkeypatch.setattr(reynolds, "BRUTE_FORCE_CHUNK", chunk)
+    real, seen = reynolds._first_power, []
+
+    def first_power(at, first, x, squares):
+        out = real(at, first, x, squares)
+        seen.append((first, x, squares, out))
+        return out
+
+    monkeypatch.setattr(reynolds, "_first_power", first_power)
+    assert brute_force_kuelshammer(at, 1) == kuelshammer_space(at, 1)
+    assert len(seen) > 1 and {first for first, *_ in seen} == {at.gf.p}
+    everything = np.vstack([x for _, x, _, _ in seen])
+    assert len(np.unique(everything, axis=0)) == len(everything) == at.gf.q ** at.dim
+    for first, x, squares, out in seen:
+        assert np.array_equal(squares, multiply(at, x, x))
+        assert np.array_equal(out, power(at, x, first))
 
 
 def test_brute_force_budget():

@@ -20,7 +20,7 @@ from .errors import (
 from .families import FAMILY_NAMES, FamilySpec, family_source, list_families
 from .form import SymmetrizingForm, canonical_form, consistent_form, custom_form
 from .gf import GF
-from .presentation import Presentation, _field_str, emit, validate
+from .presentation import Presentation, emit, field_str, validate
 from .rewriting import AlgebraTable, build_table, complete
 from .reynolds import ReynoldsReport, Verdict, brute_force_kuelshammer, compare, \
     kuelshammer_space, reynolds_sequence
@@ -57,7 +57,7 @@ class AnalysisDocument:
 
     def text(self) -> str:
         rep = self.report
-        lines = [f"algebra {rep.name} over {_field_str(rep.gf)}",
+        lines = [f"algebra {rep.name} over {field_str(rep.gf)}",
                  f"dim {rep.dim}  center {rep.dim_center}  socle {rep.dim_socle}"
                  f"  commutator {rep.dim_commutator}",
                  "  n  dim T_n  dim T_n^perp"]
@@ -125,7 +125,7 @@ def _load(source: str, gf: GF | None) -> Presentation:
     pres = parse_presentation(text)
     if gf is not None and (gf.p, gf.e) != (pres.gf.p, pres.gf.e):
         raise BadParameters(
-            f"{source} declares {_field_str(pres.gf)}; drop --char/--field")
+            f"{source} declares {field_str(pres.gf)}; drop --char/--field")
     return pres
 
 
@@ -166,7 +166,7 @@ def cmd_parse(args) -> int:
     if diags:
         return 1
     q = pres.quiver
-    print(f"ok: {pres.name} over {_field_str(pres.gf)}: "
+    print(f"ok: {pres.name} over {field_str(pres.gf)}: "
           f"{len(q.vertices)} vertices, {len(q.arrows)} arrows, "
           f"{len(pres.relations)} relations")
     return 0

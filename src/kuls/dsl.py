@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DslSyntaxError, NonAdmissibleRelation, NonComposablePath, UnknownName
+from .errors import (DslSyntaxError, NonAdmissibleRelation, NonComposablePath,
+                     NonParallelRelation, UnknownName)
 from .gf import GF
 from .presentation import (
     PathWord,
@@ -310,7 +311,6 @@ def parse_presentation(text: str, allow_disconnected: bool = False) -> Presentat
             if endpoints is None:
                 endpoints = ends
             elif ends != endpoints:
-                from .errors import NonParallelRelation
                 raise NonParallelRelation(
                     "relation terms do not share source and target", tok.line, tok.col)
         relations.append(Relation(normalize_terms(gf, [(c, w) for c, w, _ in terms]),
@@ -329,7 +329,4 @@ def parse_element(text: str, pres: Presentation) -> dict[PathWord, int]:
     ps = _Parser(tokenize(text))
     terms = ps.parse_expr(pres.gf, pres.quiver, allow_trivial=True)
     ps.expect("EOF", expected="end of expression")
-    out: dict[PathWord, int] = {}
-    for coeff, word, _ in terms:
-        out[word] = int(pres.gf.add(out.get(word, 0), coeff))
-    return {w: c for w, c in out.items() if c}
+    return {w: c for c, w in normalize_terms(pres.gf, [(c, w) for c, w, _ in terms])}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .dsl import parse_presentation
 from .errors import BadParameters
 from .gf import GF
-from .presentation import Presentation, _field_str
+from .presentation import Presentation, render
 
 __all__ = [
     "FamilySpec",
@@ -94,20 +94,6 @@ def _cycle(letter: str, length: int, hub: str, mid: str):
     return decls, verts
 
 
-def _source(name: str, gf: GF, vertices: list[str], arrows: list[str],
-            relations: list[str]) -> str:
-    lines = [f"algebra {name} over {_field_str(gf)} {{"]
-    lines.append(f"  vertices {', '.join(vertices)};")
-    lines.append("  arrows {")
-    lines.extend(f"    {a}" for a in arrows)
-    lines.append("  }")
-    lines.append("  relations {")
-    lines.extend(f"    {r}" for r in relations)
-    lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def _require(cond: bool, name: str, constraint: str):
     if not cond:
         raise BadParameters(f"{name} requires {constraint}")
@@ -123,7 +109,7 @@ def _src_A(label: str, gf: GF, p: int, q: int) -> str:
         rels.append(f"{_join(_path('a', i, p), bf, _path('a', 1, i))} = 0;")
     for j in range(2, q):
         rels.append(f"{_join(_path('b', j, q), af, _path('b', 1, j))} = 0;")
-    return _source(label, gf, ["c"] + vu + vw, da + db, rels)
+    return render(label, gf, ["c"] + vu + vw, da + db, rels)
 
 
 def _src_Lambda(label: str, gf: GF, m: int) -> str:
@@ -134,7 +120,7 @@ def _src_Lambda(label: str, gf: GF, m: int) -> str:
     rels = [f"a1*a1 = {bf}*{bf};", "a1*b1 = 0;", f"b{m}*a1 = 0;"]
     for j in range(2, m):
         rels.append(f"{_join(_path('b', j, m), bf, _path('b', 1, j))} = 0;")
-    return _source(label, gf, ["c"] + vw, da + db, rels)
+    return render(label, gf, ["c"] + vw, da + db, rels)
 
 
 def _src_Gamma(label: str, gf: GF, n: int) -> str:
@@ -148,7 +134,7 @@ def _src_Gamma(label: str, gf: GF, n: int) -> str:
             "a2*b1 = 0;", "b2*a1 = 0;"]
     for j in range(2, n):
         rels.append(f"{_join(_path('g', j, n), gf2, _path('g', 1, j))} = 0;")
-    return _source(label, gf, ["c"] + vu + vw + vz, da + db + dg, rels)
+    return render(label, gf, ["c"] + vu + vw + vz, da + db + dg, rels)
 
 
 def _src_Tpqr(label: str, gf: GF, p: int, q: int, r: int) -> str:
@@ -166,7 +152,7 @@ def _src_Tpqr(label: str, gf: GF, p: int, q: int, r: int) -> str:
         rels.append(f"{_join(_path('b', j, q), _path('b', 1, j))} = 0;")
     for k in range(2, r):
         rels.append(f"{_join(_path('g', k, r), _path('g', 1, k))} = 0;")
-    return _source(label, gf, ["c"] + vu + vw + vz, da + db + dg, rels)
+    return render(label, gf, ["c"] + vu + vw + vz, da + db + dg, rels)
 
 
 def _src_Tpq(label: str, gf: GF, p: int, q: int) -> str:
@@ -185,7 +171,7 @@ def _src_Tpq(label: str, gf: GF, p: int, q: int) -> str:
     for j in range(2, q):
         rels.append(f"{_join(_path('b', j, q), 's', _path('b', 1, j))} = 0;")
     arrows = da + db + ["g: u -> t;", "s: u -> t;"]
-    return _source(label, gf, ["t"] + vx + vy + ["u"], arrows, rels)
+    return render(label, gf, ["t"] + vx + vy + ["u"], arrows, rels)
 
 
 def _src_Tstar(label: str, gf: GF, r: int) -> str:
@@ -208,7 +194,7 @@ def _src_Tstar(label: str, gf: GF, r: int) -> str:
     for k in range(3, r):
         rels.append(f"{_join(_path('g', k, r), _path('g', 1, k))} = 0;")
     verts = ["c", "va1", "vb1"] + vz + ["vs"]
-    return _source(label, gf, verts, da + db + dg + ds, rels)
+    return render(label, gf, verts, da + db + dg + ds, rels)
 
 
 def _src_Omega(label: str, gf: GF, n: int) -> str:
@@ -219,7 +205,7 @@ def _src_Omega(label: str, gf: GF, n: int) -> str:
     rels = [f"a1*{bf} + {bf}*a1 = 0;", f"a1*a1 = a1*{bf};", f"b{n}*b1 = 0;"]
     for j in range(2, n):
         rels.append(f"{_join(_path('b', j, n), 'a1', _path('b', 1, j))} = 0;")
-    return _source(label, gf, ["c"] + vw, da + db, rels)
+    return render(label, gf, ["c"] + vw, da + db, rels)
 
 
 def _src_N(label: str, gf: GF, n: int, m: int) -> str:
@@ -236,7 +222,7 @@ def _src_N(label: str, gf: GF, n: int, m: int) -> str:
     for i in range(1, n + 1):
         cyc = "*".join(f"a{(i - 1 + k) % n + 1}" for k in range(n))
         rels.append("*".join([cyc] * m + [f"a{i}"]) + " = 0;")
-    return _source(label, gf, verts, da, rels)
+    return render(label, gf, verts, da, rels)
 
 
 def _d_arrows(m: int):
@@ -252,7 +238,7 @@ def _src_D(label: str, gf: GF, m: int) -> str:
     rels = [f"a1*a1 = {bf};", f"b{m}*b1 = b{m}*a1*b1;"]
     for i in range(1, m + 1):
         rels.append(f"{_join(_path('b', i, m), 'a1', _path('b', 1, i))} = 0;")
-    return _source(label, gf, verts, arrows, rels)
+    return render(label, gf, verts, arrows, rels)
 
 
 def _src_Dprime(label: str, gf: GF, m: int) -> str:
@@ -262,7 +248,7 @@ def _src_Dprime(label: str, gf: GF, m: int) -> str:
     rels = [f"a1*a1 = {bf};", f"b{m}*b1 = 0;"]
     for i in range(2, m):
         rels.append(f"{_join(_path('b', i, m), 'a1', _path('b', 1, i))} = 0;")
-    return _source(label, gf, verts, arrows, rels)
+    return render(label, gf, verts, arrows, rels)
 
 
 _EMITTERS = {

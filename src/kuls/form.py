@@ -26,7 +26,9 @@ class SymmetrizingForm:
     """A validated form, stored as psi on the basis words.
 
     (b_i, b_j) = psi(b_i * b_j) is symmetric and nondegenerate; psi
-    therefore vanishes on every commutator.
+    therefore vanishes on every commutator.  Its restriction to C, the form
+    of psi on the closed words over structure.closed_algebra, is again one,
+    as C and O are orthogonal (see reynolds._verified_perp).
     """
 
     table: AlgebraTable
@@ -147,7 +149,7 @@ def consistent_form(at: AlgebraTable) -> SymmetrizingForm:
     system[np.arange(k.dim, len(system)), np.searchsorted(closed, soc_idx)] = 1
     system[k.dim:, c] = 1
     r, pivots = rref(at.gf, system)
-    if c in pivots or not np.isin(soc_idx, closed).all():
+    if c in pivots or not set(soc_idx) <= set(closed.tolist()):
         raise NotSymmetric("no symmetrizing form assigns a common value 1 to every socle "
                            "word while vanishing on the commutator subspace")
     psi = np.zeros(at.dim, dtype=np.int64)
@@ -182,19 +184,11 @@ def custom_form(at: AlgebraTable, psi_values: dict) -> SymmetrizingForm:
     return _build(at, psi)
 
 
-def _complement(f: SymmetrizingForm, rows: np.ndarray, words: np.ndarray) -> Subspace:
-    """{y : psi(x*y) = 0 for every row x}, with the rows and y on the
-    coordinates of the listed basis words: the kernel of one contraction of
-    the rows against the entries whose two factors are both listed."""
-    i, j, w = _form_entries(f.table, f.psi)
-    keep = np.isin(i, words) & np.isin(j, words)
-    i, j = (np.searchsorted(words, x[keep]) for x in (i, j))
-    return kernel(f.gf, contract(f.gf, [(rows, i)], w[keep], j, len(words)), len(words))
-
-
 def orthogonal(f: SymmetrizingForm, s: Subspace) -> Subspace:
-    """The complement {y : (x, y) = 0 for all x in s} under the form."""
+    """The complement {y : (x, y) = 0 for all x in s} under the form: the
+    kernel of one contraction of the rows of s against the form's entries."""
     at = f.table
     if s.ambient_dim != at.dim:
         raise DimensionMismatch(f"subspace ambient {s.ambient_dim} != algebra dimension {at.dim}")
-    return _complement(f, s.basis, np.arange(at.dim))
+    i, j, w = _form_entries(at, f.psi)
+    return kernel(f.gf, contract(f.gf, [(s.basis, i)], w, j, at.dim), at.dim)

@@ -10,12 +10,13 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import (
+    DslSyntaxError,
     NonAdmissibleRelation,
     NonComposablePath,
     NonParallelRelation,
     UnknownName,
 )
-from .gf import GF
+from .gf import GF, default_modulus
 
 __all__ = [
     "Arrow",
@@ -25,6 +26,8 @@ __all__ = [
     "Presentation",
     "Diagnostic",
     "validate",
+    "field_str",
+    "render",
     "emit",
 ]
 
@@ -190,7 +193,6 @@ def validate(pres: Presentation, allow_disconnected: bool = False) -> list[Diagn
 
 
 def raise_first_error(diags: list[Diagnostic]) -> None:
-    from .errors import DslSyntaxError
     for d in diags:
         if d.code == "zero-relation":
             continue
@@ -224,10 +226,10 @@ def _coeff_str(gf: GF, c: int) -> str:
     return "(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-def _field_str(gf: GF) -> str:
+def field_str(gf: GF) -> str:
+    """The field as the DSL writes it: GF(p), GF(p^e) or GF(p^e, modulus)."""
     if gf.e == 1:
         return f"GF({gf.p})"
-    from .gf import default_modulus
     if gf.modulus == default_modulus(gf.p, gf.e):
         return f"GF({gf.p}^{gf.e})"
     parts = []
@@ -246,22 +248,20 @@ def word_str(q: Quiver, word: PathWord) -> str:
     return "*".join(q.arrows[a].name for a in word.arrows)
 
 
+def render(name: str, gf: GF, vertices, arrow_lines, relation_lines) -> str:
+    """DSL source from its parts: each arrow and relation line is given whole,
+    with its closing ';'."""
+    lines = [f"algebra {name} over {field_str(gf)} {{",
+             f"  vertices {', '.join(vertices)};", "  arrows {"]
+    lines += [f"    {a}" for a in arrow_lines] + ["  }", "  relations {"]
+    lines += [f"    {r}" for r in relation_lines] + ["  }", "}"]
+    return "\n".join(lines) + "\n"
+
+
 def emit(pres: Presentation) -> str:
     """Render a presentation as DSL source; parsing it back yields the same data."""
-    q = pres.quiver
-    lines = [f"algebra {pres.name} over {_field_str(pres.gf)} {{"]
-    lines.append(f"  vertices {', '.join(q.vertices)};")
-    lines.append("  arrows {")
-    for a in q.arrows:
-        lines.append(f"    {a.name}: {a.source} -> {a.target};")
-    lines.append("  }")
-    lines.append("  relations {")
-    for rel in pres.relations:
-        parts = []
-        for coeff, word in rel.terms:
-            w = word_str(q, word)
-            parts.append(w if coeff == 1 else f"{_coeff_str(pres.gf, coeff)}*{w}")
-        lines.append(f"    {' + '.join(parts)};")
-    lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    q, gf = pres.quiver, pres.gf
+    relations = [" + ".join(word_str(q, w) if c == 1 else f"{_coeff_str(gf, c)}*{word_str(q, w)}"
+                            for c, w in rel.terms) + ";" for rel in pres.relations]
+    return render(pres.name, gf, q.vertices,
+                  [f"{a.name}: {a.source} -> {a.target};" for a in q.arrows], relations)

@@ -10,6 +10,7 @@ acyclic; its paths then spell the monomial basis.
 """
 from __future__ import annotations
 
+import functools
 import graphlib
 import heapq
 from collections import deque
@@ -18,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dsl import parse_element
 from .errors import ConsistencyFailure, DegreeBoundExceeded, InfiniteDimensional
 from .presentation import PathWord, Presentation, Quiver, word_str
 from .sparse import Sparse, from_entries, product
@@ -134,11 +136,12 @@ class RewriteSystem:
     def quiver(self) -> Quiver:
         return self.presentation.quiver
 
+    @functools.cached_property
     def rule_map(self) -> dict[PathWord, tuple]:
         return {r.lead: r.tail for r in self.rules}  # complete sorts the rules by okey
 
     def reduce(self, poly: Poly) -> Poly:
-        return _reduce(self.gf, poly, self.rule_map())
+        return _reduce(self.gf, poly, self.rule_map)
 
     def is_normal(self, word: PathWord) -> bool:
         return all(_find_factor(word.arrows, r.lead.arrows) < 0 for r in self.rules)
@@ -223,7 +226,7 @@ def complete(pres: Presentation, degree_bound: int = 50) -> RewriteSystem:
 def _certify(rs: RewriteSystem) -> None:
     """Re-check that the reduced system is locally confluent."""
     gf = rs.gf
-    rmap = rs.rule_map()
+    rmap = rs.rule_map
     leads = [r.lead for r in rs.rules]
     for li in leads:
         for lj in leads:
@@ -317,7 +320,7 @@ class AlgebraTable:
     table: Sparse
     trivial_indices: tuple[int, ...]
     unit: np.ndarray
-    # per table: closed words, Z and K (lifts from C), soc, the chain T_n cap C, b_i**p on C
+    # per table: closed words, the cut table C, Z and K (lifts from C), soc, T_n cap C, b_i**p in C
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -368,7 +371,6 @@ class AlgebraTable:
 def normal_form(table: AlgebraTable, element) -> np.ndarray:
     """Coordinates of an element given as DSL expression text or a {word: coeff} dict."""
     if isinstance(element, str):
-        from .dsl import parse_element
         element = parse_element(element, table.presentation)
     return table.coords(table.rs.reduce(element))
 
@@ -388,7 +390,7 @@ def build_table(rs: RewriteSystem) -> AlgebraTable:
     gf, quiver = rs.gf, rs.quiver
     basis = tuple(enumerate_basis(rs))
     index = {w: i for i, w in enumerate(basis)}
-    d, t, rmap = len(basis), len(quiver.vertices), rs.rule_map()
+    d, t, rmap = len(basis), len(quiver.vertices), rs.rule_map
     lengths = [len(w.arrows) for w in basis]
     starts = np.searchsorted(lengths, np.arange(max(lengths[-1], 1) + 2))  # length L: starts[L] ..
 

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameters, BudgetExceeded, CharacteristicMismatch, InvariantViolation
-from .form import SymmetrizingForm, _complement
+from .form import SymmetrizingForm, orthogonal
 from .gf import GF
-from .linalg import Subspace, contains_subspace, full_space, kernel, reduce_mod, row_space
+from .linalg import Subspace, contains_subspace, kernel, reduce_mod, row_space
 from .rewriting import AlgebraTable
-from .sparse import contract
-from .structure import (center, closed_part, closed_words, commutator_space, lift, multiply,
-                        power, socle, socle_center)
+from .structure import (center, closed_algebra, closed_part, closed_words, commutator_space,
+                        lift, multiply, power, socle, socle_center)
 
 __all__ = ["ReynoldsRow", "ReynoldsReport", "Verdict", "kuelshammer_space", "reynolds_ideal",
            "reynolds_sequence", "compare", "brute_force_kuelshammer"]
@@ -76,9 +75,8 @@ def _chain(at: AlgebraTable, n: int) -> Subspace:
     k = commutator_space(at)  # T_0, cached per table
     chain = at.cache.setdefault("kuelshammer_chain", [closed_part(at, k)])
     while n >= len(chain) and (len(chain) == 1 or chain[-1] != chain[-2]):
-        if "pth_powers" not in at.cache:  # the closed words as elements of A, to the p
-            powers = power(at, lift(at, full_space(gf, c)).basis, gf.p)
-            at.cache["pth_powers"] = powers[:, closed_words(at)]
+        if "pth_powers" not in at.cache:  # the closed words to the p, in C
+            at.cache["pth_powers"] = power(closed_algebra(at), np.eye(c, dtype=np.int64), gf.p)
         twisted = kernel(gf, reduce_mod(chain[-1], at.cache["pth_powers"]).T, c)
         chain.append(Subspace(gf, c, gf.frob_inv(twisted.basis), twisted.pivots))
     return chain[min(n, len(chain) - 1)]
@@ -97,9 +95,10 @@ def kuelshammer_space(at: AlgebraTable, n: int) -> Subspace:
     elimination.  The steps run in C (see structure.py): T_n contains K(A)
     and so O, hence T_n = O + (T_n cap C); for x in C, x**p lies in the
     subalgebra C and differs from sum c_i**p b_i**p by an element of K(A)
-    cap C.  So only the closed b_i and their closed b_i**p enter.  The
-    chain T_n cap C and the rows b_i**p are kept in at.cache; once T_n =
-    T_(n-1) the chain is constant (x in T_(n+1) iff x**p in T_n): c steps at most.
+    cap C.  So only the closed b_i enter, raised to the p in the cut table
+    closed_algebra(at).  The chain T_n cap C and the rows b_i**p are kept in
+    at.cache; once T_n = T_(n-1) the chain is constant (x in T_(n+1) iff
+    x**p in T_n): c steps at most.
     """
     return lift(at, _chain(at, n), with_open=True)
 
@@ -112,20 +111,18 @@ def _verified_perp(at: AlgebraTable, f: SymmetrizingForm, t: Subspace) -> Subspa
     one is 0 or open, so C and O are orthogonal: the nondegenerate form is
     nondegenerate on C, and y is orthogonal to O iff y is in C.  As T_n =
     O + (T_n cap C), T_n^perp is the complement of T_n cap C under the form
-    on C, which only the entries with both factors closed enter.  Z(A) and
-    soc(A) cap Z(A) lie in C: so do the checks.
+    on C: orthogonal on the cut table closed_algebra(at), psi restricted to
+    the closed words.  Z(A) and soc(A) cap Z(A) lie in C: so do the checks,
+    and the products v * w are products in C.
     """
-    gf, closed, (i, j, m, c) = at.gf, closed_words(at), at.entries()
+    cut = closed_algebra(at)
     z, soc_z = closed_part(at, center(at)), closed_part(at, socle_center(at))
-    perp = _complement(f, t.basis, closed)
+    perp = orthogonal(SymmetrizingForm(cut, f.psi[closed_words(at)]), t)
     if not contains_subspace(z, perp):
         raise InvariantViolation("T_n^perp is not contained in the center")
     if not contains_subspace(perp, soc_z):
         raise InvariantViolation("T_n^perp does not contain soc(A) intersect Z(A)")
-    keep = np.isin(i, closed) & np.isin(j, closed)  # then b_m is closed
-    i, j, m = (np.searchsorted(closed, x[keep]) for x in (i, j, m))
-    prods = contract(gf, [(np.repeat(perp.basis, z.dim, axis=0), i),
-                          (np.tile(z.basis, (perp.dim, 1)), j)], c[keep], m, len(closed))
+    prods = multiply(cut, np.repeat(perp.basis, z.dim, axis=0), np.tile(z.basis, (perp.dim, 1)))
     if np.any(reduce_mod(perp, prods)):  # v * w for v in perp, w in Z
         raise InvariantViolation("T_n^perp is not an ideal of the center")
     return perp

@@ -6,7 +6,8 @@ word is closed when its source is its target; C and O span the closed and
 the open words.  Each word b lies in one Peirce block, b = e_u b e_v, so
 pi(x) = sum over vertices v of e_v x e_v is the coordinate projection onto
 C, and C is a subalgebra: e_u A e_u times e_v A e_v is 0 for u != v, and
-lies in e_u A e_u for u = v.  Z(A) and K(A) are computed on C and lifted.
+lies in e_u A e_u for u = v.  Z(A) and K(A) are computed on C and lifted;
+closed_algebra cuts the table to C once, for the products that stay in C.
 """
 from __future__ import annotations
 
@@ -18,10 +19,10 @@ import numpy as np
 from .errors import DimensionMismatch, InvariantViolation, NotNilpotent
 from .linalg import Subspace, contains, intersect, kernel, row_space
 from .rewriting import AlgebraTable
-from .sparse import contract
+from .sparse import Sparse, contract
 
 __all__ = ["multiply", "power", "radical", "Socle", "socle", "center", "socle_center",
-           "commutator_space", "closed_words", "closed_part", "lift"]
+           "commutator_space", "closed_words", "closed_algebra", "closed_part", "lift"]
 
 
 def _as_vec(at: AlgebraTable, x) -> np.ndarray:
@@ -113,6 +114,23 @@ def _candidate_rows(gf, width: int, keys, cols, vals) -> np.ndarray:
 def closed_words(at: AlgebraTable) -> np.ndarray:
     """Indices of the closed basis words, in basis order."""
     return np.flatnonzero([w.source == at.quiver.path_target(w) for w in at.basis])
+
+
+@_cached
+def closed_algebra(at: AlgebraTable) -> AlgebraTable:
+    """C as a table on the closed coordinates 0 .. c - 1: the entries (i, j, m, c)
+    with b_i and b_j closed, renumbered in basis order, which keeps them
+    row-major.  As C is a subalgebra, each such b_m is closed; checked here."""
+    closed, (i, j, m, c) = closed_words(at), at.entries()
+    n, pos = len(closed), np.full(at.dim, -1, dtype=np.int64)
+    pos[closed] = np.arange(n)
+    keep = (pos[i] >= 0) & (pos[j] >= 0)
+    if np.any(pos[m[keep]] < 0):
+        raise InvariantViolation("a product of two closed words is not closed")
+    basis = tuple(at.basis[k] for k in closed)
+    table = Sparse((n * n, n), pos[j[keep]] * n + pos[i[keep]], pos[m[keep]], c[keep])
+    return AlgebraTable(at.rs, basis, {w: k for k, w in enumerate(basis)}, table,
+                        tuple(pos[list(at.trivial_indices)].tolist()), at.unit[closed])
 
 
 def closed_part(at: AlgebraTable, s: Subspace) -> Subspace:

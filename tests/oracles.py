@@ -31,7 +31,7 @@ def dense_reference_table(rs) -> np.ndarray:
     index = {w: i for i, w in enumerate(basis)}
     d = len(basis)
     table = np.zeros((d, d, d), dtype=np.int64)
-    rmap = rs.rule_map()
+    rmap = rs.rule_map
     targets = [quiver.path_target(w) for w in basis]
     for i, u in enumerate(basis):
         for j, v in enumerate(basis):

@@ -9,8 +9,10 @@ from conftest import CATALOGUE, make_table
 from kuls import (build_table, canonical_form, center, commutator_space, complete,
                   consistent_form, kuelshammer_space, orthogonal, parse_presentation,
                   reynolds_ideal, reynolds_sequence)
-from kuls.errors import KulsError, NotSymmetric
-from kuls.structure import closed_words
+from kuls.errors import InvariantViolation, KulsError, NotSymmetric
+from kuls.rewriting import AlgebraTable
+from kuls.sparse import Sparse
+from kuls.structure import closed_algebra, closed_words, multiply, power
 from oracles import (all_pairs_center, all_pairs_commutator_space, dense_consistent_psi,
                      dense_reynolds_report, direct_kuelshammer_space)
 from test_reynolds import TWISTED
@@ -97,3 +99,45 @@ def test_consistent_form_rejects_an_open_socle_word():
     for solve in (dense_consistent_psi, consistent_form):
         with pytest.raises(NotSymmetric):
             solve(at)
+
+
+def _assert_cut_multiplies_like_the_table(at, seed):
+    """Products and p-th powers in closed_algebra(at) against the d-wide ones
+    of random elements of C, read back on the closed coordinates."""
+    closed, cut, gf = closed_words(at), closed_algebra(at), at.gf
+    assert cut.dim == len(closed) and np.array_equal(cut.unit, at.unit[closed])
+    rng = np.random.default_rng(seed)
+    x, y = (rng.integers(0, gf.q, size=(8, cut.dim)) for _ in range(2))
+    lx, ly = (np.zeros((8, at.dim), dtype=np.int64) for _ in range(2))
+    lx[:, closed], ly[:, closed] = x, y
+    wide = multiply(at, lx, ly)
+    assert not wide[:, np.setdiff1d(np.arange(at.dim), closed)].any()  # C is a subalgebra
+    assert np.array_equal(multiply(cut, x, y), wide[:, closed])
+    for k in (gf.p, gf.p ** 2 + 1):
+        assert np.array_equal(power(cut, x, k), power(at, lx, k)[:, closed])
+
+
+@pytest.mark.parametrize("gf", FIELDS, ids=lambda f: f"GF{f[0]}^{f[1]}")
+@pytest.mark.parametrize("name,params", CATALOGUE, ids=[c[0] for c in CATALOGUE])
+def test_cut_table_multiplies_like_the_table_on_closed_elements(name, params, gf):
+    _assert_cut_multiplies_like_the_table(make_table(name, gf=gf, **params), seed=7)
+
+
+@pytest.mark.parametrize("source", TWISTED + [HAND], ids=["s", "m", "hand"])
+def test_cut_table_multiplies_like_the_table_on_hand_made_algebras(source):
+    _assert_cut_multiplies_like_the_table(build_table(complete(parse_presentation(source))),
+                                          seed=11)
+
+
+def test_cut_rejects_a_closed_product_landing_on_an_open_word():
+    at = build_table(complete(parse_presentation(HAND)))
+    i, j, m, c = at.entries()
+    e = int(np.flatnonzero((i == 3) & (j == 3))[0])  # the entry of x times x
+    assert at.word_name(int(m[e])) == "x*x" and at.word_name(7) == "c"  # c is open
+    indices = m.copy()
+    indices[e] = 7
+    bad = AlgebraTable(at.rs, at.basis, at.index,
+                       Sparse(at.table.shape, at.table.rows, indices, c),
+                       at.trivial_indices, at.unit)
+    with pytest.raises(InvariantViolation, match="not closed"):
+        closed_algebra(bad)

@@ -46,3 +46,24 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names what it does not define: {missing}"
+
+
+PACKAGE = sorted((ROOT / "src/kuls").glob("*.py"))
+
+
+def _kuls_module(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").partition(".")[0] == "kuls"
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_imports_at_module_level_and_only_public_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    local = [node.lineno for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not local, f"{path.name} imports inside a function at lines {local}"
+    private = [f"{alias.name} (line {node.lineno})" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and _kuls_module(node)
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert not private, f"{path.name} imports private kuls names: {', '.join(private)}"

@@ -92,6 +92,22 @@ def test_reduce_is_idempotent():
     assert {word_str(rs.quiver, w) for w in reduced} == {"a1*a1", "a1"}
 
 
+def test_rule_map_is_built_once_per_system(monkeypatch):
+    rs = complete(family(FamilySpec("Omega", {"n": 3}, GF(2))))
+    rules = rs.rule_map  # built by complete's confluence check
+    assert list(rules) == [r.lead for r in rs.rules]
+    maps, reduce = [], rewriting._reduce
+
+    def recording(gf, poly, rule_map):
+        maps.append(rule_map)
+        return reduce(gf, poly, rule_map)
+
+    monkeypatch.setattr(rewriting, "_reduce", recording)
+    rs.reduce(parse_element("a1*a1*a1", rs.presentation))
+    build_table(rs)  # rewrites products and, in its audit, the relations
+    assert len(maps) > 1 and all(m is rules for m in maps)
+
+
 def test_infinite_dimensional_quotients_are_detected():
     free_loop = parse_presentation(
         "algebra free over GF(2) {\n  vertices v;\n  arrows { a: v -> v; }\n"

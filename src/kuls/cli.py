@@ -103,7 +103,10 @@ def _parse_params(text: str, entry: str = "parameter", form: str = "k=v") -> dic
         key, eq, value = item.partition("=")
         if not eq or not value.removeprefix("-").isdecimal():
             raise BadParameters(f"cannot parse {entry} {item!r}; expected {form}")
-        values[key.strip()] = _int(value, f"{entry} {key.strip()!r}")
+        key = key.strip()
+        if key in values:
+            raise BadParameters(f"{entry} {key!r} is given twice")
+        values[key] = _int(value, f"{entry} {key!r}")
     return values
 
 

@@ -294,6 +294,7 @@ def parse_presentation(text: str, allow_disconnected: bool = False) -> Presentat
     ps.expect("SYM", "{")
     relations = []
     while not ps.at_sym("}"):
+        first = ps.peek()  # a relation that is 0 has no term to take its position from
         lhs = ps.parse_expr(gf, quiver, allow_trivial=False)
         terms = list(lhs)
         if ps.at_sym("="):
@@ -301,7 +302,6 @@ def parse_presentation(text: str, allow_disconnected: bool = False) -> Presentat
             rhs = ps.parse_expr(gf, quiver, allow_trivial=False)
             terms += [(int(gf.neg(c)), w, tok) for c, w, tok in rhs]
         ps.expect("SYM", ";")
-        first = terms[0][2]
         endpoints = None
         for coeff, word, tok in terms:
             if len(word) < 2:

@@ -6,27 +6,24 @@ accept plain ints or numpy int64 arrays and are vectorized: prime fields
 use modular ufuncs, extension fields use discrete log/exp tables (field
 size is capped at 2**16, so tables stay small).
 
-Matrix products are float64 matrix products, exact while every partial
-sum stays below 2**53, with an int64 fallback beyond that.  Over GF(p**e)
-each operand is split into its e base-p digit planes, a = sum A_i t**i
-with A_i over GF(p); the e*e plane products A_i @ B_j are folded back to
-digits through the digits of t**(i+j) mod the modulus (the M4RIE
-decomposition of Albrecht, arXiv:1111.6900), in blocks of output columns
-of at most MATMUL_BLOCK cells per temporary.
+Matrix products over GF(p) are float64 matrix products, exact while every
+partial sum stays below 2**53, with an int64 fallback beyond that.  Over
+GF(p**e) a product is one sparse.contract of the left operand's columns
+with the nonzero entries of the right one; contract's docstring gives the
+exactness argument.
 """
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadField
+from .errors import BadField, DimensionMismatch
+from .sparse import contract
 
 __all__ = ["GF", "is_prime", "default_modulus"]
 
 MAX_FIELD_SIZE = 2**16
-MATMUL_BLOCK = 2**15  # cells per temporary of the extension-field matmul (see GF.matmul)
 
 
 def is_prime(n: int) -> bool:
@@ -175,7 +172,6 @@ class GF:
                 raise BadField("modulus is reducible over GF(%d)" % p)
             self.modulus = modulus
             self._build_tables()
-        self._inv_table = None
 
     # -- identity & display --
 
@@ -236,18 +232,17 @@ class GF:
             times_gk = np.array([_decode(self._raw_mul(gk, int(w)), p, self.e) for w in weights])
             exp = np.concatenate([exp, (((exp[:, None] // weights) % p) @ times_gk % p) @ weights])
         exp = exp[:q - 1]
-        log = np.concatenate([[0], np.argsort(exp)])  # log[exp[i]] = i; log[0] is unused
+        # log[exp[i]] = i; log[0] = 2*(q-1) lies past every sum of two nonzero
+        # logs, so in _prod = (exp, exp, zeros) a sum with a zero log reads 0
+        log = np.concatenate([[2 * (q - 1)], np.argsort(exp)])
         self._exp, self._log = exp, log
+        self._prod = np.concatenate([exp, exp, np.zeros(2 * q - 1, dtype=np.int64)])
         frob = np.take(exp, (log * p) % (q - 1))  # (g**i)**p = g**(i*p)
         frob[0] = 0
-        self._frob = frob
         self._frob_inv = np.argsort(frob).astype(np.int64)
         # row i of _digits holds digit i (the coefficient of t**i) of every
         # element; q <= 2**16 and e >= 2 give p < 256, so digits fit uint8
         self._digits = ((np.arange(q) // weights[:, None]) % p).astype(np.uint8)
-        # row i*e + j of _fold holds the digits of t**(i+j) reduced mod the modulus
-        self._fold = np.array([_decode(self.from_coeffs((0,) * (i + j) + (1,)), p, self.e)
-                               for i in range(self.e) for j in range(self.e)], dtype=np.int64)
         self._neg = weights @ ((-self._digits.astype(np.int64)) % p)
 
     # -- scalar/array arithmetic --
@@ -279,52 +274,10 @@ class GF:
     def mul(self, a, b):
         if self.e == 1:
             return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.p
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        idx = (np.take(self._log, a, mode="clip") + np.take(self._log, b, mode="clip")) % (self.q - 1)
-        return np.where(nz, np.take(self._exp, idx), 0)
-
-    def inv(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        if np.any(a == 0):
-            raise ZeroDivisionError("inverting zero field element")
-        if self.e == 1:
-            if self._inv_table is None:
-                t = np.zeros(self.p, dtype=np.int64)
-                for x in range(1, self.p):
-                    t[x] = pow(x, self.p - 2, self.p)
-                self._inv_table = t
-            return np.take(self._inv_table, a)
-        return np.take(self._exp, (-np.take(self._log, a)) % (self.q - 1))
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a, n: int):
-        """Elementwise a**n for a non-negative integer exponent."""
-        a = np.asarray(a, dtype=np.int64)
-        if n == 0:
-            return np.ones(a.shape, dtype=np.int64)
-        if self.e == 1:
-            out, base = np.ones(a.shape, dtype=np.int64), a % self.p
-            while n:
-                out = self.mul(out, base) if n & 1 else out
-                base, n = self.mul(base, base), n >> 1
-            return out
-        idx = (np.take(self._log, a, mode="clip") * (n % (self.q - 1))) % (self.q - 1)
-        return np.where(a != 0, np.take(self._exp, idx), 0)
-
-    def frob(self, a, n: int = 1):
-        """Elementwise Frobenius x -> x**(p**n); identity on prime fields."""
-        a = np.asarray(a, dtype=np.int64)
-        n %= self.e
-        for _ in range(n):
-            a = np.take(self._frob, a)
-        return a
+        return np.take(self._prod, np.take(self._log, a) + np.take(self._log, b))
 
     def frob_inv(self, a, n: int = 1):
-        """Elementwise p**n-th root (inverse of frob; identity on prime fields)."""
+        """Elementwise p**n-th root, the inverse of x -> x**(p**n); identity on prime fields."""
         a = np.asarray(a, dtype=np.int64)
         n %= self.e
         for _ in range(n):
@@ -352,9 +305,7 @@ class GF:
     def smul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[(int(self._log[a]) + int(self._log[b])) % (self.q - 1)])
+        return int(self._prod[self._log[a] + self._log[b]])
 
     def sinv(self, a: int) -> int:
         if a == 0:
@@ -385,49 +336,23 @@ class GF:
         return (self.p ** np.arange(self.e, dtype=np.int64)) @ (sums.astype(np.int64) % self.p)
 
     def matmul(self, a, b):
-        """Matrix product; stacked operands broadcast over leading axes as with numpy @.
+        """Matrix product of 1-D or 2-D operands; a 1-D operand is one row.
 
-        Over GF(p**e) with e >= 2, write a = sum A_i t**i and b = sum B_j t**j
-        with digit planes A_i, B_j over GF(p) (from the table _digits).  Then
-        digit l of a @ b is sum over (i, j) of fold[i*e + j, l] * (A_i @ B_j)
-        reduced mod p, where row i*e + j of the table _fold holds the digits
-        of t**(i+j) mod the modulus.  With inner dimension k each plane
-        product is at most k*(p-1)**2 and each folded digit sum at most
-        e*e*k*(p-1)**3, so the products run in float64 while that bound is
-        below 2**53 and in int64 beyond it.  The e*e plane products are one
-        stacked @ per block of output columns; a block holds as many columns
-        (at least one) as keep e*e * (stacked matrices) * max(rows, k) *
-        columns within MATMUL_BLOCK, so the temporaries of a stacked call
-        stay bounded too.
+        Over GF(p) it is one float64 (or, past 2**53, int64) matrix product
+        reduced mod p.  Over GF(p**e) it is one sparse.contract: column j of
+        a joins the nonzero entries of row j of b, summed by output column.
         """
         a = np.atleast_2d(np.asarray(a, dtype=np.int64))
         b = np.atleast_2d(np.asarray(b, dtype=np.int64))
+        if a.ndim > 2 or b.ndim > 2 or a.shape[1] != b.shape[0]:
+            raise DimensionMismatch(f"cannot multiply shapes {a.shape} and {b.shape}")
         if self.e == 1:
-            inner = a.shape[-1]
             # float64 dot stays exact while partial sums are below 2**53
-            if inner * (self.p - 1) ** 2 < 2**53:
+            if a.shape[1] * (self.p - 1) ** 2 < 2**53:
                 return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % self.p
             return (a @ b) % self.p
-        stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-        # equal ranks, so the digit axes put in front of both operands line up
-        a, b = (x.reshape((1,) * (len(stack) + 2 - x.ndim) + x.shape) for x in (a, b))
-        (m, k), n = a.shape[-2:], b.shape[-1]
-        p, e = self.p, self.e
-        dtype = np.float64 if e * e * k * (p - 1) ** 3 < 2**53 else np.int64
-        planes_a = np.take(self._digits, a, axis=1).astype(dtype)[:, None]  # [i, 0, ...] = A_i
-        fold = self._fold.T.astype(dtype)
-        weights = p ** np.arange(e, dtype=np.int64)
-        out = np.empty(stack + (m, n), dtype=np.int64)
-        cols = max(1, MATMUL_BLOCK // max(1, e * e * math.prod(stack) * max(m, k)))
-        for c in range(0, n, cols):
-            planes_b = np.take(self._digits, b[..., c:c + cols], axis=1).astype(dtype)
-            prods = planes_a @ planes_b[None]  # [i, j, ...] = A_i @ B_j
-            coeffs = (fold @ prods.reshape(e * e, -1)).astype(np.int64) % p
-            out[..., c:c + cols] = (weights @ coeffs).reshape(prods.shape[2:])
-        return out
-
-    def elements(self):
-        return range(self.q)
+        rows, cols = np.nonzero(b)
+        return contract(self, [(a, rows)], b[rows, cols], cols, b.shape[1])
 
     def from_int(self, n: int) -> int:
         """Encode an integer literal (an element of the prime subfield)."""

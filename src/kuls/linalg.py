@@ -21,8 +21,6 @@ __all__ = [
     "kernel",
     "row_space",
     "zero_subspace",
-    "full_space",
-    "subspace_sum",
     "intersect",
     "contains",
     "contains_subspace",
@@ -130,10 +128,6 @@ def zero_subspace(gf: GF, n: int) -> Subspace:
     return Subspace(gf, n, np.zeros((0, n), dtype=np.int64), ())
 
 
-def full_space(gf: GF, n: int) -> Subspace:
-    return Subspace(gf, n, np.eye(n, dtype=np.int64), tuple(range(n)))
-
-
 def kernel(gf: GF, m, n: int | None = None) -> Subspace:
     """Right null space {x : m @ x = 0} of an (r, n) matrix, or of the rows of
     an iterator of (r_i, n) blocks (n given), from the RREF of their row space."""
@@ -149,11 +143,6 @@ def kernel(gf: GF, m, n: int | None = None) -> Subspace:
 def _check_compatible(a: Subspace, b: Subspace):
     if a.gf != b.gf or a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("subspaces live in different ambient spaces")
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    _check_compatible(a, b)
-    return row_space(a.gf, np.vstack([a.basis, b.basis]), a.ambient_dim)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

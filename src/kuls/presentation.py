@@ -261,7 +261,7 @@ def render(name: str, gf: GF, vertices, arrow_lines, relation_lines) -> str:
 def emit(pres: Presentation) -> str:
     """Render a presentation as DSL source; parsing it back yields the same data."""
     q, gf = pres.quiver, pres.gf
-    relations = [" + ".join(word_str(q, w) if c == 1 else f"{_coeff_str(gf, c)}*{word_str(q, w)}"
-                            for c, w in rel.terms) + ";" for rel in pres.relations]
+    relations = [(" + ".join(word_str(q, w) if c == 1 else f"{_coeff_str(gf, c)}*{word_str(q, w)}"
+                             for c, w in rel.terms) or "0") + ";" for rel in pres.relations]
     return render(pres.name, gf, q.vertices,
                   [f"{a.name}: {a.source} -> {a.target};" for a in q.arrows], relations)

@@ -11,6 +11,7 @@ its arithmetic is not GF(p**e) arithmetic.
 Every product is a join on the shared index followed by one field segment
 sum (GF.segment_sum) of the joined products by output cell: `product`
 joins two Sparse, `contract` joins the columns of dense stacked rows.
+GF.matmul over GF(p**e) is one `contract` too.
 """
 from __future__ import annotations
 
@@ -91,7 +92,11 @@ def contract(gf, factors, data, ids, size: int) -> np.ndarray:
     since p < 2**16, and a cell sums at most data.size of them, so the sums
     are exact while data.size * (p - 1)**(len(factors) + 1) < 2**53; past
     that bound each product is reduced mod p after every factor.  Over
-    GF(p**e) the products are field products (gf.mul).
+    GF(p**e) the products are field products (gf.mul), each below p**e,
+    and GF.segment_sum adds them digit by digit: a block holds at most
+    max(2**13, data.size) products, so each digit sum is at most
+    (p - 1) * max(2**13, data.size), exact in float64 for any operand
+    that fits in memory.
     """
     prime = gf.e == 1
     data = np.asarray(data, dtype=np.float64 if prime else np.int64)

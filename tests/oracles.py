@@ -20,7 +20,8 @@ __all__ = ["path_quotient_dim", "rank_mod_p", "all_pairs_commutator_space", "all
            "naive_matmul", "naive_rref", "dense_reference_table", "dense_table",
            "table_from_dense", "left_mult_matrix", "right_mult_matrix", "solve",
            "XiMap", "xi_map", "direct_kuelshammer_space", "dense_reynolds_report",
-           "dense_consistent_psi", "dense_gram"]
+           "dense_consistent_psi", "dense_gram", "field_pow", "frob", "field_inv", "field_div",
+           "full_space", "subspace_sum"]
 
 
 def dense_reference_table(rs) -> np.ndarray:
@@ -97,18 +98,49 @@ def right_mult_matrix(at, x) -> np.ndarray:
 
 
 def naive_matmul(gf, a, b) -> np.ndarray:
-    """gf.matmul's contract from scalar sadd/smul: broadcast stacks, 1-D operands as rows."""
+    """gf.matmul's contract from scalar sadd/smul: 1-D operands as rows."""
     a, b = np.atleast_2d(a), np.atleast_2d(b)
-    stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    a = np.broadcast_to(a, stack + a.shape[-2:])
-    b = np.broadcast_to(b, stack + b.shape[-2:])
-    out = np.zeros(stack + (a.shape[-2], b.shape[-1]), dtype=np.int64)
-    for *s, i, j in np.ndindex(out.shape):
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for i, j in np.ndindex(out.shape):
         acc = 0
-        for k in range(a.shape[-1]):
-            acc = gf.sadd(acc, gf.smul(int(a[(*s, i, k)]), int(b[(*s, k, j)])))
-        out[(*s, i, j)] = acc
+        for k in range(a.shape[1]):
+            acc = gf.sadd(acc, gf.smul(int(a[i, k]), int(b[k, j])))
+        out[i, j] = acc
     return out
+
+
+def field_pow(gf, a, n: int) -> np.ndarray:
+    """Elementwise a**n for n >= 0 by square-and-multiply through gf.mul."""
+    a = np.asarray(a, dtype=np.int64)
+    out = np.ones(a.shape, dtype=np.int64)
+    while n:
+        out = gf.mul(out, a) if n & 1 else out
+        a, n = gf.mul(a, a), n >> 1
+    return out
+
+
+def frob(gf, a, n: int = 1) -> np.ndarray:
+    """Elementwise Frobenius x -> x**(p**n), with no reduction of n mod e."""
+    return field_pow(gf, a, gf.p ** n)
+
+
+def field_inv(gf, a) -> np.ndarray:
+    """Elementwise 1/a = a**(q - 2); zero has no inverse."""
+    if np.any(np.asarray(a) == 0):
+        raise ZeroDivisionError("inverting zero field element")
+    return field_pow(gf, a, gf.q - 2)
+
+
+def field_div(gf, a, b) -> np.ndarray:
+    return gf.mul(a, field_inv(gf, b))
+
+
+def full_space(gf, n: int) -> Subspace:
+    return Subspace(gf, n, np.eye(n, dtype=np.int64), tuple(range(n)))
+
+
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    return row_space(a.gf, np.vstack([a.basis, b.basis]), a.ambient_dim)
 
 
 def naive_rref(gf, rows) -> tuple[np.ndarray, list[int]]:
@@ -326,7 +358,7 @@ def xi_map(at: AlgebraTable, f: SymmetrizingForm, n: int) -> XiMap:
     for row in mat:
         if not contains(z, row):
             raise InvariantViolation("xi_n image is not central")
-    lhs = gf.pow(gf.matmul(mat, g), gf.p ** n)
+    lhs = field_pow(gf, gf.matmul(mat, g), gf.p ** n)
     if not np.array_equal(lhs, rhs):
         raise InvariantViolation("xi_n does not satisfy its defining equation")
     image = row_space(gf, mat, d)

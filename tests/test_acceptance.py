@@ -27,9 +27,9 @@ from kuls import (
 from kuls.errors import NotSymmetric
 from kuls.families import FamilySpec, family
 from kuls.gf import GF
-from kuls.linalg import contains, contains_subspace, intersect, row_space, subspace_sum
+from kuls.linalg import contains, contains_subspace, intersect, row_space
 from kuls.structure import multiply, power
-from oracles import dense_gram, path_quotient_dim, xi_map
+from oracles import dense_gram, field_pow, path_quotient_dim, subspace_sum, xi_map
 
 
 @contextmanager
@@ -219,7 +219,7 @@ def _check_universal(at) -> bool:
         assert xi.image == perp
         pn = gf.p ** row.n
         powers = np.stack([power(at, eye[i], pn) for i in range(at.dim)])
-        lhs = gf.pow(gf.matmul(xi.matrix, gram), pn)
+        lhs = field_pow(gf, gf.matmul(xi.matrix, gram), pn)
         rhs = gf.matmul(gf.matmul(z.basis, gram), powers.T)
         assert np.array_equal(lhs, rhs)
     assert prev_perp == intersect(soc, z)

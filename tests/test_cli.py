@@ -83,6 +83,15 @@ def test_parse_reports_diagnostics(tmp_path, capsys):
     assert out == f"{path}:7:5: zero-relation: relation cancels to zero\n"
 
 
+def test_parse_reports_each_relation_that_is_zero_without_a_traceback(tmp_path, capsys):
+    path = _write(tmp_path, "zero.kuls", DUAL.replace("a*a = 0;", "a*a = 0;\n    0;\n    0 = 0;"))
+    assert main(["parse", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (f"{path}:8:5: zero-relation: relation cancels to zero\n"
+                            f"{path}:9:5: zero-relation: relation cancels to zero\n")
+    assert captured.err == ""
+
+
 def test_parse_syntax_error(tmp_path, capsys):
     path = _write(tmp_path, "broken.kuls", "algebra x over GF(2);")
     assert main(["parse", path]) == 1
@@ -194,6 +203,16 @@ def test_invariants_custom_psi_matches_fallback(capsys):
     captured = capsys.readouterr()
     assert "note:" not in captured.err
     assert json.loads(captured.out) == fallback
+
+
+@pytest.mark.parametrize("flags,entry", [
+    (["--params", "n=2,n=3"], "parameter 'n'"),
+    (["--params", "n=2", "--psi", "a1=1,a1=2"], "psi entry 'a1'"),
+], ids=["params", "psi"])
+def test_invariants_rejects_a_repeated_key(capsys, flags, entry):
+    assert main(["invariants", "--family", "Omega", "--char", "2"] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"BadParameters: {entry} is given twice\n"
 
 
 def test_invariants_bad_psi_entry(capsys):

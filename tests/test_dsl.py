@@ -66,6 +66,15 @@ def test_emit_parse_roundtrip():
     assert [r.terms for r in again.relations] == [r.terms for r in pres.relations]
 
 
+@pytest.mark.parametrize("relation", ["a1*b1*b2*a1 + a1*b1*b2*a1", "0", "0 = 0"])
+def test_a_relation_that_is_zero_parses_and_emits_as_zero(relation):
+    pres = parse_presentation(LOOP_CYCLE.replace("a1*b1*b2*a1", relation, 1))
+    assert pres.relations[1].terms == ()
+    assert [d.code for d in validate(pres)] == ["zero-relation"]
+    assert "    0;\n" in emit(pres)
+    assert parse_presentation(emit(pres)) == pres
+
+
 def test_extension_field_headers():
     src = LOOP_CYCLE.replace("GF(2)", "GF(2^2)")
     pres = parse_presentation(src)

@@ -20,9 +20,9 @@ from kuls import (
 from kuls import form, linalg
 from kuls.errors import BadParameters, Degenerate, DimensionMismatch, NotSymmetric
 from kuls.form import SymmetrizingForm, _build, _socle_word_indices
-from kuls.linalg import full_space, reduce_mod, row_space, zero_subspace
+from kuls.linalg import reduce_mod, row_space, zero_subspace
 from kuls.structure import multiply
-from oracles import dense_gram
+from oracles import dense_gram, full_space
 from test_cli import _spy
 
 

@@ -24,16 +24,15 @@ def _field(p: int, e: int) -> GF:
 
 @st.composite
 def matmul_operands(draw):
-    """A field of order <= 256 and two operands whose leading axes broadcast."""
+    """A field of order <= 256 and two 1-D or 2-D operands; a 1-D operand is
+    one row, so b is 1-D only when the inner dimension is 1."""
     e = draw(st.integers(1, 8))
     gf = _field(draw(st.sampled_from([p for p in PRIMES if p**e <= 256])), e)
     m, k, n = (draw(st.integers(1, 4)) for _ in range(3))
-    stack = draw(st.lists(st.integers(1, 3), max_size=2))
 
     def operand(rows, cols):
-        lead = stack[draw(st.integers(0, len(stack))):]
-        lead = [1 if draw(st.booleans()) else size for size in lead]
-        return draw(arrays(np.int64, (*lead, rows, cols), elements=st.integers(0, gf.q - 1)))
+        shape = (cols,) if rows == 1 and draw(st.booleans()) else (rows, cols)
+        return draw(arrays(np.int64, shape, elements=st.integers(0, gf.q - 1)))
 
     return gf, operand(m, k), operand(k, n)
 

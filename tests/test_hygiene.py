@@ -67,3 +67,40 @@ def test_package_imports_at_module_level_and_only_public_names(path):
                for alias in node.names
                if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert not private, f"{path.name} imports private kuls names: {', '.join(private)}"
+
+
+def _package_uses() -> tuple[set[str], set[str]]:
+    """Names the package reads (loaded names, attributes and imported names),
+    and the attribute names it calls as methods."""
+    read, called = set(), set()
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+    return read, called
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_exported_name_is_used_in_the_package(path):
+    """A name in __all__ that nothing in src/kuls reads, imports or re-exports
+    is a helper of the tests; it belongs in tests/oracles.py."""
+    read, _ = _package_uses()
+    unused = [name for name in _all(ast.parse(path.read_text(encoding="utf-8")))
+              if name not in read]
+    assert not unused, f"{path.name} exports names the package never uses: {unused}"
+
+
+def test_every_public_field_method_is_called_in_the_package():
+    tree = ast.parse((ROOT / "src/kuls/gf.py").read_text(encoding="utf-8"))
+    gf = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "GF")
+    _, called = _package_uses()
+    uncalled = [f.name for f in gf.body if isinstance(f, ast.FunctionDef)
+                and not f.name.startswith("_") and f.name not in called]
+    assert not uncalled, f"GF methods the package never calls: {uncalled}"

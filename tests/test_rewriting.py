@@ -192,9 +192,14 @@ def test_audit_catches_every_non_associative_corruption(name, gf, params):
 def _first_failing_generator(at, dense) -> int | None:
     """The first trivial path or arrow s, in basis order, with
     (b_i b_j) s != b_i (b_j s) for some i, j, one generator at a time."""
+    d = at.dim
+    by_left = dense.reshape(d * d, d)  # row i*d + j: b_i b_j
+    by_right = dense.transpose(1, 0, 2).reshape(d, d * d)  # [l, i*d + m]: (b_i b_l)_m
     for s in list(at.trivial_indices) + at.arrow_indices:
         r_s = dense[:, s, :]  # row l: b_l s
-        if not np.array_equal(at.gf.matmul(dense, r_s), at.gf.matmul(r_s[None], dense)):
+        lhs = at.gf.matmul(by_left, r_s).reshape(d, d, d)  # [i, j]: (b_i b_j) s
+        rhs = at.gf.matmul(r_s, by_right).reshape(d, d, d).transpose(1, 0, 2)  # b_i (b_j s)
+        if not np.array_equal(lhs, rhs):
             return s
     return None
 

@@ -34,7 +34,7 @@ from kuls.errors import (
 )
 from kuls.linalg import contains, contains_subspace, intersect, row_space
 from kuls.structure import closed_words, multiply, power
-from oracles import direct_kuelshammer_space, xi_map
+from oracles import direct_kuelshammer_space, frob, xi_map
 
 
 def truncated(p, k):
@@ -144,7 +144,7 @@ def test_chain_step_takes_pth_roots_off_the_prime_field(source):
     at = build_table(complete(parse_presentation(source)))
     gf = at.gf
     t1 = kuelshammer_space(at, 1)
-    assert row_space(gf, gf.frob(t1.basis), at.dim) != t1
+    assert row_space(gf, frob(gf, t1.basis), at.dim) != t1
     for n in range(5):
         assert kuelshammer_space(at, n) == direct_kuelshammer_space(at, n)
     if at.dim == 5:  # 8**5 elements

@@ -8,10 +8,10 @@ from conftest import CATALOGUE, make_table
 from kuls import center, commutator_space, parse_presentation, radical, socle
 from kuls import build_table, complete, linalg, structure
 from kuls.errors import DimensionMismatch, NotNilpotent
-from kuls.linalg import contains, contains_subspace, intersect, subspace_sum
+from kuls.linalg import contains, contains_subspace, intersect
 from kuls.structure import multiply, power, socle_center
 from oracles import (all_pairs_center, all_pairs_commutator_space, all_pairs_socles, dense_table,
-                     left_mult_matrix, right_mult_matrix, table_from_dense)
+                     left_mult_matrix, right_mult_matrix, subspace_sum, table_from_dense)
 
 
 @pytest.mark.parametrize("name,params,dims", [

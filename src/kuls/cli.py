@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -253,6 +254,7 @@ def _add_common(sub, max_n_default: int = 8):
     sub.add_argument("--json", action="store_true")
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kuls", description=__doc__)
     parser.add_argument("--version", action="version", version=f"kuls {__version__}")

@@ -130,14 +130,29 @@ def zero_subspace(gf: GF, n: int) -> Subspace:
 
 def kernel(gf: GF, m, n: int | None = None) -> Subspace:
     """Right null space {x : m @ x = 0} of an (r, n) matrix, or of the rows of
-    an iterator of (r_i, n) blocks (n given), from the RREF of their row space."""
-    rs = row_space(gf, m, n)
+    an iterator of (r_i, n) blocks (n given), from one RREF: that of the row
+    space of m with its columns reversed, column k read as column n - 1 - k.
+
+    In those reversed coordinates, with RREF rows r_i of pivot c_i, the
+    kernel has one vector per free column f: 1 at f, -r_i[f] at each c_i,
+    0 elsewhere.  r_i[f] != 0 only for c_i < f, since r_i is 0 left of
+    c_i and f is no pivot.  Reversed back, the vector of f has its leading
+    1 at n - 1 - f, its other nonzeros right of it at former pivot columns,
+    and 0 at every other free column, which holds the leading 1 of another
+    vector.  So these vectors, sorted by leading column (f descending), are
+    the RREF of the kernel, unique for a subspace: no second elimination.
+    """
+    if isinstance(m, Iterator):
+        flipped = (np.atleast_2d(np.asarray(block, dtype=np.int64))[:, ::-1] for block in m)
+    else:
+        flipped = np.atleast_2d(np.asarray(m, dtype=np.int64))[:, ::-1]
+    rs = row_space(gf, flipped, n)
     n = rs.ambient_dim
     free = sorted(set(range(n)) - set(rs.pivots))
     basis = np.zeros((len(free), n), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, list(rs.pivots)] = gf.neg(rs.basis[:, free].T)  # x_c = -rs.basis[i, f], pivot c
-    return row_space(gf, basis, n)
+    return Subspace(gf, n, basis[::-1, ::-1].copy(), tuple(n - 1 - f for f in reversed(free)))
 
 
 def _check_compatible(a: Subspace, b: Subspace):

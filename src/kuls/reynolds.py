@@ -17,8 +17,8 @@ from .form import SymmetrizingForm, orthogonal
 from .gf import GF
 from .linalg import Subspace, contains_subspace, kernel, reduce_mod, row_space
 from .rewriting import AlgebraTable
-from .structure import (center, closed_algebra, closed_part, closed_words, commutator_space,
-                        lift, multiply, power, socle, socle_center)
+from .structure import (center, closed_algebra, closed_center, closed_part, closed_socle_center,
+                        closed_words, commutator_space, lift, multiply, power, socle)
 
 __all__ = ["ReynoldsRow", "ReynoldsReport", "Verdict", "kuelshammer_space", "reynolds_ideal",
            "reynolds_sequence", "compare", "brute_force_kuelshammer"]
@@ -116,7 +116,7 @@ def _verified_perp(at: AlgebraTable, f: SymmetrizingForm, t: Subspace) -> Subspa
     and the products v * w are products in C.
     """
     cut = closed_algebra(at)
-    z, soc_z = closed_part(at, center(at)), closed_part(at, socle_center(at))
+    z, soc_z = closed_center(at), closed_socle_center(at)  # cached per table
     perp = orthogonal(SymmetrizingForm(cut, f.psi[closed_words(at)]), t)
     if not contains_subspace(z, perp):
         raise InvariantViolation("T_n^perp is not contained in the center")
@@ -148,13 +148,13 @@ def reynolds_sequence(at: AlgebraTable, f: SymmetrizingForm, max_n: int = 8) -> 
     if not s.two_sided_equal:
         raise InvariantViolation("socle is one-sided although a form was validated")
     opened = at.dim - len(closed_words(at))
-    soc_z = closed_part(at, socle_center(at))
+    soc_z = closed_socle_center(at)
 
     t = _chain(at, 0)
     if t != closed_part(at, k):
         raise InvariantViolation("T_0 differs from the commutator subspace")
     perp = _verified_perp(at, f, t)
-    if perp != closed_part(at, z):
+    if perp != closed_center(at):
         raise InvariantViolation("K(A)^perp is not the center")
     rows, stabilized_at = [ReynoldsRow(0, opened + t.dim, perp.dim)], None
     for n in range(1, max_n + 1):

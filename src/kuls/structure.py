@@ -19,10 +19,11 @@ import numpy as np
 from .errors import DimensionMismatch, InvariantViolation, NotNilpotent
 from .linalg import Subspace, contains, intersect, kernel, row_space
 from .rewriting import AlgebraTable
-from .sparse import Sparse, contract
+from .sparse import Sparse, contract, from_entries
 
-__all__ = ["multiply", "power", "radical", "Socle", "socle", "center", "socle_center",
-           "commutator_space", "closed_words", "closed_algebra", "closed_part", "lift"]
+__all__ = ["multiply", "power", "radical", "Socle", "socle", "center", "closed_center",
+           "closed_socle_center", "commutator_space", "closed_words", "closed_algebra",
+           "closed_part", "lift"]
 
 
 def _as_vec(at: AlgebraTable, x) -> np.ndarray:
@@ -136,10 +137,11 @@ def closed_algebra(at: AlgebraTable) -> AlgebraTable:
 def closed_part(at: AlgebraTable, s: Subspace) -> Subspace:
     """s cap C on the closed coordinates, for s = (s cap O) + (s cap C): its
     RREF is theirs merged by pivot, so the rows with a closed pivot, on C."""
-    closed = closed_words(at)
-    keep = np.isin(s.pivots, closed)
-    return Subspace(at.gf, len(closed), s.basis[keep][:, closed],
-                    tuple(np.searchsorted(closed, np.compress(keep, s.pivots)).tolist()))
+    closed, pos = closed_words(at), np.full(at.dim, -1, dtype=np.int64)
+    pos[closed] = np.arange(len(closed))
+    pivots = pos[list(s.pivots)]
+    keep = pivots >= 0
+    return Subspace(at.gf, len(closed), s.basis[keep][:, closed], tuple(pivots[keep].tolist()))
 
 
 def lift(at: AlgebraTable, s: Subspace, with_open: bool = False) -> Subspace:
@@ -178,31 +180,91 @@ class Socle:
         return self.right == self.left
 
 
+def _peeled_kernel(gf, shape: tuple[int, int], rows, cols, vals) -> Subspace:
+    """{x : the sum of vals[e] x[cols[e]] over the entries e of row r is 0, for
+    every r}, in GF**shape[1], by peeling singleton rows (structured Gaussian
+    elimination, LaMacchia and Odlyzko, CRYPTO '90).
+
+    from_entries sums the entries by cell and drops the cells that cancel, so
+    every entry left is nonzero.  Invariant: the solutions are the x that are
+    0 on the dead columns and solve the rows cut to the live ones.  A row
+    with one live entry v x_k (v != 0) forces x_k = 0, so k dies and the
+    invariant holds; a row with no live entry is 0 = 0 and drops out.  When
+    no singleton is left, each live column that no remaining row touches is
+    free, and the touched ones solve the remaining rows, cut to them, whose
+    kernel has its own RREF.  The unit vectors of the free columns and that
+    RREF have disjoint supports, so merged by pivot they are the RREF of the
+    solution set.
+    """
+    s = from_entries(gf, shape, rows, cols, vals)
+    rows, cols, vals = s.rows, s.indices, s.data
+    live = np.ones(shape[1], dtype=bool)
+    while rows.size:
+        new = np.diff(rows, prepend=-1, append=shape[0]) != 0  # a row starts at each True
+        single = new[:-1] & new[1:]  # rows stay sorted, so a singleton starts and ends at e
+        if not single.any():
+            break
+        live[cols[single]] = False
+        keep = live[cols]
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    touched = np.zeros(shape[1], dtype=bool)
+    touched[cols] = True
+    free, cut = np.flatnonzero(live & ~touched), np.flatnonzero(touched)
+    ids = np.cumsum(np.diff(rows, prepend=-1) != 0) - 1
+    residual = np.zeros((ids[-1] + 1 if ids.size else 0, cut.size), dtype=np.int64)
+    residual[ids, np.searchsorted(cut, cols)] = vals
+    rest = kernel(gf, residual, cut.size)
+    pivots = np.concatenate([free, cut[list(rest.pivots)]])
+    basis = np.zeros((pivots.size, shape[1]), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[free.size:, cut] = rest.basis
+    order = np.argsort(pivots)
+    return Subspace(gf, shape[1], basis[order], tuple(pivots[order].tolist()))
+
+
 @_cached
 def socle(at: AlgebraTable) -> Socle:
     """Right and left socles: annihilators of the arrows on each side, the
-    kernels of R_a^T and L_a^T (x*b_a = x @ R_a, b_a*x = x @ L_a), whose
-    rows m hold the b_m coefficients of b_i*b_a and b_a*b_i over i."""
-    gf, d, (i, j, m, c) = at.gf, at.dim, at.entries()
-    return Socle(*(kernel(gf, (_candidate_rows(gf, d, m[f == a], o[f == a], c[f == a])
-                               for a in at.arrow_indices), d) for f, o in ((j, i), (i, j))))
+    solutions of x*b_a = 0 and b_a*x = 0 for every arrow a.  Their rows
+    (a, m) hold the b_m coefficients of b_i*b_a and b_a*b_i over the column
+    i, from the table entries with b_a as right and as left factor."""
+    d, arrows, (i, j, m, c) = at.dim, at.arrow_indices, at.entries()
+    arrow = np.full(d, -1, dtype=np.int64)  # position among the arrows, -1 off them
+    arrow[arrows] = np.arange(len(arrows))
+    shape = (len(arrows) * d, d)
+    sides = []
+    for f, o in ((j, i), (i, j)):
+        e = arrow[f] >= 0
+        sides.append(_peeled_kernel(at.gf, shape, arrow[f[e]] * d + m[e], o[e], c[e]))
+    return Socle(*sides)
+
+
+@_cached
+def closed_center(at: AlgebraTable) -> Subspace:
+    """Z(A) on the closed coordinates: e_u z e_v = e_u e_v z = 0 for u != v
+    and z central.  Each x in C commutes with every e_v (x e_v = e_v x e_v =
+    e_v x), so it is central iff [x, s] = 0 for every arrow s: the kernel of
+    the rows (s, m)."""
+    z = kernel(at.gf, _closed_commutators(at, by_output=True), len(closed_words(at)))
+    if not contains(z, at.unit[closed_words(at)]):
+        raise InvariantViolation("center does not contain the unit")
+    return z
 
 
 @_cached
 def center(at: AlgebraTable) -> Subspace:
-    """Z(A), computed in C: e_u z e_v = e_u e_v z = 0 for u != v and z central.
-    Each x in C commutes with every e_v (x e_v = e_v x e_v = e_v x), so it is
-    central iff [x, s] = 0 for every arrow s: the kernel of the rows (s, m)."""
-    z = kernel(at.gf, _closed_commutators(at, by_output=True), len(closed_words(at)))
-    if not contains(z, at.unit[closed_words(at)]):
-        raise InvariantViolation("center does not contain the unit")
-    return lift(at, z)
+    """Z(A), lifted from C (see closed_center)."""
+    return lift(at, closed_center(at))
 
 
 @_cached
-def socle_center(at: AlgebraTable) -> Subspace:
-    """soc(A) intersect Z(A), from the right socle."""
-    return intersect(socle(at).right, center(at))
+def closed_socle_center(at: AlgebraTable) -> Subspace:
+    """soc(A) cap Z(A) on the closed coordinates, from the right socle
+    {x : x*rad = 0}.  It is a two-sided ideal (y*x*rad = 0, and x*y*rad
+    lies in x*rad), so e_u s e_v lies in it for every s in it: it is the
+    sum of its parts in O and in C, and closed_part gives the latter.  Z(A)
+    lies in C, so soc(A) cap Z(A) = (soc(A) cap C) cap Z(A), taken on C."""
+    return intersect(closed_part(at, socle(at).right), closed_center(at))
 
 
 @_cached

@@ -21,7 +21,8 @@ __all__ = ["path_quotient_dim", "rank_mod_p", "all_pairs_commutator_space", "all
            "table_from_dense", "left_mult_matrix", "right_mult_matrix", "solve",
            "XiMap", "xi_map", "direct_kuelshammer_space", "dense_reynolds_report",
            "dense_consistent_psi", "dense_gram", "field_pow", "frob", "field_inv", "field_div",
-           "full_space", "subspace_sum"]
+           "full_space", "subspace_sum", "enumerated_kernel", "span_members",
+           "two_elimination_kernel"]
 
 
 def dense_reference_table(rs) -> np.ndarray:
@@ -141,6 +142,46 @@ def full_space(gf, n: int) -> Subspace:
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return row_space(a.gf, np.vstack([a.basis, b.basis]), a.ambient_dim)
+
+
+def enumerated_kernel(gf, m, n: int) -> np.ndarray:
+    """Every x in GF(q)**n with m @ x = 0, found by trying all q**n vectors,
+    2**12 at a time (no linalg): the rows of the result are the members, in
+    order of their base-q codes, coordinate 0 fastest."""
+    m = np.asarray(m, dtype=np.int64).reshape(-1, n)
+    found = [np.zeros((0, n), dtype=np.int64)]
+    for lo in range(0, gf.q ** n, 2**12):
+        codes = np.arange(lo, min(lo + 2**12, gf.q ** n), dtype=np.int64)
+        xs = (codes[:, None] // gf.q ** np.arange(n, dtype=np.int64)) % gf.q
+        acc = np.zeros((codes.size, m.shape[0]), dtype=np.int64)
+        for k in range(n):  # m @ x = sum over k of x_k times column k of m
+            acc = gf.add(acc, gf.mul(xs[:, k:k + 1], m[:, k]))
+        found.append(xs[~acc.any(axis=1)])
+    return np.vstack(found)
+
+
+def span_members(s: Subspace) -> np.ndarray:
+    """Every member of s, as enumerated_kernel orders them: all q**dim
+    combinations of the basis rows, sorted by base-q code."""
+    gf, n = s.gf, s.ambient_dim
+    combos = np.arange(gf.q ** s.dim, dtype=np.int64)
+    coeffs = (combos[:, None] // gf.q ** np.arange(s.dim, dtype=np.int64)) % gf.q
+    members = np.zeros((combos.size, n), dtype=np.int64)
+    for k in range(s.dim):
+        members = gf.add(members, gf.mul(coeffs[:, k:k + 1], s.basis[k]))
+    return members[np.argsort(members @ gf.q ** np.arange(n, dtype=np.int64))]
+
+
+def two_elimination_kernel(gf, m, n: int | None = None) -> Subspace:
+    """linalg.kernel in its earlier form, kept as a reference: the RREF of
+    the row space, one vector per free column, then a second RREF of them."""
+    rs = row_space(gf, m, n)
+    n = rs.ambient_dim
+    free = sorted(set(range(n)) - set(rs.pivots))
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, list(rs.pivots)] = gf.neg(rs.basis[:, free].T)
+    return row_space(gf, basis, n)
 
 
 def naive_rref(gf, rows) -> tuple[np.ndarray, list[int]]:

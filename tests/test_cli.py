@@ -510,6 +510,19 @@ def test_usage_errors_exit_1(capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_main_call(capsys):
+    argv = ["invariants", "--family", "Omega", "--params", "n=2", "--char", "2", "--json"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", "--bogus"])
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +107,29 @@ def test_every_public_field_method_is_called_in_the_package():
     uncalled = [f.name for f in gf.body if isinstance(f, ast.FunctionDef)
                 and not f.name.startswith("_") and f.name not in called]
     assert not uncalled, f"GF methods the package never calls: {uncalled}"
+
+
+NO_MA = """import sys
+from kuls.cli import main
+rc = main(sys.argv[1:])
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")), file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "Omega", "--params", "n=8", "--char", "2"],
+    ["--family", "N", "--params", "n=3,m=3", "--field", "GF(3,2)"],
+    ["--family", "D", "--params", "m=4", "--char", "2"],
+    ["--family", "Omega", "--params", "n=40", "--char", "2", "--degree-bound", "100"],
+], ids=["Omega8-GF2", "N33-GF9", "D4-GF2", "Omega40-GF2"])
+def test_invariants_never_imports_numpy_ma(argv):
+    """numpy.ma costs the process its import (about 0.6 MB of RSS and, at
+    Omega(40), 20 ms); numpy pulls it in from helpers such as a bare
+    np.unique, np.setdiff1d, or np.isin once its second operand is sparse
+    in its range."""
+    result = subprocess.run([sys.executable, "-c", NO_MA, "invariants", *argv],
+                            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[-1] == "[]"

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from kuls import GF  # noqa: E402
 from kuls.gf import is_prime  # noqa: E402
 from kuls.linalg import intersect, kernel, row_space, rref  # noqa: E402
-from oracles import naive_matmul, naive_rref  # noqa: E402
+from oracles import (enumerated_kernel, naive_matmul, naive_rref, span_members,  # noqa: E402
+                     two_elimination_kernel)
 
 PRIMES = [p for p in range(2, 257) if is_prime(p)]
 
@@ -137,3 +138,32 @@ def test_rref_extending_a_prefix_matches_rref_from_scratch(case, holes):
     got, got_pivots = rref(gf, m, tuple(pivots))
     assert got_pivots == want_pivots and np.array_equal(got, want)
     assert np.array_equal(got, rref(gf, m)[0]) and np.array_equal(m, kept)
+
+
+@st.composite
+def small_systems(draw):
+    """A field of order at most 9, n <= 6 and an (r, n) matrix, r <= 8, with
+    a drawn density and, sometimes, repeated rows."""
+    gf = _field(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)])))
+    n, r = draw(st.integers(1, 6)), draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.15, 0.5, 1.0]))
+    m = rng.integers(1, gf.q, size=(r, n)) * (rng.random((r, n)) < density)
+    if r > 1 and draw(st.booleans()):
+        m[rng.integers(0, r, r // 2)] = m[rng.integers(0, r, r // 2)]
+    return gf, n, m
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(small_systems())
+def test_kernel_members_are_the_enumerated_solutions(case):
+    """kernel's span is {x : m @ x = 0}, found without linalg; its basis is
+    canonical and equals the two-elimination kernel's."""
+    gf, n, m = case
+    k = kernel(gf, m, n)
+    assert np.array_equal(span_members(k), enumerated_kernel(gf, m, n))
+    assert all(a < b for a, b in zip(k.pivots, k.pivots[1:]))
+    assert np.array_equal(k.basis[:, list(k.pivots)], np.eye(k.dim, dtype=np.int64))
+    assert all(not k.basis[i, :c].any() for i, c in enumerate(k.pivots))
+    ref = two_elimination_kernel(gf, m, n)
+    assert k == ref and k.pivots == ref.pivots

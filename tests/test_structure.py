@@ -1,15 +1,20 @@
 """Radical, socle, center, and commutator spans on frozen family instances."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import CATALOGUE, make_table
 from kuls import center, commutator_space, parse_presentation, radical, socle
-from kuls import build_table, complete, linalg, structure
+from kuls import GF, FamilySpec, build_table, complete, family, linalg, structure
 from kuls.errors import DimensionMismatch, NotNilpotent
 from kuls.linalg import contains, contains_subspace, intersect
-from kuls.structure import multiply, power, socle_center
+from kuls.structure import closed_socle_center, lift, multiply, power
+from test_closed_split import FIELDS, HAND
+from test_form import OFF_WORDS
+from test_reynolds import TWISTED
 from oracles import (all_pairs_center, all_pairs_commutator_space, all_pairs_socles, dense_table,
                      left_mult_matrix, right_mult_matrix, subspace_sum, table_from_dense)
 
@@ -204,7 +209,7 @@ def test_commutator_space_from_generators_matches_all_pairs(name, params, gf):
     assert commutator_space(at) == all_pairs_commutator_space(at)
 
 
-@pytest.mark.parametrize("gf", [(2, 1), (3, 1), (2, 2), (3, 2)], ids=lambda f: f"GF{f[0]}^{f[1]}")
+@pytest.mark.parametrize("gf", FIELDS, ids=lambda f: f"GF{f[0]}^{f[1]}")
 @pytest.mark.parametrize("name,params", CATALOGUE, ids=[c[0] for c in CATALOGUE])
 def test_center_and_socles_from_generators_match_all_pairs(name, params, gf):
     at = make_table(name, gf=gf, **params)
@@ -235,12 +240,12 @@ def test_stacked_products_match_row_by_row():
 def test_structure_spaces_are_computed_once_and_read_only():
     at = make_table("Omega", n=2)
     spaces = [center(at), commutator_space(at), socle(at).right, socle(at).left,
-              socle_center(at)]
+              closed_socle_center(at)]
     assert center(at) is spaces[0]
     assert commutator_space(at) is spaces[1]
     assert socle(at) is socle(at)
-    assert socle_center(at) is spaces[4]
-    assert spaces[4] == intersect(socle(at).right, center(at))
+    assert closed_socle_center(at) is spaces[4]
+    assert lift(at, spaces[4]) == intersect(socle(at).right, center(at))
     for space in spaces:
         assert not space.basis.flags.writeable
         with pytest.raises(ValueError):
@@ -263,7 +268,7 @@ def test_table_over_a_corrupted_copy_gets_fresh_spaces():
     assert socle(at) is soc
     assert center(bad) is not center(at)
     assert commutator_space(bad) is not commutator_space(at)
-    assert socle_center(bad) is not socle_center(at)
+    assert closed_socle_center(bad) is not closed_socle_center(at)
 
 
 def test_commutator_space_reduces_only_the_nonzero_generator_rows(monkeypatch):
@@ -287,3 +292,49 @@ def test_commutator_space_reduces_only_the_nonzero_generator_rows(monkeypatch):
     k = structure.commutator_space.__wrapped__(at)  # past the per-table cache
     assert 0 < sum(seen) <= nonzero
     assert k == all_pairs_commutator_space(at)
+
+
+NO_ARROWS = "algebra k over GF(2) { vertices v; arrows { } relations { } }"
+ONE_ARROW = "algebra a2 over GF(3) { vertices v, w; arrows { a: v -> w; } relations { } }"
+
+
+@pytest.mark.parametrize("source", [OFF_WORDS, HAND, *TWISTED, NO_ARROWS, ONE_ARROW],
+                         ids=["off_words", "hand", "twisted_s", "twisted_m", "no_arrows",
+                              "one_arrow"])
+def test_peeled_socles_match_all_pairs(source, monkeypatch):
+    """Peeling gives the all-pairs socles off the catalogue too: on OFF_WORDS
+    (socle a - b and a*a, not spanned by words) rows are left after peeling
+    and go to kernel; with no arrows the socle is A; over a single arrow
+    v -> w the two socles differ."""
+    at = build_table(complete(parse_presentation(source)))
+    residual = []
+    real_kernel = structure.kernel
+
+    def spy(gf, m, n=None):
+        residual.append(len(m))
+        return real_kernel(gf, m, n)
+
+    monkeypatch.setattr(structure, "kernel", spy)
+    s = socle(at)
+    assert (s.right, s.left) == all_pairs_socles(at)
+    if source == OFF_WORDS:
+        assert max(residual) > 0
+        assert np.count_nonzero(s.right.basis, axis=1).tolist() == [2, 1]
+    if source == NO_ARROWS:
+        assert s.right.dim == s.left.dim == at.dim == 1
+    if source == ONE_ARROW:
+        assert s.right != s.left
+
+
+def test_socle_allocates_nothing_of_d_squared_size():
+    """At Omega(40) (d = 1720) both socles come from peeling the arrow
+    entries, and the traced peak stays below one d x d int64 array."""
+    at = build_table(complete(family(FamilySpec("Omega", {"n": 40}, GF(2))), degree_bound=100))
+    tracemalloc.start()
+    try:
+        s = socle(at)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert at.dim == 1720 and s.two_sided_equal
+    assert peak < at.dim * at.dim * 8  # 23.7 MB

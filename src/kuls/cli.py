@@ -184,13 +184,11 @@ def cmd_invariants(args) -> int:
         source_text, source = _family(args.family, args.params, gf)
         pres = parse_presentation(source_text)
     elif args.file is not None:
-        pres = _load(args.file, gf)
-        source_text = emit(pres)
-        source = args.file
+        pres, source_text, source = _load(args.file, gf), None, args.file
     else:
         raise BadParameters("give a FILE or --family NAME")
     if args.emit_dsl:
-        sys.stdout.write(source_text)
+        sys.stdout.write(source_text or emit(pres))
         return 0
     doc = _analyze(pres, source, args, args.psi)
     print(_dump(doc.json_payload()) if args.json else doc.text())

@@ -16,7 +16,8 @@ from .linalg import Subspace, kernel, rref
 from .presentation import PathWord, word_str
 from .rewriting import AlgebraTable
 from .sparse import contract
-from .structure import closed_part, closed_words, commutator_space, multiply, socle
+from .structure import (closed_part, closed_positions, closed_words, commutator_space, multiply,
+                        socle)
 
 __all__ = ["SymmetrizingForm", "canonical_form", "consistent_form", "custom_form", "orthogonal"]
 
@@ -142,14 +143,14 @@ def consistent_form(at: AlgebraTable) -> SymmetrizingForm:
     the system is infeasible if a socle word is open.  Else its RREF is the
     unit rows of the open words beside that of [pi(K(A)); socle rows | 1].
     """
-    closed, soc_idx = closed_words(at), _socle_word_indices(at)
+    closed, soc = closed_words(at), closed_positions(at)[_socle_word_indices(at)]
     c, k = len(closed), closed_part(at, commutator_space(at))
-    system = np.zeros((k.dim + len(soc_idx), c + 1), dtype=np.int64)  # [pi(K(A)) | 0; socle | 1]
+    system = np.zeros((k.dim + len(soc), c + 1), dtype=np.int64)  # [pi(K(A)) | 0; socle | 1]
     system[:k.dim, :c] = k.basis
-    system[np.arange(k.dim, len(system)), np.searchsorted(closed, soc_idx)] = 1
+    system[np.arange(k.dim, len(system)), soc] = 1  # an open socle word (-1) hits column c
     system[k.dim:, c] = 1
     r, pivots = rref(at.gf, system)
-    if c in pivots or not set(soc_idx) <= set(closed.tolist()):
+    if c in pivots or np.any(soc < 0):
         raise NotSymmetric("no symmetrizing form assigns a common value 1 to every socle "
                            "word while vanishing on the commutator subspace")
     psi = np.zeros(at.dim, dtype=np.int64)

@@ -21,7 +21,6 @@ __all__ = [
     "kernel",
     "row_space",
     "zero_subspace",
-    "intersect",
     "contains",
     "contains_subspace",
     "reduce_mod",
@@ -129,9 +128,9 @@ def zero_subspace(gf: GF, n: int) -> Subspace:
 
 
 def kernel(gf: GF, m, n: int | None = None) -> Subspace:
-    """Right null space {x : m @ x = 0} of an (r, n) matrix, or of the rows of
-    an iterator of (r_i, n) blocks (n given), from one RREF: that of the row
-    space of m with its columns reversed, column k read as column n - 1 - k.
+    """Right null space {x : m @ x = 0} of an (r, n) matrix, from one RREF:
+    that of the row space of m with its columns reversed, column k read as
+    column n - 1 - k.
 
     In those reversed coordinates, with RREF rows r_i of pivot c_i, the
     kernel has one vector per free column f: 1 at f, -r_i[f] at each c_i,
@@ -142,11 +141,7 @@ def kernel(gf: GF, m, n: int | None = None) -> Subspace:
     vector.  So these vectors, sorted by leading column (f descending), are
     the RREF of the kernel, unique for a subspace: no second elimination.
     """
-    if isinstance(m, Iterator):
-        flipped = (np.atleast_2d(np.asarray(block, dtype=np.int64))[:, ::-1] for block in m)
-    else:
-        flipped = np.atleast_2d(np.asarray(m, dtype=np.int64))[:, ::-1]
-    rs = row_space(gf, flipped, n)
+    rs = row_space(gf, np.atleast_2d(np.asarray(m, dtype=np.int64))[:, ::-1], n)
     n = rs.ambient_dim
     free = sorted(set(range(n)) - set(rs.pivots))
     basis = np.zeros((len(free), n), dtype=np.int64)
@@ -158,21 +153,6 @@ def kernel(gf: GF, m, n: int | None = None) -> Subspace:
 def _check_compatible(a: Subspace, b: Subspace):
     if a.gf != b.gf or a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("subspaces live in different ambient spaces")
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Zassenhaus: row reduce [[A A], [B 0]]; rows of the form (0 | c) span the intersection."""
-    _check_compatible(a, b)
-    gf, n = a.gf, a.ambient_dim
-    if a.dim == 0 or b.dim == 0:
-        return zero_subspace(gf, n)
-    top = np.hstack([a.basis, a.basis])
-    bot = np.hstack([b.basis, np.zeros_like(b.basis)])
-    r, pivots = rref(gf, np.vstack([top, bot]))
-    rows = [r[i, n:] for i, c in enumerate(pivots) if c >= n]
-    if not rows:
-        return zero_subspace(gf, n)
-    return row_space(gf, np.array(rows), n)
 
 
 def reduce_mod(s: Subspace, v: np.ndarray) -> np.ndarray:

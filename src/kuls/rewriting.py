@@ -103,6 +103,11 @@ def _rule_poly(gf, rule: Rule) -> Poly:
     return poly
 
 
+def _rule_map(rules) -> dict[PathWord, tuple]:
+    """{lead: tail} in okey order of the leads, as _reduce reads it."""
+    return {r.lead: r.tail for r in sorted(rules, key=lambda r: okey(r.lead))}
+
+
 def _overlaps(u: tuple[int, ...], v: tuple[int, ...]):
     """Yield (a, b): u = a+s, v = s+b with s a nonempty proper shared piece."""
     for k in range(1, min(len(u), len(v))):
@@ -162,13 +167,11 @@ def complete(pres: Presentation, degree_bound: int = 50) -> RewriteSystem:
             f"degree bound {degree_bound} is below the longest relation term ({max_rel})")
 
     rules: dict[int, Rule] = {}
+    active: dict[PathWord, tuple] = {}  # _rule_map(rules.values()), rebuilt as rules change
     next_id = 0
     pending: list[Poly] = [{w: c for c, w in rel.terms} for rel in pres.relations if rel.terms]
     pairs: list = []  # (ambiguity degree, tiebreak, id_u, id_v, a, b)
     tiebreak = 0
-
-    def active_map() -> dict[PathWord, tuple]:  # in okey order of the leads, for _reduce
-        return {r.lead: r.tail for r in sorted(rules.values(), key=lambda r: okey(r.lead))}
 
     def enqueue(i: int, j: int):
         nonlocal tiebreak
@@ -184,7 +187,7 @@ def complete(pres: Presentation, degree_bound: int = 50) -> RewriteSystem:
     while pending or pairs:
         if pending:
             pending.sort(key=lambda p: okey(max(p, key=okey)), reverse=True)
-            poly = _reduce(gf, pending.pop(), active_map())
+            poly = _reduce(gf, pending.pop(), active)
             if not poly:
                 continue
             rule = _make_rule(gf, poly)
@@ -197,6 +200,7 @@ def complete(pres: Presentation, degree_bound: int = 50) -> RewriteSystem:
             rid = next_id
             next_id += 1
             rules[rid] = rule
+            active = _rule_map(rules.values())
             for sid in list(rules):
                 enqueue(rid, sid)
                 if sid != rid:
@@ -205,15 +209,14 @@ def complete(pres: Presentation, degree_bound: int = 50) -> RewriteSystem:
         _, _, i, j, a, b = heapq.heappop(pairs)
         if i not in rules or j not in rules:
             continue
-        sp = _reduce(gf, _s_poly(gf, quiver, rules[i], rules[j], a, b), active_map())
+        sp = _reduce(gf, _s_poly(gf, quiver, rules[i], rules[j], a, b), active)
         if sp:
             pending.append(sp)
 
     # normalize tails against the final system
-    final = active_map()
     out = []
     for rule in rules.values():
-        tail_poly = _reduce(gf, {w: c for c, w in rule.tail}, final)
+        tail_poly = _reduce(gf, {w: c for c, w in rule.tail}, active)
         out.append(Rule(rule.lead, tuple((c, w) for w, c in
                                          sorted(tail_poly.items(), key=lambda i: okey(i[0])))))
     out.sort(key=lambda r: okey(r.lead))
@@ -320,7 +323,7 @@ class AlgebraTable:
     table: Sparse
     trivial_indices: tuple[int, ...]
     unit: np.ndarray
-    # per table: closed words, the cut table C, Z and K (lifts from C), soc, T_n cap C, b_i**p in C
+    # per table: closed words and positions, arrow actions, C, Z, K, socles, soc cap Z, T_n, b_i**p
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -339,7 +342,7 @@ class AlgebraTable:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
+    @functools.cached_property
     def arrow_indices(self) -> list[int]:
         """Basis indices of the arrows, in basis order."""
         return [self.index[w] for w in self.basis if len(w.arrows) == 1]

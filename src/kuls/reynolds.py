@@ -17,7 +17,7 @@ from .form import SymmetrizingForm, orthogonal
 from .gf import GF
 from .linalg import Subspace, contains_subspace, kernel, reduce_mod, row_space
 from .rewriting import AlgebraTable
-from .structure import (center, closed_algebra, closed_center, closed_part, closed_socle_center,
+from .structure import (closed_algebra, closed_center, closed_part, closed_socle_center,
                         closed_words, commutator_space, lift, multiply, power, socle)
 
 __all__ = ["ReynoldsRow", "ReynoldsReport", "Verdict", "kuelshammer_space", "reynolds_ideal",
@@ -121,7 +121,7 @@ def _verified_perp(at: AlgebraTable, f: SymmetrizingForm, t: Subspace) -> Subspa
     if not contains_subspace(z, perp):
         raise InvariantViolation("T_n^perp is not contained in the center")
     if not contains_subspace(perp, soc_z):
-        raise InvariantViolation("T_n^perp does not contain soc(A) intersect Z(A)")
+        raise InvariantViolation("T_n^perp does not contain soc(A) cap Z(A)")
     prods = multiply(cut, np.repeat(perp.basis, z.dim, axis=0), np.tile(z.basis, (perp.dim, 1)))
     if np.any(reduce_mod(perp, prods)):  # v * w for v in perp, w in Z
         raise InvariantViolation("T_n^perp is not an ideal of the center")
@@ -138,13 +138,13 @@ def reynolds_sequence(at: AlgebraTable, f: SymmetrizingForm, max_n: int = 8) -> 
 
     Stops after the first n with T_n = T_(n+1); stabilization is permanent
     because x in T_(n+2) iff x**p in T_(n+1).  The terminal complement is
-    checked to equal soc(A) intersect Z(A).  All checks run on the closed
+    checked to equal soc(A) cap Z(A).  All checks run on the closed
     coordinates, which is exact: lifting to A is injective and keeps
     inclusions.  dim T_n = (d - c) + dim(T_n cap C).
     """
     if max_n < 1:
         raise BadParameters("max_n must be at least 1")
-    z, k, s = center(at), commutator_space(at), socle(at)
+    z, k, s = closed_center(at), commutator_space(at), socle(at)
     if not s.two_sided_equal:
         raise InvariantViolation("socle is one-sided although a form was validated")
     opened = at.dim - len(closed_words(at))
@@ -154,7 +154,7 @@ def reynolds_sequence(at: AlgebraTable, f: SymmetrizingForm, max_n: int = 8) -> 
     if t != closed_part(at, k):
         raise InvariantViolation("T_0 differs from the commutator subspace")
     perp = _verified_perp(at, f, t)
-    if perp != closed_center(at):
+    if perp != z:
         raise InvariantViolation("K(A)^perp is not the center")
     rows, stabilized_at = [ReynoldsRow(0, opened + t.dim, perp.dim)], None
     for n in range(1, max_n + 1):

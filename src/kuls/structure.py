@@ -6,8 +6,9 @@ word is closed when its source is its target; C and O span the closed and
 the open words.  Each word b lies in one Peirce block, b = e_u b e_v, so
 pi(x) = sum over vertices v of e_v x e_v is the coordinate projection onto
 C, and C is a subalgebra: e_u A e_u times e_v A e_v is 0 for u != v, and
-lies in e_u A e_u for u = v.  Z(A) and K(A) are computed on C and lifted;
-closed_algebra cuts the table to C once, for the products that stay in C.
+lies in e_u A e_u for u = v.  The socles, Z(A) and K(A) on C (then lifted)
+and soc(A) cap Z(A) are solved from the arrow actions, read once per table,
+by one peeling routine; closed_algebra cuts the table to C once.
 """
 from __future__ import annotations
 
@@ -17,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, NotNilpotent
-from .linalg import Subspace, contains, intersect, kernel, row_space
+from .linalg import Subspace, contains, kernel, row_space
 from .rewriting import AlgebraTable
 from .sparse import Sparse, contract, from_entries
 
 __all__ = ["multiply", "power", "radical", "Socle", "socle", "center", "closed_center",
            "closed_socle_center", "commutator_space", "closed_words", "closed_algebra",
-           "closed_part", "lift"]
+           "closed_positions", "closed_part", "lift"]
 
 
 def _as_vec(at: AlgebraTable, x) -> np.ndarray:
@@ -105,16 +106,17 @@ def _cached(fn):
     return cached
 
 
-def _candidate_rows(gf, width: int, keys, cols, vals) -> np.ndarray:
-    """Densely, in key order, the rows summing vals[e] at (keys[e], cols[e]) that get a term."""
-    rows, pos = np.unique(keys, return_inverse=True)
-    return gf.segment_sum(vals, pos * width + cols, rows.size * width).reshape(rows.size, width)
+@_cached
+def closed_positions(at: AlgebraTable) -> np.ndarray:
+    """The closed coordinate of each basis word, in basis order, or -1 for an open word."""
+    closed = np.array([w.source == at.quiver.path_target(w) for w in at.basis], dtype=bool)
+    return np.where(closed, np.cumsum(closed) - 1, -1)
 
 
 @_cached
 def closed_words(at: AlgebraTable) -> np.ndarray:
     """Indices of the closed basis words, in basis order."""
-    return np.flatnonzero([w.source == at.quiver.path_target(w) for w in at.basis])
+    return np.flatnonzero(closed_positions(at) >= 0)
 
 
 @_cached
@@ -122,10 +124,8 @@ def closed_algebra(at: AlgebraTable) -> AlgebraTable:
     """C as a table on the closed coordinates 0 .. c - 1: the entries (i, j, m, c)
     with b_i and b_j closed, renumbered in basis order, which keeps them
     row-major.  As C is a subalgebra, each such b_m is closed; checked here."""
-    closed, (i, j, m, c) = closed_words(at), at.entries()
-    n, pos = len(closed), np.full(at.dim, -1, dtype=np.int64)
-    pos[closed] = np.arange(n)
-    keep = (pos[i] >= 0) & (pos[j] >= 0)
+    closed, pos, (i, j, m, c) = closed_words(at), closed_positions(at), at.entries()
+    n, keep = len(closed), (pos[i] >= 0) & (pos[j] >= 0)
     if np.any(pos[m[keep]] < 0):
         raise InvariantViolation("a product of two closed words is not closed")
     basis = tuple(at.basis[k] for k in closed)
@@ -137,37 +137,41 @@ def closed_algebra(at: AlgebraTable) -> AlgebraTable:
 def closed_part(at: AlgebraTable, s: Subspace) -> Subspace:
     """s cap C on the closed coordinates, for s = (s cap O) + (s cap C): its
     RREF is theirs merged by pivot, so the rows with a closed pivot, on C."""
-    closed, pos = closed_words(at), np.full(at.dim, -1, dtype=np.int64)
-    pos[closed] = np.arange(len(closed))
-    pivots = pos[list(s.pivots)]
+    closed, pivots = closed_words(at), closed_positions(at)[list(s.pivots)]
     keep = pivots >= 0
     return Subspace(at.gf, len(closed), s.basis[keep][:, closed], tuple(pivots[keep].tolist()))
 
 
-def lift(at: AlgebraTable, s: Subspace, with_open: bool = False) -> Subspace:
-    """s, given on the closed coordinates, in A, plus O if with_open: the rows
-    of s and the unit vectors of the open words merged by pivot are an RREF."""
-    closed = closed_words(at)
-    opened = np.flatnonzero(~np.isin(np.arange(at.dim), closed)) if with_open else closed[:0]
-    pivots = np.concatenate([closed[list(s.pivots)], opened])
-    basis = np.zeros((len(pivots), at.dim), dtype=np.int64)
-    basis[:s.dim, closed] = s.basis
-    basis[np.arange(s.dim, len(pivots)), opened] = 1
+def _merge(gf, n: int, units: np.ndarray, cols: np.ndarray, part: Subspace) -> Subspace:
+    """The unit vectors at the columns units and the rows of part, a subspace
+    on the columns cols, in GF**n.  When units and cols are disjoint the two
+    sets of rows have disjoint supports, so merged by pivot they are an RREF."""
+    pivots = np.concatenate([units, cols[list(part.pivots)]])
+    basis = np.zeros((pivots.size, n), dtype=np.int64)
+    basis[np.arange(units.size), units] = 1
+    basis[units.size:, cols] = part.basis
     order = np.argsort(pivots)
-    return Subspace(at.gf, at.dim, basis[order], tuple(pivots[order].tolist()))
+    return Subspace(gf, n, basis[order], tuple(pivots[order].tolist()))
 
 
-def _closed_commutators(at: AlgebraTable, by_output: bool) -> np.ndarray:
-    """The rows of [b_i, s] = b_i*s - s*b_i, s an arrow, on closed coordinates:
-    row (s, m) holds the b_m coefficients over the closed b_i (by_output),
-    else row (s, i) the closed coordinates.  A table entry (i, j, m, c) adds
-    c to [b_i, b_j] if b_j is an arrow, and -c to [b_j, b_i] if b_i is one."""
-    gf, closed, (i, j, m, c) = at.gf, closed_words(at), at.entries()
-    s, b, out = np.concatenate([j, i]), np.concatenate([i, j]), np.concatenate([m, m])
-    row, col = (out, b) if by_output else (b, out)
-    keep = np.isin(s, at.arrow_indices) & np.isin(col, closed)
-    return _candidate_rows(gf, len(closed), (s * at.dim + row)[keep],
-                           np.searchsorted(closed, col[keep]), np.concatenate([c, gf.neg(c)])[keep])
+def lift(at: AlgebraTable, s: Subspace, with_open: bool = False) -> Subspace:
+    """s, given on the closed coordinates, in A, plus O if with_open: the
+    unit vectors of the open words merged with the rows of s."""
+    opened = np.flatnonzero(closed_positions(at) < 0) if with_open else closed_words(at)[:0]
+    return _merge(at.gf, at.dim, opened, closed_words(at), s)
+
+
+@_cached
+def _actions(at: AlgebraTable) -> tuple[np.ndarray, ...]:
+    """The entries (a, x, m, c) of the 2n arrow actions, n arrows: c is the b_m
+    coefficient of b_x*b_a, b_a the a-th arrow, for a < n (table entries with
+    b_j an arrow, x = i), and of b_(a-n)*b_x for a >= n (b_i an arrow, x = j)."""
+    (i, j, m, c), n = at.entries(), len(at.arrow_indices)
+    arrow = np.full(at.dim, -1, dtype=np.int64)  # position among the arrows, -1 off them
+    arrow[at.arrow_indices] = np.arange(n)
+    r, s = arrow[j] >= 0, arrow[i] >= 0
+    return tuple(np.concatenate(pair) for pair in
+                 ((arrow[j[r]], n + arrow[i[s]]), (i[r], j[s]), (m[r], m[s]), (c[r], c[s])))
 
 
 @dataclass(frozen=True)
@@ -180,21 +184,21 @@ class Socle:
         return self.right == self.left
 
 
-def _peeled_kernel(gf, shape: tuple[int, int], rows, cols, vals) -> Subspace:
-    """{x : the sum of vals[e] x[cols[e]] over the entries e of row r is 0, for
-    every r}, in GF**shape[1], by peeling singleton rows (structured Gaussian
-    elimination, LaMacchia and Odlyzko, CRYPTO '90).
+def _peel(gf, shape: tuple[int, int], rows, cols, vals):
+    """Peel the singleton rows of the matrix M that sums vals[e] at (rows[e],
+    cols[e]) (structured Gaussian elimination, LaMacchia and Odlyzko, CRYPTO
+    '90): the dead columns, the live columns no row touches, the touched
+    columns cut, and the rows left, dense on cut.
 
-    from_entries sums the entries by cell and drops the cells that cancel, so
-    every entry left is nonzero.  Invariant: the solutions are the x that are
-    0 on the dead columns and solve the rows cut to the live ones.  A row
-    with one live entry v x_k (v != 0) forces x_k = 0, so k dies and the
-    invariant holds; a row with no live entry is 0 = 0 and drops out.  When
-    no singleton is left, each live column that no remaining row touches is
-    free, and the touched ones solve the remaining rows, cut to them, whose
-    kernel has its own RREF.  The unit vectors of the free columns and that
-    RREF have disjoint supports, so merged by pivot they are the RREF of the
-    solution set.
+    from_entries sums the entries by cell and drops those that cancel, so
+    every entry left is nonzero.  A row with one live entry v at column k
+    kills k: the entries at k are dropped, and a row left empty drops out.
+    In the kernel, v x_k = 0 forces x_k = 0; the row space holds e_k, and
+    subtracting multiples of it clears column k from the other rows.  So
+    ker M is the unit vectors of the untouched live columns beside the
+    kernel of the rows left, and the row space of M is the unit vectors of
+    the dead columns beside the row space of the rows left.  Both sets of
+    columns are disjoint from cut, so _merge gives the RREF.
     """
     s = from_entries(gf, shape, rows, cols, vals)
     rows, cols, vals = s.rows, s.indices, s.data
@@ -207,45 +211,58 @@ def _peeled_kernel(gf, shape: tuple[int, int], rows, cols, vals) -> Subspace:
         live[cols[single]] = False
         keep = live[cols]
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    touched = np.zeros(shape[1], dtype=bool)
-    touched[cols] = True
-    free, cut = np.flatnonzero(live & ~touched), np.flatnonzero(touched)
+    touched = np.bincount(cols, minlength=shape[1]) > 0
+    cut = np.flatnonzero(touched)
     ids = np.cumsum(np.diff(rows, prepend=-1) != 0) - 1
     residual = np.zeros((ids[-1] + 1 if ids.size else 0, cut.size), dtype=np.int64)
     residual[ids, np.searchsorted(cut, cols)] = vals
-    rest = kernel(gf, residual, cut.size)
-    pivots = np.concatenate([free, cut[list(rest.pivots)]])
-    basis = np.zeros((pivots.size, shape[1]), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[free.size:, cut] = rest.basis
-    order = np.argsort(pivots)
-    return Subspace(gf, shape[1], basis[order], tuple(pivots[order].tolist()))
+    return np.flatnonzero(~live), np.flatnonzero(live & ~touched), cut, residual
+
+
+def _peeled_kernel(gf, shape: tuple[int, int], rows, cols, vals) -> Subspace:
+    """{x : M x = 0} in GF**shape[1], for M the system of the entries (see _peel)."""
+    _, free, cut, residual = _peel(gf, shape, rows, cols, vals)
+    return _merge(gf, shape[1], free, cut, kernel(gf, residual, cut.size))
+
+
+def _peeled_row_space(gf, shape: tuple[int, int], rows, cols, vals) -> Subspace:
+    """The row space of M in GF**shape[1], for M the system of the entries (see _peel)."""
+    dead, _, cut, residual = _peel(gf, shape, rows, cols, vals)
+    return _merge(gf, shape[1], dead, cut, row_space(gf, residual, cut.size))
+
+
+def _closed_system(at: AlgebraTable, solve, by_output: bool, commute: bool = True) -> Subspace:
+    """A peeled kernel or row space (solve) of the action rows on the closed
+    coordinates: rows (a, x) over the closed outputs m if by_output, else
+    rows (a, m) over the closed x.  With commute, the rows of [b_x, b_a] =
+    b_x*b_a - b_a*b_x: both actions of arrow a, the left one negated."""
+    (a, x, m, c), n = _actions(at), len(at.arrow_indices)
+    if commute:
+        a, c = a % n, np.where(a < n, c, at.gf.neg(c))
+    row, col = (x, m) if by_output else (m, x)
+    pos = closed_positions(at)[col]
+    e = pos >= 0
+    shape = (2 * n * at.dim, len(closed_words(at)))
+    return solve(at.gf, shape, a[e] * at.dim + row[e], pos[e], c[e])
 
 
 @_cached
 def socle(at: AlgebraTable) -> Socle:
     """Right and left socles: annihilators of the arrows on each side, the
-    solutions of x*b_a = 0 and b_a*x = 0 for every arrow a.  Their rows
-    (a, m) hold the b_m coefficients of b_i*b_a and b_a*b_i over the column
-    i, from the table entries with b_a as right and as left factor."""
-    d, arrows, (i, j, m, c) = at.dim, at.arrow_indices, at.entries()
-    arrow = np.full(d, -1, dtype=np.int64)  # position among the arrows, -1 off them
-    arrow[arrows] = np.arange(len(arrows))
-    shape = (len(arrows) * d, d)
-    sides = []
-    for f, o in ((j, i), (i, j)):
-        e = arrow[f] >= 0
-        sides.append(_peeled_kernel(at.gf, shape, arrow[f[e]] * d + m[e], o[e], c[e]))
-    return Socle(*sides)
+    solutions of x*b_a = 0 and b_a*x = 0 for every arrow a, whose rows (a, m)
+    hold the b_m coefficients of the arrow actions (see _actions)."""
+    (a, x, m, c), d, n = _actions(at), at.dim, len(at.arrow_indices)
+    return Socle(*(_peeled_kernel(at.gf, (n * d, d), a[e] % n * d + m[e], x[e], c[e])
+                   for e in (a < n, a >= n)))
 
 
 @_cached
 def closed_center(at: AlgebraTable) -> Subspace:
     """Z(A) on the closed coordinates: e_u z e_v = e_u e_v z = 0 for u != v
     and z central.  Each x in C commutes with every e_v (x e_v = e_v x e_v =
-    e_v x), so it is central iff [x, s] = 0 for every arrow s: the kernel of
-    the rows (s, m)."""
-    z = kernel(at.gf, _closed_commutators(at, by_output=True), len(closed_words(at)))
+    e_v x), so it is central iff [x, b_a] = 0 for every arrow a: the kernel
+    of the commutator rows (a, m) over the closed x."""
+    z = _closed_system(at, _peeled_kernel, by_output=False)
     if not contains(z, at.unit[closed_words(at)]):
         raise InvariantViolation("center does not contain the unit")
     return z
@@ -259,12 +276,13 @@ def center(at: AlgebraTable) -> Subspace:
 
 @_cached
 def closed_socle_center(at: AlgebraTable) -> Subspace:
-    """soc(A) cap Z(A) on the closed coordinates, from the right socle
-    {x : x*rad = 0}.  It is a two-sided ideal (y*x*rad = 0, and x*y*rad
-    lies in x*rad), so e_u s e_v lies in it for every s in it: it is the
-    sum of its parts in O and in C, and closed_part gives the latter.  Z(A)
-    lies in C, so soc(A) cap Z(A) = (soc(A) cap C) cap Z(A), taken on C."""
-    return intersect(closed_part(at, socle(at).right), closed_center(at))
+    """soc(A) cap Z(A) on the closed coordinates: the x in C with x*b_a = 0 =
+    b_a*x for every arrow a, the kernel of the rows (a, m) of all 2n actions
+    over the closed x.  Such an x commutes with every arrow, and with every
+    e_v as it lies in C (see closed_center), so it is central; and x*rad = 0,
+    rad being spanned by the paths b_a*w.  Conversely, Z(A) lies in C, and a
+    central x with x*rad = 0 has b_a*x = x*b_a = 0."""
+    return _closed_system(at, _peeled_kernel, by_output=False, commute=False)
 
 
 @_cached
@@ -277,8 +295,8 @@ def commutator_space(at: AlgebraTable) -> Subspace:
     + [s*x, c1], where the first term is a combination of rows and the
     second has a shorter path.  Paths span A.  An open word w from u to v
     is e_u*w - w*e_u, so O lies in K(A), and so does x - pi(x) for every x:
-    K(A) = O + pi(K(A)), and pi(K(A)) is spanned by the pi([b, s]).  Those
-    of a trivial s vanish, [b, e_v] being 0 or a multiple of an open b.
+    K(A) = O + pi(K(A)), and pi(K(A)) is spanned by the pi([b, s]), the
+    commutator rows (a, x) on the closed outputs m.  Those of a trivial s
+    vanish, [b, e_v] being 0 or a multiple of an open b.
     """
-    k = row_space(at.gf, _closed_commutators(at, by_output=False), len(closed_words(at)))
-    return lift(at, k, with_open=True)
+    return lift(at, _closed_system(at, _peeled_row_space, by_output=True), with_open=True)

@@ -7,8 +7,8 @@ import numpy as np
 
 from kuls.errors import ConsistencyFailure, DimensionMismatch, InvariantViolation, NotSymmetric
 from kuls.form import SymmetrizingForm, _socle_word_indices, orthogonal
-from kuls.linalg import (Subspace, contains, contains_subspace, intersect, kernel, reduce_mod,
-                         row_space, rref)
+from kuls.linalg import (Subspace, _check_compatible, contains, contains_subspace, kernel,
+                         reduce_mod, row_space, rref, zero_subspace)
 from kuls.presentation import PathWord, word_str
 from kuls.rewriting import AlgebraTable, _reduce, enumerate_basis
 from kuls.reynolds import ReynoldsReport, ReynoldsRow, reynolds_ideal
@@ -21,7 +21,7 @@ __all__ = ["path_quotient_dim", "rank_mod_p", "all_pairs_commutator_space", "all
            "table_from_dense", "left_mult_matrix", "right_mult_matrix", "solve",
            "XiMap", "xi_map", "direct_kuelshammer_space", "dense_reynolds_report",
            "dense_consistent_psi", "dense_gram", "field_pow", "frob", "field_inv", "field_div",
-           "full_space", "subspace_sum", "enumerated_kernel", "span_members",
+           "full_space", "subspace_sum", "intersect", "enumerated_kernel", "span_members",
            "two_elimination_kernel"]
 
 
@@ -142,6 +142,21 @@ def full_space(gf, n: int) -> Subspace:
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return row_space(a.gf, np.vstack([a.basis, b.basis]), a.ambient_dim)
+
+
+def intersect(a: Subspace, b: Subspace) -> Subspace:
+    """Zassenhaus: row reduce [[A A], [B 0]]; rows of the form (0 | c) span the intersection."""
+    _check_compatible(a, b)
+    gf, n = a.gf, a.ambient_dim
+    if a.dim == 0 or b.dim == 0:
+        return zero_subspace(gf, n)
+    top = np.hstack([a.basis, a.basis])
+    bot = np.hstack([b.basis, np.zeros_like(b.basis)])
+    r, pivots = rref(gf, np.vstack([top, bot]))
+    rows = [r[i, n:] for i, c in enumerate(pivots) if c >= n]
+    if not rows:
+        return zero_subspace(gf, n)
+    return row_space(gf, np.array(rows), n)
 
 
 def enumerated_kernel(gf, m, n: int) -> np.ndarray:

@@ -27,9 +27,9 @@ from kuls import (
 from kuls.errors import NotSymmetric
 from kuls.families import FamilySpec, family
 from kuls.gf import GF
-from kuls.linalg import contains, contains_subspace, intersect, row_space
+from kuls.linalg import contains, contains_subspace, row_space
 from kuls.structure import multiply, power
-from oracles import dense_gram, field_pow, path_quotient_dim, subspace_sum, xi_map
+from oracles import dense_gram, field_pow, intersect, path_quotient_dim, subspace_sum, xi_map
 
 
 @contextmanager

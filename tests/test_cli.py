@@ -523,6 +523,22 @@ def test_one_parser_serves_every_main_call(capsys):
     assert cli.build_parser() is cli.build_parser()
 
 
+def test_invariants_renders_a_file_as_dsl_only_for_emit_dsl(tmp_path, capsys, monkeypatch):
+    path, rendered, real = _write(tmp_path, "dual.kuls", DUAL), [], cli.emit
+
+    def spy(pres):
+        rendered.append(pres.name)
+        return real(pres)
+
+    monkeypatch.setattr(cli, "emit", spy)
+    assert main(["invariants", path, "--json"]) == 0
+    assert rendered == []
+    capsys.readouterr()
+    assert main(["invariants", path, "--emit-dsl"]) == 0
+    assert rendered == ["dual"]
+    assert capsys.readouterr().out == real(parse_presentation(DUAL))
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from kuls import GF  # noqa: E402
 from kuls.gf import is_prime  # noqa: E402
-from kuls.linalg import intersect, kernel, row_space, rref  # noqa: E402
-from oracles import (enumerated_kernel, naive_matmul, naive_rref, span_members,  # noqa: E402
-                     two_elimination_kernel)
+from kuls.linalg import kernel, row_space, rref  # noqa: E402
+from oracles import (enumerated_kernel, intersect, naive_matmul, naive_rref,  # noqa: E402
+                     span_members, two_elimination_kernel)
 
 PRIMES = [p for p in range(2, 257) if is_prime(p)]
 

@@ -108,6 +108,29 @@ def test_rule_map_is_built_once_per_system(monkeypatch):
     assert len(maps) > 1 and all(m is rules for m in maps)
 
 
+def test_completion_builds_its_rule_map_once_per_inserted_rule(monkeypatch):
+    """complete rebuilds the map its reductions read only when it inserts a
+    rule (after dropping the rules whose leads that rule's lead divides), not
+    once per reduction; the completed system is the same."""
+    pres = family(FamilySpec("Omega", {"n": 8}, GF(2)))
+    plain = complete(pres)
+    counts = {"_rule_map": 0, "_make_rule": 0, "_reduce": 0}
+    for name in counts:
+        def counted(*args, real=getattr(rewriting, name), name=name):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(rewriting, name, counted)
+    assert complete(pres).rules == plain.rules
+    assert counts["_rule_map"] == counts["_make_rule"] >= len(plain.rules) > 0
+    assert counts["_reduce"] > 2 * counts["_rule_map"]
+
+
+def test_arrow_indices_are_read_once_per_table():
+    at = build_table(complete(family(FamilySpec("Omega", {"n": 3}, GF(2)))))
+    assert at.arrow_indices is at.arrow_indices
+    assert at.arrow_indices == [i for i, w in enumerate(at.basis) if len(w.arrows) == 1]
+
+
 def test_infinite_dimensional_quotients_are_detected():
     free_loop = parse_presentation(
         "algebra free over GF(2) {\n  vertices v;\n  arrows { a: v -> v; }\n"

@@ -32,9 +32,9 @@ from kuls.errors import (
     CharacteristicMismatch,
     InvariantViolation,
 )
-from kuls.linalg import contains, contains_subspace, intersect, row_space
+from kuls.linalg import contains, contains_subspace, row_space
 from kuls.structure import closed_words, multiply, power
-from oracles import direct_kuelshammer_space, frob, xi_map
+from oracles import direct_kuelshammer_space, frob, intersect, xi_map
 
 
 def truncated(p, k):

@@ -10,13 +10,15 @@ from conftest import CATALOGUE, make_table
 from kuls import center, commutator_space, parse_presentation, radical, socle
 from kuls import GF, FamilySpec, build_table, complete, family, linalg, structure
 from kuls.errors import DimensionMismatch, NotNilpotent
-from kuls.linalg import contains, contains_subspace, intersect
-from kuls.structure import closed_socle_center, lift, multiply, power
+from kuls.linalg import contains, contains_subspace
+from kuls.sparse import from_entries
+from kuls.structure import closed_center, closed_socle_center, lift, multiply, power
 from test_closed_split import FIELDS, HAND
 from test_form import OFF_WORDS
 from test_reynolds import TWISTED
 from oracles import (all_pairs_center, all_pairs_commutator_space, all_pairs_socles, dense_table,
-                     left_mult_matrix, right_mult_matrix, subspace_sum, table_from_dense)
+                     intersect, left_mult_matrix, right_mult_matrix, subspace_sum,
+                     table_from_dense)
 
 
 @pytest.mark.parametrize("name,params,dims", [
@@ -209,6 +211,15 @@ def test_commutator_space_from_generators_matches_all_pairs(name, params, gf):
     assert commutator_space(at) == all_pairs_commutator_space(at)
 
 
+def _closed_spaces_match_all_pairs(at):
+    """Z, K and soc cap Z from the peeled closed systems, against the oracles
+    over all d**2 basis pairs."""
+    z = all_pairs_center(at)
+    assert lift(at, closed_center(at)) == z
+    assert commutator_space(at) == all_pairs_commutator_space(at)
+    assert lift(at, closed_socle_center(at)) == intersect(all_pairs_socles(at)[0], z)
+
+
 @pytest.mark.parametrize("gf", FIELDS, ids=lambda f: f"GF{f[0]}^{f[1]}")
 @pytest.mark.parametrize("name,params", CATALOGUE, ids=[c[0] for c in CATALOGUE])
 def test_center_and_socles_from_generators_match_all_pairs(name, params, gf):
@@ -216,6 +227,7 @@ def test_center_and_socles_from_generators_match_all_pairs(name, params, gf):
     s = socle(at)
     assert center(at) == all_pairs_center(at)
     assert (s.right, s.left) == all_pairs_socles(at)
+    _closed_spaces_match_all_pairs(at)
 
 
 def test_stacked_products_match_row_by_row():
@@ -272,25 +284,34 @@ def test_table_over_a_corrupted_copy_gets_fresh_spaces():
 
 
 def test_commutator_space_reduces_only_the_nonzero_generator_rows(monkeypatch):
-    """pi(K(A)) comes from the rows [b_i, s], s one of the 9 arrows, that have
-    an entry on one of the 18 closed words: 13 rows of width 18 (against
-    17 * 88 dense rows of width 88 over all generators), and row_space drops
-    the zero rows among them before reducing the rest."""
+    """pi(K(A)) comes from the commutator rows (a, x), a one of the 9 arrows,
+    on the 18 closed outputs: 10 of them are nonzero (against 17 * 88 dense
+    rows of width 88 over all generators), the peel leaves 8 of those on 8
+    columns, and only they reach row_space."""
     at = make_table("Omega", n=8)
-    rows = structure._closed_commutators(at, by_output=False)
-    nonzero = int(rows.any(axis=1).sum())
-    assert (nonzero, rows.shape) == (10, (13, 18))
     assert len(structure.closed_words(at)) == 18 and len(at.arrow_indices) == 9
-    seen = []
-    real_reduce_mod = linalg.reduce_mod
+    a, x, m, c = structure._actions(at)  # [b_x, b_a]: right action minus left action
+    pos, c = structure.closed_positions(at)[m], np.where(a < 9, c, at.gf.neg(c))
+    e = pos >= 0
+    system = from_entries(at.gf, (9 * at.dim, 18), a[e] % 9 * at.dim + x[e], pos[e], c[e])
+    nonzero = len(set(system.rows.tolist()))
+    assert nonzero == 10
+    residual, seen = [], []
+    real_row_space, real_reduce_mod = structure.row_space, linalg.reduce_mod
 
-    def spy(s, v):
+    def row_space_spy(gf, rows, n=None):
+        residual.append(rows.shape)
+        return real_row_space(gf, rows, n)
+
+    def reduce_mod_spy(s, v):
         seen.append(len(v))
         return real_reduce_mod(s, v)
 
-    monkeypatch.setattr(linalg, "reduce_mod", spy)
+    monkeypatch.setattr(structure, "row_space", row_space_spy)
+    monkeypatch.setattr(linalg, "reduce_mod", reduce_mod_spy)
     k = structure.commutator_space.__wrapped__(at)  # past the per-table cache
-    assert 0 < sum(seen) <= nonzero
+    assert residual == [(8, 8)]
+    assert 0 < sum(seen) <= residual[0][0] <= nonzero
     assert k == all_pairs_commutator_space(at)
 
 
@@ -305,7 +326,7 @@ def test_peeled_socles_match_all_pairs(source, monkeypatch):
     """Peeling gives the all-pairs socles off the catalogue too: on OFF_WORDS
     (socle a - b and a*a, not spanned by words) rows are left after peeling
     and go to kernel; with no arrows the socle is A; over a single arrow
-    v -> w the two socles differ."""
+    v -> w the two socles differ.  Z, K and soc cap Z match as well."""
     at = build_table(complete(parse_presentation(source)))
     residual = []
     real_kernel = structure.kernel
@@ -324,6 +345,30 @@ def test_peeled_socles_match_all_pairs(source, monkeypatch):
         assert s.right.dim == s.left.dim == at.dim == 1
     if source == ONE_ARROW:
         assert s.right != s.left
+    _closed_spaces_match_all_pairs(at)
+
+
+@pytest.mark.parametrize("space,at,rows", [
+    ("closed_center", lambda: make_table("Omega", n=3), 3),
+    ("commutator_space", lambda: make_table("Omega", n=3), 3),
+    ("closed_center", lambda: make_table("Tstar", r=3), 9),
+    ("commutator_space", lambda: make_table("Tstar", r=3), 9),
+    ("closed_socle_center", lambda: build_table(complete(parse_presentation(OFF_WORDS))), 4),
+], ids=["Z-Omega3", "K-Omega3", "Z-Tstar3", "K-Tstar3", "socZ-off_words"])
+def test_closed_spaces_solve_the_rows_left_after_peeling(space, at, rows, monkeypatch):
+    """Peeling does not solve Z, K or soc cap Z alone: rows are left for the
+    residual kernel or row space on these algebras, and the result still
+    matches the all-pairs oracles."""
+    at, residual = at(), []
+    for name in ("kernel", "row_space"):
+        def spy(gf, m, n=None, real=getattr(structure, name)):
+            residual.append(len(m))
+            return real(gf, m, n)
+        monkeypatch.setattr(structure, name, spy)
+    getattr(structure, space).__wrapped__(at)  # past the per-table cache
+    assert residual == [rows]
+    monkeypatch.undo()
+    _closed_spaces_match_all_pairs(at)
 
 
 def test_socle_allocates_nothing_of_d_squared_size():

@@ -45,14 +45,6 @@ class SymmetrizingForm:
         return int(self.gf.matmul(xy, self.psi.reshape(-1, 1))[0, 0])
 
 
-def _form_entries(at: AlgebraTable, psi: np.ndarray):
-    """(i, j, w) over the stored constants (i, j, m, c) with psi[m] != 0,
-    w = psi[m] * c: (b_i, b_j) is the sum of the w at (i, j)."""
-    i, j, m, c = at.entries()
-    keep = psi[m] != 0
-    return i[keep], j[keep], at.gf.mul(psi[m[keep]], c[keep])
-
-
 def _null_vector(at: AlgebraTable, psi: np.ndarray):
     """A nonzero x with psi(x*A) = 0, or None when psi(x*y) is nondegenerate.
 
@@ -76,15 +68,17 @@ def _build(at: AlgebraTable, psi: np.ndarray) -> SymmetrizingForm:
 
     It is symmetric iff psi vanishes on K(A), which the [b_j, s], s a vertex
     or an arrow, span (see structure.commutator_space): iff (s, b_j) =
-    (b_j, s) for every generator s and every j, a g x d slab of rows and one
-    of columns.  The generators are the g lowest basis indices, and a pair
-    swapped stays asymmetric; so if any pair is asymmetric, one starts with
-    a generator, and the first in row-major order is the slab's first.
+    (b_j, s) for every generator s and every j, a g x d slab of rows read
+    from L and one of columns read from R.  The generators are the g lowest
+    basis indices, and a pair swapped stays asymmetric; so if any pair is
+    asymmetric, one starts with a generator, and the first in row-major
+    order is the slab's first.
     """
-    gf, d, (i, j, w) = at.gf, at.dim, _form_entries(at, psi)
-    g = int(np.searchsorted(at.lengths(), 2))
-    rows, cols = (gf.segment_sum(w[a < g], a[a < g] * d + b[a < g], g * d).reshape(g, d)
-                  for a, b in ((i, j), (j, i)))  # rows[s, k] = (b_s, b_k), cols[s, k] = (b_k, b_s)
+    gf, d, g, left, right = at.gf, at.dim, at.generators, at.left, at.right
+    j, s = np.divmod(left.rows, g)  # row j*g + s of L: b_s * b_j; row s*d + k of R: b_k * b_s
+    rows, cols = (gf.segment_sum(gf.mul(psi[e.indices], e.data), key, g * d).reshape(g, d)
+                  for e, key in ((left, s * d + j), (right, right.rows)))
+    # rows[s, k] = (b_s, b_k), cols[s, k] = (b_k, b_s)
     bad = np.argwhere(rows != cols)
     if bad.size:
         s, k = bad[0].tolist()
@@ -187,9 +181,13 @@ def custom_form(at: AlgebraTable, psi_values: dict) -> SymmetrizingForm:
 
 def orthogonal(f: SymmetrizingForm, s: Subspace) -> Subspace:
     """The complement {y : (x, y) = 0 for all x in s} under the form: the
-    kernel of one contraction of the rows of s against the form's entries."""
+    kernel of one contraction of the rows of s against the constants (i, j,
+    m, c) of the full table with psi[m] != 0, (b_i, b_j) being the sum of
+    psi[m] * c over those at (i, j)."""
     at = f.table
     if s.ambient_dim != at.dim:
         raise DimensionMismatch(f"subspace ambient {s.ambient_dim} != algebra dimension {at.dim}")
-    i, j, w = _form_entries(at, f.psi)
-    return kernel(f.gf, contract(f.gf, [(s.basis, i)], w, j, at.dim), at.dim)
+    i, j, m, c = at.entries()
+    e = f.psi[m] != 0
+    w = f.gf.mul(f.psi[m[e]], c[e])
+    return kernel(f.gf, contract(f.gf, [(s.basis, i[e])], w, j[e], at.dim), at.dim)

@@ -31,6 +31,7 @@ __all__ = [
     "enumerate_basis",
     "AlgebraTable",
     "build_table",
+    "fold",
     "normal_form",
 ]
 
@@ -308,22 +309,27 @@ def enumerate_basis(rs: RewriteSystem) -> list[PathWord]:
 
 @dataclass
 class AlgebraTable:
-    """Structure constants of the quotient algebra on its monomial basis.
-
-    table is a (d*d, d) Sparse whose row j*d + i holds the coordinates of
-    b_i * b_j, so rows j*d .. j*d + d - 1 are R_j, the matrix of right
-    multiplication by b_j.  It stores only the nonzero constants, each with
-    its row, so its size is the number of constants and no part of it has
-    d*d entries.  The basis is ordered trivial paths first, then deglex.
+    """Structure constants of the quotient algebra on its monomial basis,
+    ordered trivial paths first, then deglex, so the g generators (vertices
+    and arrows) are b_0 .. b_(g-1).  right is R, the one stored product: a
+    (g*d, d) Sparse whose row s*d + i holds b_i * b_s, so rows s*d .. s*d +
+    d - 1 are R_s, the right multiplication by b_s.  folded holds b_x * b_j
+    at row j*len(folded_rows) + k, x = folded_rows[k], as fold derives it
+    from R: build_table folds the generators and the closed words, giving L
+    (left) and C (structure.closed_algebra).  The full table is folded on
+    first use.  A Sparse stores only the nonzero constants.
     """
 
     rs: RewriteSystem
     basis: tuple[PathWord, ...]
     index: dict[PathWord, int]
-    table: Sparse
+    right: Sparse
+    folded_rows: np.ndarray
+    folded: Sparse
     trivial_indices: tuple[int, ...]
     unit: np.ndarray
-    # per table: closed words and positions, arrow actions, C, Z, K, socles, soc cap Z, T_n, b_i**p
+    # per table: full table, closed words and positions, arrow actions, C, Z, K, socles, soc cap Z,
+    # T_n, b_i**p
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -342,10 +348,33 @@ class AlgebraTable:
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def generators(self) -> int:
+        """g, the number of basis words of length at most one."""
+        return self.right.shape[0] // self.dim
+
     @functools.cached_property
     def arrow_indices(self) -> list[int]:
         """Basis indices of the arrows, in basis order."""
         return [self.index[w] for w in self.basis if len(w.arrows) == 1]
+
+    @functools.cached_property
+    def left(self) -> Sparse:
+        """L, a (d*g, d) Sparse whose row j*g + s holds b_s * b_j for the
+        generators s: cut from folded, whose first g left rows they are."""
+        g, (j, k) = self.generators, np.divmod(self.folded.rows, self.folded_rows.size)
+        keep = k < g
+        return Sparse((self.dim * g, self.dim), j[keep] * g + k[keep], self.folded.indices[keep],
+                      self.folded.data[keep])
+
+    @property
+    def table(self) -> Sparse:
+        """The full (d*d, d) table, row j*d + i holding b_i * b_j: folded if it
+        covers every row, else the fold of all d rows, made on first use."""
+        if self.folded_rows.size < self.dim and "table" not in self.cache:
+            self.cache["table"] = fold(self.rs, self.basis, self.index, self.right,
+                                       np.arange(self.dim))
+        return self.cache.get("table", self.folded)
 
     def word_name(self, i: int) -> str:
         return word_str(self.quiver, self.basis[i])
@@ -366,9 +395,10 @@ class AlgebraTable:
         return np.array([len(w.arrows) for w in self.basis], dtype=np.int64)
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(i, j, m, c) over the stored constants: c is the b_m coefficient of b_i * b_j."""
-        j, i = np.divmod(self.table.rows, self.dim)
-        return i, j, self.table.indices, self.table.data
+        """(i, j, m, c) over the full table: c is the b_m coefficient of b_i * b_j."""
+        table = self.table
+        j, i = np.divmod(table.rows, self.dim)
+        return i, j, table.indices, table.data
 
 
 def normal_form(table: AlgebraTable, element) -> np.ndarray:
@@ -378,28 +408,74 @@ def normal_form(table: AlgebraTable, element) -> np.ndarray:
     return table.coords(table.rs.reduce(element))
 
 
-def build_table(rs: RewriteSystem) -> AlgebraTable:
-    """Enumerate the basis and fill in structure constants, then audit them.
+def _factors(quiver: Quiver, index, words) -> tuple[np.ndarray, np.ndarray]:
+    """The basis indices of the prefix and of the last arrow of each word of
+    length >= 1, the basis being prefix and suffix closed."""
+    return (np.array([index[PathWord(w.source, w.arrows[:-1])] for w in words], dtype=np.int64),
+            np.array([index[PathWord(quiver.a_source[w.arrows[-1]], w.arrows[-1:])]
+                      for w in words], dtype=np.int64))
 
-    Only the products b_i * s, s a trivial path or an arrow, that are not
-    basis words (the normal words) are rewritten.  A longer basis word w*s
-    (s its last arrow) gets R_(w*s) = R_w @ R_s, as b_i*(w*s) = (b_i*w)*s:
-    normal words are prefix closed and the basis is deglex ordered (Bergman's
-    diamond lemma), so one product per length stacks the R_w of the previous
-    length, each moved to the column block of its s, over [R_a; R_b; ...].
-    The audit (see _audit) checks the relations, the unit, associativity and
-    factor closure; any failure raises ConsistencyFailure.  The table is read-only.
+
+def fold(rs: RewriteSystem, basis, index, right: Sparse, rows: np.ndarray) -> Sparse:
+    """The products of the left rows x in rows (sorted, the generators among
+    them) with every basis word: row j*len(rows) + k holds b_(rows[k]) * b_j.
+
+    For a generator b_j they are rows of R.  A longer basis word w*s (s its
+    last arrow) gets b_x*(w*s) = (b_x*w)*s: normal words are prefix closed
+    and deglex ordered (Bergman's diamond lemma), so one product per length
+    stacks the rows b_x*w of the previous length, each moved to the column
+    block of its s, over [R_a; R_b; ...].
+    """
+    gf, d, p = rs.gf, len(basis), rows.size
+    g = right.shape[0] // d
+    lengths = [len(w.arrows) for w in basis]
+    starts = np.searchsorted(lengths, np.arange(max(lengths[-1], 1) + 2))  # length L: starts[L] ..
+    t = starts[1]
+    slot = np.full(d, -1, dtype=np.int64)  # k for rows[k], -1 off rows
+    slot[rows] = np.arange(p)
+    k = slot[right.rows % d]
+    keep = k >= 0
+    blocks = [Sparse((g * p, d), right.rows[keep] // d * p + k[keep], right.indices[keep],
+                     right.data[keep])]
+    arrows, prev = right.take_range(t * d, g * d), blocks[0].take_range(t * p, g * p)
+    for below, lo, hi in zip(starts[1:], starts[2:], starts[3:]):  # words lo .. hi - 1: one length
+        heads, lasts = _factors(rs.quiver, index, basis[lo:hi])
+        # row k*p + x: b_(rows[x]) * (head of word lo + k), from its rows read as one row of p*d
+        stacked = prev.reshape((prev.shape[0] // p, p * d)).take(heads - below)
+        stacked = stacked.reshape(((hi - lo) * p, d))
+        shift = ((lasts - t) * d)[stacked.rows // p]
+        prev = product(gf, Sparse((stacked.shape[0], arrows.shape[0]), stacked.rows,
+                                  stacked.indices + shift, stacked.data), arrows)
+        blocks.append(prev)
+    # each block is canonical, so stacked one after another they stay row-major
+    offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
+    return Sparse((d * p, d), np.concatenate([b.rows + o for b, o in zip(blocks, offsets)]),
+                  np.concatenate([b.indices for b in blocks]),
+                  np.concatenate([b.data for b in blocks]))
+
+
+def build_table(rs: RewriteSystem) -> AlgebraTable:
+    """Enumerate the basis and check it prefix and suffix closed, so that
+    every prefix and last arrow of a basis word is one (by induction on the
+    length); rewrite R from the products b_i * s, s a vertex or an arrow,
+    that are not basis words; fold the generators and the closed words (see
+    fold), and audit (see _audit).  Any failure raises ConsistencyFailure.
+    The table is read-only.
     """
     gf, quiver = rs.gf, rs.quiver
     basis = tuple(enumerate_basis(rs))
     index = {w: i for i, w in enumerate(basis)}
     d, t, rmap = len(basis), len(quiver.vertices), rs.rule_map
-    lengths = [len(w.arrows) for w in basis]
-    starts = np.searchsorted(lengths, np.arange(max(lengths[-1], 1) + 2))  # length L: starts[L] ..
+    for w in basis[t:]:
+        if PathWord(w.source, w.arrows[:-1]) not in index:
+            raise ConsistencyFailure("basis is not prefix closed")
+        if PathWord(quiver.a_target[w.arrows[0]], w.arrows[1:]) not in index:
+            raise ConsistencyFailure("basis is not suffix closed")
 
+    g = int(np.searchsorted([len(w.arrows) for w in basis], 2))
     targets = np.array([quiver.path_target(w) for w in basis], dtype=np.int64)
-    entries = []  # (row, column, value) of R_w for the trivial paths and the arrows w
-    for k, w in enumerate(basis[:starts[2]]):
+    entries = []  # (row, column, value) of R
+    for k, w in enumerate(basis[:g]):
         for i in np.flatnonzero(targets == w.source):
             uw = PathWord(basis[i].source, basis[i].arrows + w.arrows)
             for v, c in ({uw: 1} if uw in index else _reduce(gf, {uw: 1}, rmap)).items():
@@ -407,97 +483,82 @@ def build_table(rs: RewriteSystem) -> AlgebraTable:
                     raise ConsistencyFailure(
                         f"product reduced to non-basis word {word_str(quiver, v)}")
                 entries.append((k * d + i, index[v], c))
-    blocks = [from_entries(gf, (starts[2] * d, d), *np.array(entries, dtype=np.int64).T)]
-    arrows = prev = blocks[0].take(np.arange(t * d, starts[2] * d))  # [R_a; R_b; ...]
-    for below, lo, hi in zip(starts[1:], starts[2:], starts[3:]):  # words lo .. hi - 1: one length
-        heads = [index.get(PathWord(w.source, w.arrows[:-1])) for w in basis[lo:hi]]
-        lasts = [index.get(PathWord(quiver.a_source[w.arrows[-1]], w.arrows[-1:]))
-                 for w in basis[lo:hi]]
-        if None in heads or None in lasts:
-            raise ConsistencyFailure("basis is not factor closed")
-        # row k*d + i: b_i * (head of word lo + k), from its R_w read as one row of d*d
-        stacked = prev.reshape((prev.shape[0] // d, d * d)).take(np.array(heads) - below)
-        stacked = stacked.reshape(((hi - lo) * d, d))
-        shift = ((np.array(lasts) - t) * d)[stacked.rows // d]
-        prev = product(gf, Sparse((stacked.shape[0], arrows.shape[0]), stacked.rows,
-                                  stacked.indices + shift, stacked.data), arrows)
-        blocks.append(prev)
+    right = from_entries(gf, (g * d, d), *np.array(entries, dtype=np.int64).T)
 
     trivial_indices = tuple(index[PathWord(v, ())] for v in range(len(quiver.vertices)))
     unit = np.zeros(d, dtype=np.int64)
     unit[list(trivial_indices)] = 1
-
-    # each block is canonical, so stacked one after another they stay row-major
-    offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
-    table = Sparse((d * d, d), np.concatenate([b.rows + o for b, o in zip(blocks, offsets)]),
-                   np.concatenate([b.indices for b in blocks]),
-                   np.concatenate([b.data for b in blocks]))
-    at = AlgebraTable(rs, basis, index, table, trivial_indices, unit)
+    closed = targets == np.array([w.source for w in basis], dtype=np.int64)
+    rows = np.flatnonzero(closed | (np.arange(d) < g))
+    at = AlgebraTable(rs, basis, index, right, rows, fold(rs, basis, index, right, rows),
+                      trivial_indices, unit)
     _audit(at)
     return at
 
 
 def _audit(at: AlgebraTable) -> None:
-    """Raise ConsistencyFailure unless relations vanish, the basis is prefix
-    and suffix closed, the trivial paths sum to a two-sided unit, the fold
-    identity z1 * s = z holds for every basis word z = z1 s ending in an
-    arrow s, and (b_i b_j) s = b_i (b_j s) for every s a trivial path or arrow.
+    """Raise ConsistencyFailure unless the relations vanish, the trivial
+    paths sum to a two-sided unit (read from the trivial blocks of R and the
+    trivial rows of L), R and L agree on the products of two generators,
+    the fold identity z1 * s = z holds in R for every basis word z = z1 s
+    ending in an arrow s, and L_s R_t = R_t L_s, that is (s*x)*t = s*(x*t),
+    for all generators s and t.
 
-    The last two give (xy)z = x(yz) on all basis triples, by induction on
-    the length of z.  A trivial z is a generator.  For z = z1 s (z1 and s
-    basis words by prefix and suffix closure),
-    (xy)z = (xy)(z1 s) = ((xy)z1)s = (x(y z1))s = x((y z1)s) = x(y(z1 s)) = x(yz):
-    the fold identity gives the first and last steps, the induction
-    hypothesis the third, and the generator check (bilinear in x, y) the rest.
+    These make the fold product associative, with L its left multiplication.
+    For a word x = s1 ... sk in the generators let 1.x = 1 R_s1 ... R_sk.
+    The units and the shared products give 1 R_s = e_s = 1 L_s (the sums
+    over v of e_v*s and of s*e_v).  Moving L_s past each R_t, 1.(s x) =
+    (1.x) L_s, so J = {x : 1.x = 0} is a two-sided ideal of the free algebra
+    F on the generators.  By the fold identity and induction on the length,
+    1.z = e_z for every basis word z: x -> 1.x maps F/J onto GF**d, e_x e_y
+    = 1.(xy) = e_x R_y is the fold product, and e_j L_s = 1.b_j L_s = e_s
+    R_(b_j) = b_s * b_j.  An associative table passes.  So the audit shows
+    an associative algebra on the normal words, as a check of (b_i b_j) s =
+    b_i (b_j s) on all i, j would; that it is kQ/I rests on the completion.
 
-    For the generators s < g, column block s of table @ [R_0 | ... | R_(g-1)]
-    is table @ R_s: ((b_i b_j) s)_y at row j*d + i.  Row block s of
-    [R_0; ...; R_(g-1)] @ (table read as (d, d*d)) is R_s @ it: (b_i (b_j s))_y
-    at row s*d + j, column i*d + y.  Both get the key ((s*d + j)*d + i)*d + y,
-    one to one and below g*d**3 < 2**63.  Canonical entries (no zero, no
-    repeat) agree for every s iff the sorted keys and values do, and the
-    least key of a pair on one side only names the first failing s.
+    L @ [R_0 | ... | R_(g-1)] holds ((b_s b_j) b_t)_m at row j*g + s, column
+    t*d + m, and R @ [L_0 | ... | L_(g-1)] holds (b_s (b_j b_t))_m at row
+    t*d + j, column s*d + m.  Both get the key ((s*g + t)*d + j)*d + m, one
+    to one and below g**2 * d**2.  Canonical entries agree iff the sorted
+    keys and values do, and the least key on one side only names the first
+    failing pair (s, t).
     """
-    gf, d, table = at.gf, at.dim, at.table
+    gf, d, g, t = at.gf, at.dim, at.generators, len(at.trivial_indices)
+    right, left = at.right, at.left
 
     for rel in at.presentation.relations:
         if at.rs.reduce({w: c for c, w in rel.terms}):
             raise ConsistencyFailure("a defining relation does not reduce to zero")
 
-    words, folds = [], []  # z and its row z1 * s of the table
-    for k, w in enumerate(at.basis):
-        if w.arrows:
-            head = at.index.get(PathWord(w.source, w.arrows[:-1]))
-            if head is None:
-                raise ConsistencyFailure("basis is not prefix closed")
-            tail = PathWord(at.quiver.a_target[w.arrows[0]], w.arrows[1:])
-            last = at.index.get(PathWord(at.quiver.a_source[w.arrows[-1]], w.arrows[-1:]))
-            if tail not in at.index or last is None:
-                raise ConsistencyFailure("basis is not suffix closed")
-            words.append(k)
-            folds.append(last * d + head)
-    words, folds = np.array(words, dtype=np.int64), np.array(folds, dtype=np.int64)
-    first = np.searchsorted(table.rows, folds)
-    ok = np.searchsorted(table.rows, folds, side="right") - first == 1
-    ok[ok] = (table.indices[first[ok]] == words[ok]) & (table.data[first[ok]] == 1)
+    heads, lasts = _factors(at.quiver, at.index, at.basis[t:])
+    words, folds = np.arange(t, d), lasts * d + heads  # z and its row z1 * s of R
+    first = np.searchsorted(right.rows, folds)
+    ok = np.searchsorted(right.rows, folds, side="right") - first == 1
+    ok[ok] = (right.indices[first[ok]] == words[ok]) & (right.data[first[ok]] == 1)
     if not ok.all():
         raise ConsistencyFailure(
             f"{at.word_name(int(words[~ok][0]))} is not its prefix times its last arrow")
 
-    i, j, m, c = at.entries()
     eye = from_entries(gf, (d, d), np.arange(d), np.arange(d), np.ones(d, dtype=np.int64))
-    trivial = np.isin(np.arange(d), at.trivial_indices)
-    left = from_entries(gf, (d, d), j[trivial[i]], m[trivial[i]], c[trivial[i]])
-    right = from_entries(gf, (d, d), i[trivial[j]], m[trivial[j]], c[trivial[j]])
-    if left != eye or right != eye:
+    ends, (j, s) = right.take_range(0, t * d), np.divmod(left.rows, g)  # b_i * e_v, b_s * b_j
+    if (from_entries(gf, (d, d), ends.rows % d, ends.indices, ends.data) != eye
+            or from_entries(gf, (d, d), j[s < t], left.indices[s < t], left.data[s < t]) != eye):
         raise ConsistencyFailure("unit does not act as two-sided identity")
+    shared = right.rows % d < g  # b_i * b_s, both generators, at row s*d + i of R, s*g + i of L
+    r = right.rows[shared]
+    if left.take_range(0, g * g) != Sparse((g * g, d), r // d * g + r % d, right.indices[shared],
+                                           right.data[shared]):
+        raise ConsistencyFailure("R and L differ on a product of two generators")
 
-    gen = j < (g := len(at.trivial_indices) + len(at.arrow_indices))
-    lhs = product(gf, table, from_entries(gf, (d, g * d), i[gen], j[gen] * d + m[gen], c[gen]))
-    rhs = product(gf, table.take(np.arange(g * d)), table.reshape((d, d * d)))
-    keys = (lhs.indices // d * d * d + lhs.rows) * d + lhs.indices % d
-    order = np.argsort(keys)
-    keys, vals, want = keys[order], lhs.data[order], rhs.rows * d * d + rhs.indices
-    if not (np.array_equal(keys, want) and np.array_equal(vals, rhs.data)):
-        diff = set(zip(keys.tolist(), vals.tolist())) ^ set(zip(want.tolist(), rhs.data.tolist()))
-        raise ConsistencyFailure(f"associativity fails against {at.word_name(min(diff)[0] // d**3)}")
+    lhs = product(gf, left, from_entries(gf, (d, g * d), right.rows % d,
+                                         right.rows // d * d + right.indices, right.data))
+    rhs = product(gf, right, left.reshape((d, g * d)))
+    lkey = (((lhs.rows % g) * g + lhs.indices // d) * d + lhs.rows // g) * d + lhs.indices % d
+    rkey = ((rhs.indices // d * g + rhs.rows // d) * d + rhs.rows % d) * d + rhs.indices % d
+    lo, ro = np.argsort(lkey), np.argsort(rkey)
+    if not (np.array_equal(lkey[lo], rkey[ro]) and np.array_equal(lhs.data[lo], rhs.data[ro])):
+        key = min(set(zip(lkey.tolist(), lhs.data.tolist()))
+                  ^ set(zip(rkey.tolist(), rhs.data.tolist())))[0]
+        (s, u), j = divmod(key // (d * d), g), key // d % d
+        x, s, u = at.word_name(j), at.word_name(s), at.word_name(u)
+        raise ConsistencyFailure(f"associativity fails: ({s}*{x})*{u} != {s}*({x}*{u})")

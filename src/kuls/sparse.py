@@ -51,6 +51,13 @@ class Sparse:
         pos = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(out.size)
         return Sparse((len(rows), self.shape[1]), out, self.indices[pos], self.data[pos])
 
+    def take_range(self, lo: int, hi: int) -> Sparse:
+        """Rows lo .. hi - 1, as take(np.arange(lo, hi)) gives them: two binary
+        searches and a slice, so nothing in it has hi - lo entries."""
+        a, b = np.searchsorted(self.rows, [lo, hi])
+        return Sparse((hi - lo, self.shape[1]), self.rows[a:b] - lo, self.indices[a:b],
+                      self.data[a:b])
+
     def reshape(self, shape: tuple[int, int]) -> Sparse:
         """The same entries in row-major order read as a matrix of another shape."""
         rows, cols = np.divmod(self.rows * self.shape[1] + self.indices, shape[1])

@@ -7,8 +7,9 @@ the open words.  Each word b lies in one Peirce block, b = e_u b e_v, so
 pi(x) = sum over vertices v of e_v x e_v is the coordinate projection onto
 C, and C is a subalgebra: e_u A e_u times e_v A e_v is 0 for u != v, and
 lies in e_u A e_u for u = v.  The socles, Z(A) and K(A) on C (then lifted)
-and soc(A) cap Z(A) are solved from the arrow actions, read once per table,
-by one peeling routine; closed_algebra cuts the table to C once.
+and soc(A) cap Z(A) are solved from the arrow actions, read once per table
+from R and L, by one peeling routine; closed_algebra cuts C once from the
+folded closed rows.  Only multiply and power on A read the full table.
 """
 from __future__ import annotations
 
@@ -83,15 +84,14 @@ def radical(at: AlgebraTable) -> Subspace:
     d = at.dim
     eye = np.eye(d, dtype=np.int64)
     rad = row_space(at.gf, eye[at.lengths() >= 1], d)
-    i, j, m, c = at.entries()
-    arrows = [np.flatnonzero(j == a) for a in at.arrow_indices]  # the entries of R_a
+    arrows = [at.right.take_range(a * d, (a + 1) * d) for a in at.arrow_indices]  # R_a
     t = row_space(at.gf, eye[at.lengths() == 1], d)
     steps = 1
     while t.dim:
         if steps > d:
             raise NotNilpotent("arrow products never die out; the relations are not admissible")
-        t = row_space(at.gf, (contract(at.gf, [(t.basis, i[e])], c[e], m[e], d)
-                              for e in arrows), d)
+        t = row_space(at.gf, (contract(at.gf, [(t.basis, r.rows)], r.data, r.indices, d)
+                              for r in arrows), d)
         steps += 1
     return rad
 
@@ -121,17 +121,21 @@ def closed_words(at: AlgebraTable) -> np.ndarray:
 
 @_cached
 def closed_algebra(at: AlgebraTable) -> AlgebraTable:
-    """C as a table on the closed coordinates 0 .. c - 1: the entries (i, j, m, c)
-    with b_i and b_j closed, renumbered in basis order, which keeps them
-    row-major.  As C is a subalgebra, each such b_m is closed; checked here."""
-    closed, pos, (i, j, m, c) = closed_words(at), closed_positions(at), at.entries()
+    """C as a table on the closed coordinates 0 .. c - 1, every row folded: the
+    folded b_i * b_j with b_i, b_j closed, renumbered in basis order, which
+    keeps them row-major; its R is their first rows.  As C is a subalgebra,
+    each is closed; checked here."""
+    closed, pos, f = closed_words(at), closed_positions(at), at.folded
+    j, k = np.divmod(f.rows, at.folded_rows.size)
+    i = at.folded_rows[k]
     n, keep = len(closed), (pos[i] >= 0) & (pos[j] >= 0)
-    if np.any(pos[m[keep]] < 0):
+    if np.any(pos[f.indices[keep]] < 0):
         raise InvariantViolation("a product of two closed words is not closed")
     basis = tuple(at.basis[k] for k in closed)
-    table = Sparse((n * n, n), pos[j[keep]] * n + pos[i[keep]], pos[m[keep]], c[keep])
-    return AlgebraTable(at.rs, basis, {w: k for k, w in enumerate(basis)}, table,
-                        tuple(pos[list(at.trivial_indices)].tolist()), at.unit[closed])
+    table = Sparse((n * n, n), pos[j[keep]] * n + pos[i[keep]], pos[f.indices[keep]], f.data[keep])
+    right = table.take_range(0, int(np.count_nonzero(pos[:at.generators] >= 0)) * n)
+    return AlgebraTable(at.rs, basis, {w: k for k, w in enumerate(basis)}, right, np.arange(n),
+                        table, tuple(pos[list(at.trivial_indices)].tolist()), at.unit[closed])
 
 
 def closed_part(at: AlgebraTable, s: Subspace) -> Subspace:
@@ -164,14 +168,16 @@ def lift(at: AlgebraTable, s: Subspace, with_open: bool = False) -> Subspace:
 @_cached
 def _actions(at: AlgebraTable) -> tuple[np.ndarray, ...]:
     """The entries (a, x, m, c) of the 2n arrow actions, n arrows: c is the b_m
-    coefficient of b_x*b_a, b_a the a-th arrow, for a < n (table entries with
-    b_j an arrow, x = i), and of b_(a-n)*b_x for a >= n (b_i an arrow, x = j)."""
-    (i, j, m, c), n = at.entries(), len(at.arrow_indices)
-    arrow = np.full(at.dim, -1, dtype=np.int64)  # position among the arrows, -1 off them
-    arrow[at.arrow_indices] = np.arange(n)
-    r, s = arrow[j] >= 0, arrow[i] >= 0
+    coefficient of b_x*b_a, b_a the a-th arrow, for a < n (the arrow blocks
+    of R), and of b_(a-n)*b_x for a >= n (the arrow rows of L).  The arrows
+    are the basis words t .. g - 1, t vertices and g generators."""
+    d, g, t = at.dim, at.generators, len(at.trivial_indices)
+    r, left, n = at.right.take_range(t * d, g * d), at.left, g - t
+    x, s = np.divmod(left.rows, g)
+    e = s >= t
     return tuple(np.concatenate(pair) for pair in
-                 ((arrow[j[r]], n + arrow[i[s]]), (i[r], j[s]), (m[r], m[s]), (c[r], c[s])))
+                 ((r.rows // d, n + s[e] - t), (r.rows % d, x[e]), (r.indices, left.indices[e]),
+                  (r.data, left.data[e])))
 
 
 @dataclass(frozen=True)

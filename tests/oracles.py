@@ -10,15 +10,15 @@ from kuls.form import SymmetrizingForm, _socle_word_indices, orthogonal
 from kuls.linalg import (Subspace, _check_compatible, contains, contains_subspace, kernel,
                          reduce_mod, row_space, rref, zero_subspace)
 from kuls.presentation import PathWord, word_str
-from kuls.rewriting import AlgebraTable, _reduce, enumerate_basis
+from kuls.rewriting import AlgebraTable, _reduce, enumerate_basis, fold
 from kuls.reynolds import ReynoldsReport, ReynoldsRow, reynolds_ideal
-from kuls.sparse import contract, from_entries
+from kuls.sparse import contract, from_entries, product
 from kuls.structure import center, multiply, power
 
 __all__ = ["path_quotient_dim", "rank_mod_p", "all_pairs_commutator_space", "all_pairs_center",
            "all_pairs_socles", "is_associative",
            "naive_matmul", "naive_rref", "dense_reference_table", "dense_table",
-           "table_from_dense", "left_mult_matrix", "right_mult_matrix", "solve",
+           "table_from_dense", "reference_audit", "left_mult_matrix", "right_mult_matrix", "solve",
            "XiMap", "xi_map", "direct_kuelshammer_space", "dense_reynolds_report",
            "dense_consistent_psi", "dense_gram", "field_pow", "frob", "field_inv", "field_div",
            "full_space", "subspace_sum", "intersect", "enumerated_kernel", "span_members",
@@ -72,12 +72,77 @@ def dense_table(at) -> np.ndarray:
 
 
 def table_from_dense(at, dense) -> AlgebraTable:
-    """A table over at's basis whose constants are dense[i, j, m]; not audited."""
-    d = at.dim
-    pairs = np.asarray(dense).transpose(1, 0, 2).reshape(d * d, d)  # row j*d + i: b_i * b_j
-    rows, cols = np.nonzero(pairs)
-    csr = from_entries(at.gf, (d * d, d), rows, cols, pairs[rows, cols])
-    return AlgebraTable(at.rs, at.basis, at.index, csr, at.trivial_indices, at.unit)
+    """A table over at's basis whose generator block R holds dense[i, s, m]
+    for the generators s < g, with every other product folded from it
+    (rewriting.fold), as build_table does; the rest of dense is not read.
+    Not audited."""
+    d, g = at.dim, at.generators
+    block = np.asarray(dense)[:, :g].transpose(1, 0, 2).reshape(g * d, d)  # row s*d + i: b_i * s
+    rows, cols = np.nonzero(block)
+    right = from_entries(at.gf, (g * d, d), rows, cols, block[rows, cols])
+    return AlgebraTable(at.rs, at.basis, at.index, right, at.folded_rows,
+                        fold(at.rs, at.basis, at.index, right, at.folded_rows),
+                        at.trivial_indices, at.unit)
+
+
+def reference_audit(at) -> None:
+    """The d-wide audit of the full table: ConsistencyFailure unless the
+    relations vanish, the basis is prefix and suffix closed, the trivial
+    paths sum to a two-sided unit, the fold identity z1 * s = z holds for
+    every basis word z = z1 s ending in an arrow s, and (b_i b_j) s =
+    b_i (b_j s) for all i, j and every generator s.
+
+    The last two give (xy)z = x(yz) on all basis triples, by induction on
+    the length of z: for z = z1 s, (xy)(z1 s) = ((xy)z1)s = (x(y z1))s =
+    x((y z1)s) = x(y(z1 s)).  For the generators s < g, column block s of
+    table @ [R_0 | ... | R_(g-1)] holds ((b_i b_j) s)_y at row j*d + i, and
+    row block s of [R_0; ...; R_(g-1)] @ (table read as (d, d*d)) holds
+    (b_i (b_j s))_y at row s*d + j, column i*d + y; both get the key
+    ((s*d + j)*d + i)*d + y, below g*d**3.
+    """
+    gf, d, table = at.gf, at.dim, at.table
+
+    for rel in at.presentation.relations:
+        if at.rs.reduce({w: c for c, w in rel.terms}):
+            raise ConsistencyFailure("a defining relation does not reduce to zero")
+
+    words, folds = [], []  # z and its row z1 * s of the table
+    for k, w in enumerate(at.basis):
+        if w.arrows:
+            head = at.index.get(PathWord(w.source, w.arrows[:-1]))
+            if head is None:
+                raise ConsistencyFailure("basis is not prefix closed")
+            tail = PathWord(at.quiver.a_target[w.arrows[0]], w.arrows[1:])
+            last = at.index.get(PathWord(at.quiver.a_source[w.arrows[-1]], w.arrows[-1:]))
+            if tail not in at.index or last is None:
+                raise ConsistencyFailure("basis is not suffix closed")
+            words.append(k)
+            folds.append(last * d + head)
+    words, folds = np.array(words, dtype=np.int64), np.array(folds, dtype=np.int64)
+    first = np.searchsorted(table.rows, folds)
+    ok = np.searchsorted(table.rows, folds, side="right") - first == 1
+    ok[ok] = (table.indices[first[ok]] == words[ok]) & (table.data[first[ok]] == 1)
+    if not ok.all():
+        raise ConsistencyFailure(
+            f"{at.word_name(int(words[~ok][0]))} is not its prefix times its last arrow")
+
+    i, j, m, c = at.entries()
+    eye = from_entries(gf, (d, d), np.arange(d), np.arange(d), np.ones(d, dtype=np.int64))
+    trivial = np.isin(np.arange(d), at.trivial_indices)
+    left = from_entries(gf, (d, d), j[trivial[i]], m[trivial[i]], c[trivial[i]])
+    right = from_entries(gf, (d, d), i[trivial[j]], m[trivial[j]], c[trivial[j]])
+    if left != eye or right != eye:
+        raise ConsistencyFailure("unit does not act as two-sided identity")
+
+    gen = j < (g := len(at.trivial_indices) + len(at.arrow_indices))
+    lhs = product(gf, table, from_entries(gf, (d, g * d), i[gen], j[gen] * d + m[gen], c[gen]))
+    rhs = product(gf, table.take(np.arange(g * d)), table.reshape((d, d * d)))
+    keys = (lhs.indices // d * d * d + lhs.rows) * d + lhs.indices % d
+    order = np.argsort(keys)
+    keys, vals, want = keys[order], lhs.data[order], rhs.rows * d * d + rhs.indices
+    if not (np.array_equal(keys, want) and np.array_equal(vals, rhs.data)):
+        diff = set(zip(keys.tolist(), vals.tolist())) ^ set(zip(want.tolist(), rhs.data.tolist()))
+        raise ConsistencyFailure(f"associativity fails against {at.word_name(min(diff)[0] // d**3)}")
 
 
 def left_mult_matrix(at, x) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from kuls import __version__, build_table, complete, parse_presentation
-from kuls import cli, linalg, reynolds, structure
+from kuls import cli, linalg, reynolds, rewriting, structure
 from kuls.cli import main
 from kuls.errors import ConsistencyFailure
 from kuls.families import FamilySpec, family
@@ -193,6 +193,23 @@ def test_invariants_structure_space_costs(name, params, fallback, capsys, monkey
     assert 0 < max(rref_rows) <= payload["dim"] * (len(quiver.vertices) + len(quiver.arrows))
     assert max(rref_rows) <= 2 * payload["dim"]
     assert 0 < max(row_space_rows) <= 2 * payload["dim"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--family", "Omega", "--params", "n=8", "--char", "2"],
+    ["invariants", "--family", "D", "--params", "m=5", "--char", "2"],
+    ["invariants", "--family", "N", "--params", "n=3,m=3", "--field", "GF(3,2)"],
+    ["compare", "Omega(n=2)", "A(p=1,q=2)", "--char", "2"],
+], ids=["Omega8-GF2", "D5-GF2", "N33-GF9", "compare"])
+def test_invariants_and_compare_never_fold_the_full_table(argv, capsys, monkeypatch):
+    """Each table is folded once, by build_table, over its generators and its
+    closed words, fewer than its d rows; nothing later reads the full table,
+    which would fold all d rows.  D(5) takes the consistent_form fallback."""
+    folds = []
+    _spy(monkeypatch, rewriting.fold, lambda args: folds.append((len(args[1]), args[4].size)))
+    assert main(argv) == 0
+    assert len(folds) == 1 + (argv[0] == "compare")
+    assert all(rows < d for d, rows in folds)
 
 
 def test_invariants_custom_psi_matches_fallback(capsys):

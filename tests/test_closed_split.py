@@ -2,6 +2,8 @@
 the d-dimensional references of oracles.py."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,11 @@ from kuls import (build_table, canonical_form, center, commutator_space, complet
                   consistent_form, kuelshammer_space, orthogonal, parse_presentation,
                   reynolds_ideal, reynolds_sequence)
 from kuls.errors import InvariantViolation, KulsError, NotSymmetric
-from kuls.rewriting import AlgebraTable
 from kuls.sparse import Sparse
 from kuls.structure import closed_algebra, closed_words, multiply, power
 from oracles import (all_pairs_center, all_pairs_commutator_space, dense_consistent_psi,
-                     dense_reynolds_report, direct_kuelshammer_space)
+                     dense_reference_table, dense_reynolds_report, dense_table,
+                     direct_kuelshammer_space)
 from test_reynolds import TWISTED
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)]
@@ -131,13 +133,30 @@ def test_cut_table_multiplies_like_the_table_on_hand_made_algebras(source):
 
 def test_cut_rejects_a_closed_product_landing_on_an_open_word():
     at = build_table(complete(parse_presentation(HAND)))
-    i, j, m, c = at.entries()
-    e = int(np.flatnonzero((i == 3) & (j == 3))[0])  # the entry of x times x
-    assert at.word_name(int(m[e])) == "x*x" and at.word_name(7) == "c"  # c is open
-    indices = m.copy()
+    f = at.folded
+    j, k = np.divmod(f.rows, at.folded_rows.size)
+    e = int(np.flatnonzero((at.folded_rows[k] == 3) & (j == 3))[0])  # the entry of x times x
+    assert at.word_name(int(f.indices[e])) == "x*x" and at.word_name(7) == "c"  # c is open
+    indices = f.indices.copy()
     indices[e] = 7
-    bad = AlgebraTable(at.rs, at.basis, at.index,
-                       Sparse(at.table.shape, at.table.rows, indices, c),
-                       at.trivial_indices, at.unit)
+    bad = dataclasses.replace(at, folded=Sparse(f.shape, f.rows, indices, f.data))
     with pytest.raises(InvariantViolation, match="not closed"):
         closed_algebra(bad)
+
+
+@pytest.mark.parametrize("gf", FIELDS, ids=lambda f: f"GF{f[0]}^{f[1]}")
+@pytest.mark.parametrize("name,params", CATALOGUE, ids=[c[0] for c in CATALOGUE])
+def test_generator_block_left_rows_cut_and_full_fold_match_the_reference(name, params, gf):
+    """R, L, C and the full table folded on first use against the products
+    rewritten one pair at a time: ref[i, j, m] is the b_m coefficient of
+    b_i * b_j."""
+    at = make_table(name, gf=gf, **params)
+    d, g, ref = at.dim, at.generators, dense_reference_table(at.rs)
+    for got, want in ((at.right, ref[:, :g].transpose(1, 0, 2)),  # row s*d + i: b_i * b_s
+                      (at.left, ref[:g].transpose(1, 0, 2))):  # row j*g + s: b_s * b_j
+        dense = np.zeros(got.shape, dtype=np.int64)
+        dense[got.rows, got.indices] = got.data
+        assert np.array_equal(dense, want.reshape(got.shape))
+    closed = closed_words(at)
+    assert np.array_equal(dense_table(closed_algebra(at)), ref[np.ix_(closed, closed, closed)])
+    assert np.array_equal(dense_table(at), ref)

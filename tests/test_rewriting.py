@@ -1,10 +1,13 @@
 """Completion, basis enumeration, structure constants, and their failure modes."""
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_table
 from kuls import (GF, FamilySpec, build_table, complete, family, normal_form, parse_element,
@@ -12,7 +15,8 @@ from kuls import (GF, FamilySpec, build_table, complete, family, normal_form, pa
 from kuls.errors import ConsistencyFailure, DegreeBoundExceeded, InfiniteDimensional
 from kuls.presentation import PathWord, word_str
 from kuls.rewriting import _audit, enumerate_basis
-from oracles import (dense_reference_table, dense_table, is_associative, path_quotient_dim,
+from kuls.sparse import from_entries
+from oracles import (dense_reference_table, dense_table, path_quotient_dim, reference_audit,
                      table_from_dense)
 
 
@@ -180,7 +184,7 @@ def test_audit_catches_corrupted_structure_constants():
         _audit(bad)
 
 
-@pytest.mark.parametrize("name,gf,params", [
+AUDITED = [
     ("Omega", 2, {"n": 2}),
     ("D", 2, {"m": 2}),
     ("Lambda", 2, {"m": 2}),
@@ -188,90 +192,156 @@ def test_audit_catches_corrupted_structure_constants():
     ("N", 3, {"n": 2, "m": 1}),
     ("Omega", (2, 2), {"n": 2}),
     ("N", (3, 2), {"n": 2, "m": 1}),
-])
+]
+
+
+def _audits_agree(bad) -> bool:
+    """Whether _audit and the d-wide reference on the folded full table both
+    raise ConsistencyFailure or both pass; True when they both raise."""
+    verdicts = []
+    for audit in (_audit, reference_audit):
+        try:
+            audit(bad)
+            verdicts.append(False)
+        except ConsistencyFailure:
+            verdicts.append(True)
+    assert verdicts[0] == verdicts[1], f"_audit raises: {verdicts[0]}, the reference: {verdicts[1]}"
+    return verdicts[0]
+
+
+@pytest.mark.parametrize("name,gf,params", AUDITED)
 def test_audit_catches_every_non_associative_corruption(name, gf, params):
-    """The generator and fold checks reject every table the all-triples oracle rejects."""
+    """One corrupted entry (i, s, m) of the generator block R: _audit raises
+    iff the d-wide reference does on the full table folded from it, and
+    most corruptions, the fold entries among them, are caught."""
     at = make_table(name, gf=gf, **params)
-    d, q = at.dim, at.gf.q
+    d, g, q = at.dim, at.generators, at.gf.q
     rng = np.random.default_rng(20050)
-    entries = [tuple(int(c) for c in rng.integers(0, d, size=3)) for _ in range(160)]
+    entries = [(int(rng.integers(0, d)), int(rng.integers(0, g)), int(rng.integers(0, d)))
+               for _ in range(160)]
     z = max(range(d), key=lambda k: len(at.basis[k].arrows))
     word = at.basis[z]
     head = at.index[PathWord(word.source, word.arrows[:-1])]
     last = at.index[PathWord(at.quiver.a_source[word.arrows[-1]], word.arrows[-1:])]
-    entries.append((head, last, int(rng.integers(0, d))))  # a fold entry table[z', s]
+    entries.append((head, last, int(rng.integers(0, d))))  # a fold entry of R_s
     rejected = 0
-    for i, j, m in entries:
+    for i, s, m in entries:
         bad_table = dense_table(at)
-        bad_table[i, j, m] = (bad_table[i, j, m] + int(rng.integers(1, q))) % q
-        bad = table_from_dense(at, bad_table)
-        if not is_associative(bad) or (i, j) == (head, last):
-            with pytest.raises(ConsistencyFailure):
-                _audit(bad)
-            rejected += 1
+        bad_table[i, s, m] = (bad_table[i, s, m] + int(rng.integers(1, q))) % q
+        rejected += _audits_agree(table_from_dense(at, bad_table))
+    assert _audits_agree(table_from_dense(at, dense_table(at))) is False
     assert rejected > len(entries) // 2
 
 
-def _first_failing_generator(at, dense) -> int | None:
-    """The first trivial path or arrow s, in basis order, with
-    (b_i b_j) s != b_i (b_j s) for some i, j, one generator at a time."""
-    d = at.dim
-    by_left = dense.reshape(d * d, d)  # row i*d + j: b_i b_j
-    by_right = dense.transpose(1, 0, 2).reshape(d, d * d)  # [l, i*d + m]: (b_i b_l)_m
-    for s in list(at.trivial_indices) + at.arrow_indices:
-        r_s = dense[:, s, :]  # row l: b_l s
-        lhs = at.gf.matmul(by_left, r_s).reshape(d, d, d)  # [i, j]: (b_i b_j) s
-        rhs = at.gf.matmul(r_s, by_right).reshape(d, d, d).transpose(1, 0, 2)  # b_i (b_j s)
-        if not np.array_equal(lhs, rhs):
-            return s
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(AUDITED), st.data())
+def test_audit_agrees_with_the_d_wide_reference_on_a_corrupted_generator_block(algebra, data):
+    name, gf, params = algebra
+    at = make_table(name, gf=gf, **params)
+    d, g, q = at.dim, at.generators, at.gf.q
+    i, s, m = (data.draw(st.integers(0, n - 1)) for n in (d, g, d))
+    bad_table = dense_table(at)
+    bad_table[i, s, m] = (bad_table[i, s, m] + data.draw(st.integers(1, q - 1))) % q
+    _audits_agree(table_from_dense(at, bad_table))
+
+
+@pytest.mark.parametrize("name,gf,params", AUDITED)
+def test_audit_rejects_every_corrupted_entry_of_the_left_multiplications(name, gf, params):
+    """L is pinned by R: the audit proves L_s the left multiplication by s
+    of the fold product, so a changed, added or dropped entry of L fails."""
+    at = make_table(name, gf=gf, **params)
+    d, g, q, f, p = at.dim, at.generators, at.gf.q, at.folded, at.folded_rows.size
+    rng = np.random.default_rng(30)
+    for _ in range(40):  # add a nonzero value at (b_s * b_j)_m, row j*p + s of the folded rows
+        j, s, m = int(rng.integers(0, d)), int(rng.integers(0, g)), int(rng.integers(0, d))
+        folded = from_entries(at.gf, f.shape, np.append(f.rows, j * p + s),
+                              np.append(f.indices, m), np.append(f.data, rng.integers(1, q)))
+        with pytest.raises(ConsistencyFailure):
+            _audit(dataclasses.replace(at, folded=folded))
+
+
+def _first_failing_pair(at, dense) -> tuple[int, int, int] | None:
+    """The first generators (s, t), in basis order, with (b_s x) t !=
+    b_s (x t) for some basis word x, one pair at a time, and the first
+    such x."""
+    g = at.generators
+    for s in range(g):
+        for t in range(g):
+            lhs = at.gf.matmul(dense[s], dense[:, t, :])  # row x: (b_s b_x) b_t
+            rhs = at.gf.matmul(dense[:, t, :], dense[s])  # row x: b_s (b_x b_t)
+            bad = np.flatnonzero((lhs != rhs).any(axis=1))
+            if bad.size:
+                return s, t, int(bad[0])
     return None
 
 
-@pytest.mark.parametrize("name,gf,params", [
-    ("Omega", 2, {"n": 2}),
-    ("Omega", (2, 2), {"n": 2}),
-    ("N", (3, 2), {"n": 2, "m": 2}),
-], ids=["Omega2-GF2", "Omega2-GF4", "N22-GF9"])
-def test_audit_names_the_generator_associativity_fails_against(name, gf, params):
-    """A corrupted product of two non-trivial words that is no fold entry
-    passes the unit and fold checks; the batched check then names the same
-    generator as a comparison of (b_i b_j) s with b_i (b_j s) for one s at
-    a time.  Over GF(4) and GF(9) every other draw scales a stored constant
-    by a field element other than 0 and 1, which changes values only."""
+@pytest.mark.parametrize("name,gf,params,scaled_named", [
+    ("Omega", 2, {"n": 2}, 0),
+    ("Omega", (2, 2), {"n": 2}, 0),
+    ("N", (3, 2), {"n": 2, "m": 2}, 0),
+    ("D", (2, 2), {"m": 2}, 5),
+    ("Dprime", (3, 2), {"m": 2}, 5),
+], ids=["Omega2-GF2", "Omega2-GF4", "N22-GF9", "D2-GF4", "Dprime2-GF9"])
+def test_audit_names_the_generator_associativity_fails_against(name, gf, params, scaled_named):
+    """A corrupted entry b_i * s of R, b_i non-trivial and s an arrow, that is
+    no fold entry passes the unit and fold checks; the commuting check then
+    fails iff a comparison of (b_s x) t with b_s (x t), one pair (s, t) at a
+    time, finds a difference, and names the pair and the word x it finds
+    first.  Over GF(4) and GF(9) every other draw scales a stored rewritten
+    constant by a field element other than 0 and 1, which changes values
+    only; on Omega and N each such change is another associative algebra
+    (a relation rescaled), on D and D' some are not."""
     at = make_table(name, gf=gf, **params)
-    gf, d, q = at.gf, at.dim, at.gf.q
+    gf, d, g, q = at.gf, at.dim, at.generators, at.gf.q
     folds = {(at.index[PathWord(w.source, w.arrows[:-1])],
               at.index[PathWord(at.quiver.a_source[w.arrows[-1]], w.arrows[-1:])])
              for w in at.basis if w.arrows}
-    stored = [(i, j, m) for i, j, m in zip(*(x.tolist() for x in at.entries()[:3]))
-              if i not in at.trivial_indices and j not in at.trivial_indices
-              and (i, j) not in folds]
+    s_of, i_of = np.divmod(at.right.rows, d)  # row s*d + i of R: b_i * b_s
+    stored = [(i, s, m)
+              for i, s, m in zip(i_of.tolist(), s_of.tolist(), at.right.indices.tolist()) if i not in at.trivial_indices and s not in at.trivial_indices and (i, s) not in folds]
     rng = np.random.default_rng(7)
     named, scaled = set(), 0
     for draw in range(80):
-        scale = q > 2 and draw % 2
-        i, j, m = (stored[rng.integers(len(stored))] if scale
-                   else (int(x) for x in rng.integers(0, d, size=3)))
-        if i in at.trivial_indices or j in at.trivial_indices or (i, j) in folds:
+        scale = q > 2 and draw % 2 and bool(stored)
+        i, s, m = (stored[rng.integers(len(stored))] if scale
+                   else (int(rng.integers(0, d)), int(rng.integers(0, g)), int(rng.integers(0, d))))
+        if i in at.trivial_indices or s in at.trivial_indices or (i, s) in folds:
             continue
         bad_table = dense_table(at)
-        bad_table[i, j, m] = (gf.smul(int(bad_table[i, j, m]), int(rng.integers(2, q))) if scale
-                              else (bad_table[i, j, m] + int(rng.integers(1, q))) % q)
-        s = _first_failing_generator(at, bad_table)
-        if s is None:
+        bad_table[i, s, m] = (gf.smul(int(bad_table[i, s, m]), int(rng.integers(2, q))) if scale
+                              else (bad_table[i, s, m] + int(rng.integers(1, q))) % q)
+        bad = table_from_dense(at, bad_table)
+        pair = _first_failing_pair(at, dense_table(bad))
+        if pair is None:
+            _audit(bad)
             continue
-        with pytest.raises(ConsistencyFailure,
-                           match=f"^associativity fails against {re.escape(at.word_name(s))}$"):
-            _audit(table_from_dense(at, bad_table))
-        named.add(s)
+        first, second, x = (bad.word_name(k) for k in pair)
+        with pytest.raises(ConsistencyFailure, match=re.escape(
+                f"associativity fails: ({first}*{x})*{second} != {first}*({x}*{second})")):
+            _audit(bad)
+        named.add(pair[:2])
         scaled += scale
-    assert len(named) >= 2  # more than one generator is named
-    assert scaled >= 5 or q == 2
+    assert len(named) >= 2  # more than one pair is named
+    assert scaled >= scaled_named
+
+
+@pytest.mark.parametrize("dropped,closure", [("b2*a1", "prefix"), ("a1*b1", "suffix")])
+def test_build_table_rejects_a_basis_that_is_not_factor_closed(dropped, closure, monkeypatch):
+    """Omega(2)'s basis without b2*a1, the prefix of b2*a1*b1, or without
+    a1*b1, its suffix: the one closure check before the fold rejects it."""
+    rs = complete(family(FamilySpec("Omega", {"n": 2}, GF(2))))
+    basis = [w for w in enumerate_basis(rs) if word_str(rs.quiver, w) != dropped]
+    assert len(basis) == 9
+    monkeypatch.setattr(rewriting, "enumerate_basis", lambda _: basis)
+    with pytest.raises(ConsistencyFailure, match=f"^basis is not {closure} closed$"):
+        build_table(rs)
 
 
 def test_table_and_audit_make_one_product_per_word_length(monkeypatch):
-    """build_table makes one sparse product per word length >= 2 and _audit
-    two, however many basis words and generators there are."""
+    """build_table makes one sparse product per word length >= 2, folding the
+    generators and the closed words once, and _audit two, however many
+    basis words and generators there are; the full table is folded only
+    when read, by one more product per length."""
     calls, at_audit = [], []
     product, audit = rewriting.product, rewriting._audit
 
@@ -288,9 +358,9 @@ def test_table_and_audit_make_one_product_per_word_length(monkeypatch):
     monkeypatch.setattr(rewriting, "_audit", counted_audit)
     at = build_table(complete(family(FamilySpec("Omega", {"n": 8}, GF(2)))))
     longest = max(len(w.arrows) for w in at.basis)
-    assert at.dim == 88
-    assert at_audit[0] <= longest - 1 < at.dim
-    assert at_audit[1] - at_audit[0] == 2
+    assert at.dim == 88 and longest > 2
+    assert at_audit == [longest - 1, longest + 1] and len(calls) == longest + 1
+    assert at.table is at.table and len(calls) == 2 * longest
 
 
 @pytest.mark.parametrize("body,dim", [("arrows { } relations { }", 1),

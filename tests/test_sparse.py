@@ -218,6 +218,20 @@ def test_sparse_entries_take_and_reshape_match_dense(drawn, data):
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(entries(), st.data())
+def test_take_range_matches_take(drawn, data):
+    """Random ranges, empty ranges and ranges that reach the last row, of
+    matrices whose last rows are often empty."""
+    gf, shape, *cells = drawn
+    m = from_entries(gf, shape, *cells)
+    lo = data.draw(st.integers(0, shape[0]))
+    hi = data.draw(st.one_of(st.just(lo), st.just(shape[0]), st.integers(lo, shape[0])))
+    got = m.take_range(lo, hi)
+    assert got == m.take(np.arange(lo, hi))
+    assert np.array_equal(_canonical_dense(got), _canonical_dense(m)[lo:hi])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(entries(), st.data())
 def test_sparse_product_matches_dense(drawn, data):
     gf, shape, *cells = drawn
     other = data.draw(entries(gf, (shape[1], data.draw(st.integers(1, 6)))))[1:]
@@ -239,4 +253,5 @@ def test_build_table_allocates_nothing_of_d_squared_size():
     d, nnz = at.dim, at.table.data.size
     assert (d, nnz) == (1720, 37021)
     assert peak < d * d * 8  # 22.6 MB
+    assert peak < 6 * 2**20  # R and the folds of L and C; the full table is folded when read
     assert all(part.size == nnz for part in (at.table.rows, at.table.indices, at.table.data))

@@ -34,10 +34,8 @@ _FAMILY_RE = re.compile(r"([A-Za-z]\w*)\((.*)\)\Z")
 
 @dataclass(frozen=True)
 class AnalysisDocument:
-    """A rendered analysis: provenance plus the Reynolds report."""
+    """A rendered analysis of the Reynolds report."""
 
-    version: str
-    source: str
     report: ReynoldsReport
 
     def json_payload(self) -> dict:
@@ -157,7 +155,7 @@ def _analyze(pres: Presentation, source: str, args, psi: str | None) -> Analysis
     form = _pick_form(at, psi_values)
     report = reynolds_sequence(at, form, max_n=args.max_n)
     print(f"timing: {source}: {time.perf_counter() - start:.3f}s", file=sys.stderr)
-    return AnalysisDocument(__version__, source, report)
+    return AnalysisDocument(report)
 
 
 def cmd_parse(args) -> int:

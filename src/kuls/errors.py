@@ -87,7 +87,7 @@ class InfiniteDimensional(KulsError):
 
 
 class NotNilpotent(KulsError):
-    """The arrow-span subspace is not nilpotent (the presentation is not admissible)."""
+    """The words of length >= 1 do not span rad A (the presentation is not admissible)."""
 
 
 class ConsistencyFailure(KulsError):

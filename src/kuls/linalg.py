@@ -7,7 +7,6 @@ are equal entrywise.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,30 +95,24 @@ class Subspace:
 
 
 def row_space(gf: GF, rows, ambient_dim: int | None = None) -> Subspace:
-    """Canonicalize the span of the given row vectors: an (r, n) array, or
-    an iterator of (r_i, n) blocks, taken one at a time (ambient_dim given).
+    """Canonicalize the span of the rows of an (r, n) array.
 
     Zero rows are dropped and the rest reduced n at a time (n the ambient
     dimension) modulo the span so far; rref extends the span's RREF by the
     nonzero residues, so no elimination sees more than 2n rows.
     """
-    if isinstance(rows, Iterator):
-        blocks, n = rows, ambient_dim
-    else:
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-        blocks, n = [rows], ambient_dim if ambient_dim is not None else rows.shape[1]
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+    n = ambient_dim if ambient_dim is not None else rows.shape[1]
+    if rows.shape[1] != n:
+        raise DimensionMismatch(f"rows have {rows.shape[1]} columns, ambient is {n}")
+    rows = rows[rows.any(axis=1)]
     span = zero_subspace(gf, n)
-    for block in blocks:
-        block = np.atleast_2d(np.asarray(block, dtype=np.int64))
-        if block.shape[1] != n:
-            raise DimensionMismatch(f"rows have {block.shape[1]} columns, ambient is {n}")
-        block = block[block.any(axis=1)]
-        for start in range(0, block.shape[0], max(n, 1)):
-            residues = reduce_mod(span, block[start:start + n])
-            residues = residues[residues.any(axis=1)]
-            if residues.size:
-                r, pivots = rref(gf, np.vstack([span.basis, residues]), span.pivots)
-                span = Subspace(gf, n, r[: len(pivots)].copy(), tuple(pivots))
+    for start in range(0, rows.shape[0], max(n, 1)):
+        residues = reduce_mod(span, rows[start:start + n])
+        residues = residues[residues.any(axis=1)]
+        if residues.size:
+            r, pivots = rref(gf, np.vstack([span.basis, residues]), span.pivots)
+            span = Subspace(gf, n, r[: len(pivots)].copy(), tuple(pivots))
     return span
 
 

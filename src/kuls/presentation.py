@@ -85,9 +85,6 @@ class Quiver:
         idx = tuple(self.a_index[n] for n in arrow_names)
         return PathWord(self.a_source[idx[0]], idx)
 
-    def trivial(self, vertex_name: str) -> PathWord:
-        return PathWord(self.v_index[vertex_name], ())
-
     def is_connected(self) -> bool:
         if len(self.vertices) <= 1:
             return True

@@ -150,9 +150,7 @@ def reynolds_sequence(at: AlgebraTable, f: SymmetrizingForm, max_n: int = 8) -> 
     opened = at.dim - len(closed_words(at))
     soc_z = closed_socle_center(at)
 
-    t = _chain(at, 0)
-    if t != closed_part(at, k):
-        raise InvariantViolation("T_0 differs from the commutator subspace")
+    t = _chain(at, 0)  # closed_part(at, k) by construction, so not checked again
     perp = _verified_perp(at, f, t)
     if perp != z:
         raise InvariantViolation("K(A)^perp is not the center")

@@ -6,10 +6,10 @@ word is closed when its source is its target; C and O span the closed and
 the open words.  Each word b lies in one Peirce block, b = e_u b e_v, so
 pi(x) = sum over vertices v of e_v x e_v is the coordinate projection onto
 C, and C is a subalgebra: e_u A e_u times e_v A e_v is 0 for u != v, and
-lies in e_u A e_u for u = v.  The socles, Z(A) and K(A) on C (then lifted)
-and soc(A) cap Z(A) are solved from the arrow actions, read once per table
-from R and L, by one peeling routine; closed_algebra cuts C once from the
-folded closed rows.  Only multiply and power on A read the full table.
+lies in e_u A e_u for u = v.  closed_algebra cuts C from the folded closed
+rows, and rad A = J, the span of the positive words, is proved on C.  The
+socles, Z(A), K(A) (on C, then lifted) and soc(A) cap Z(A) are peeled from
+the arrow actions.  Only multiply and power on A read the full table.
 """
 from __future__ import annotations
 
@@ -75,25 +75,8 @@ def power(at: AlgebraTable, x, k: int) -> np.ndarray:
 
 
 def radical(at: AlgebraTable) -> Subspace:
-    """Span of the non-trivial basis words, verified nilpotent.
-
-    Nilpotency is checked on the spans T_k of length-k path images:
-    T_(k+1) = T_k * arrows, and rad**m = sum of T_k for k >= m, so the
-    radical is nilpotent iff some T_k (k <= dim) vanishes.
-    """
-    d = at.dim
-    eye = np.eye(d, dtype=np.int64)
-    rad = row_space(at.gf, eye[at.lengths() >= 1], d)
-    arrows = [at.right.take_range(a * d, (a + 1) * d) for a in at.arrow_indices]  # R_a
-    t = row_space(at.gf, eye[at.lengths() == 1], d)
-    steps = 1
-    while t.dim:
-        if steps > d:
-            raise NotNilpotent("arrow products never die out; the relations are not admissible")
-        t = row_space(at.gf, (contract(at.gf, [(t.basis, r.rows)], r.data, r.indices, d)
-                              for r in arrows), d)
-        steps += 1
-    return rad
+    """rad A, the span J of the words of length >= 1: O plus J cap C (see _closed_radical)."""
+    return lift(at, _closed_radical(at), with_open=True)
 
 
 def _cached(fn):
@@ -136,6 +119,35 @@ def closed_algebra(at: AlgebraTable) -> AlgebraTable:
     right = table.take_range(0, int(np.count_nonzero(pos[:at.generators] >= 0)) * n)
     return AlgebraTable(at.rs, basis, {w: k for k, w in enumerate(basis)}, right, np.arange(n),
                         table, tuple(pos[list(at.trivial_indices)].tolist()), at.unit[closed])
+
+
+@_cached
+def _closed_radical(at: AlgebraTable) -> Subspace:
+    """J cap C on the closed coordinates, J the span of the positive words
+    (length >= 1); NotNilpotent unless J cap C is nilpotent, so that J = rad A.
+
+    J is an ideal, the image of the arrow ideal (relation terms have length
+    >= 2), and A/J, spanned by orthogonal idempotents e_v, is semisimple: rad A
+    lies in J.  Were J not in rad A, the nonzero ideal (J + rad A)/rad A of the
+    semisimple A/rad A would hold a nonzero central idempotent f = sum_v e_v f
+    e_v (e_u f e_v = f e_u e_v = 0 for u != v), and some f e_v != 0 would be
+    the image of a non-nilpotent x in e_v J e_v, inside J cap C.  On the cut
+    table closed_algebra(at), T_1 = J cap C is the unit rows of the positive
+    words, and T_(k+1) = T_k (J cap C) = (J cap C)**(k+1) the span of the
+    products of T_k's rows with them.  J cap C is closed under products, so
+    the T_k descend, and one that does not shrink never reaches 0.
+    """
+    cut = closed_algebra(at)
+    (i, j, m, v), positive, c = cut.entries(), cut.lengths() >= 1, cut.dim
+    words = np.flatnonzero(positive)
+    rad = Subspace(at.gf, c, np.eye(c, dtype=np.int64)[words], tuple(words.tolist()))
+    t, e = rad.basis, positive[j]
+    while t.size:
+        prods = contract(at.gf, [(t, i[e])], v[e], j[e] * c + m[e], c * c).reshape(-1, c)
+        t, old = row_space(at.gf, prods[prods.any(axis=1)], c).basis, t
+        if len(t) == len(old):
+            raise NotNilpotent("the span of the positive words is not nilpotent: not admissible")
+    return rad
 
 
 def closed_part(at: AlgebraTable, s: Subspace) -> Subspace:
@@ -254,9 +266,10 @@ def _closed_system(at: AlgebraTable, solve, by_output: bool, commute: bool = Tru
 
 @_cached
 def socle(at: AlgebraTable) -> Socle:
-    """Right and left socles: annihilators of the arrows on each side, the
-    solutions of x*b_a = 0 and b_a*x = 0 for every arrow a, whose rows (a, m)
-    hold the b_m coefficients of the arrow actions (see _actions)."""
+    """Right and left socles, once rad A = J (_closed_radical): annihilators of
+    the arrows, the solutions of x*b_a = 0 and b_a*x = 0 for every arrow a,
+    with rows (a, m) of the b_m coefficients of the arrow actions (_actions)."""
+    _closed_radical(at)
     (a, x, m, c), d, n = _actions(at), at.dim, len(at.arrow_indices)
     return Socle(*(_peeled_kernel(at.gf, (n * d, d), a[e] % n * d + m[e], x[e], c[e])
                    for e in (a < n, a >= n)))

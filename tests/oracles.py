@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kuls.errors import ConsistencyFailure, DimensionMismatch, InvariantViolation, NotSymmetric
+from kuls.errors import (ConsistencyFailure, DimensionMismatch, InvariantViolation, NotNilpotent,
+                         NotSymmetric)
 from kuls.form import SymmetrizingForm, _socle_word_indices, orthogonal
 from kuls.linalg import (Subspace, _check_compatible, contains, contains_subspace, kernel,
                          reduce_mod, row_space, rref, zero_subspace)
@@ -83,6 +84,27 @@ def table_from_dense(at, dense) -> AlgebraTable:
     return AlgebraTable(at.rs, at.basis, at.index, right, at.folded_rows,
                         fold(at.rs, at.basis, at.index, right, at.folded_rows),
                         at.trivial_indices, at.unit)
+
+
+def reference_radical(at) -> Subspace:
+    """The span of the words of length >= 1, NotNilpotent unless it is
+    nilpotent, by the d-wide loop: T_1 spans the arrows and T_(k+1) = T_k *
+    arrows the length-(k+1) path images, one contraction per arrow with the
+    block R_a, and rad**m is the sum of the T_k for k >= m, so the radical
+    is nilpotent iff some T_k (k <= d) vanishes."""
+    d, gf = at.dim, at.gf
+    eye = np.eye(d, dtype=np.int64)
+    rad = row_space(gf, eye[at.lengths() >= 1], d)
+    arrows = [at.right.take_range(a * d, (a + 1) * d) for a in at.arrow_indices]  # R_a
+    t = row_space(gf, eye[at.lengths() == 1], d)
+    steps = 1
+    while t.dim:
+        if steps > d:
+            raise NotNilpotent("arrow products never die out; the relations are not admissible")
+        t = row_space(gf, np.vstack([contract(gf, [(t.basis, r.rows)], r.data, r.indices, d)
+                                     for r in arrows]), d)
+        steps += 1
+    return rad
 
 
 def reference_audit(at) -> None:

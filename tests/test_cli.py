@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -166,24 +165,12 @@ def test_invariants_structure_space_costs(name, params, fallback, capsys, monkey
     """commutator_space runs 1 + rows times (+1 for the consistent_form fallback),
     the count perfbench/worker.py checks, and no elimination gets more than
     d*(|Q0|+|Q1|) rows, nor more than 2*d, the bound of row_space's chunks.
-    No array reaching row_space, whole or as one block of an iterator, has
-    more than 2*d rows either: the generator rows arrive one block at a time."""
+    No array reaching row_space has more than 2*d rows either."""
     k_calls, rref_rows, row_space_rows = [], [], []
     _spy(monkeypatch, structure.commutator_space, k_calls.append)
     _spy(monkeypatch, linalg.rref, lambda args: rref_rows.append(np.atleast_2d(args[1]).shape[0]))
-
-    def blocks(rows):
-        for block in rows:
-            row_space_rows.append(np.atleast_2d(block).shape[0])
-            yield block
-
-    def record_row_space(args):
-        if isinstance(args[1], Iterator):
-            return (args[0], blocks(args[1])) + args[2:]
-        row_space_rows.append(np.atleast_2d(args[1]).shape[0])
-        return None
-
-    _spy(monkeypatch, linalg.row_space, record_row_space)
+    _spy(monkeypatch, linalg.row_space,
+         lambda args: row_space_rows.append(np.atleast_2d(args[1]).shape[0]))
     assert main(["invariants", "--family", name, "--params", params, "--char", "2", "--json"]) == 0
     captured = capsys.readouterr()
     payload = json.loads(captured.out)
@@ -244,6 +231,24 @@ def test_invariants_not_symmetric_is_exit_1(capsys):
     rc = main(["invariants", "--family", "Omega", "--params", "n=1", "--char", "3"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("NotSymmetric:")
+
+
+NON_ADMISSIBLE = """algebra idem over GF(2) {
+  vertices v;
+  arrows { a: v -> v; }
+  relations { a*a*a = a*a; }
+}
+"""
+
+
+@pytest.mark.parametrize("psi", [[], ["--psi", "a=1"], ["--psi", "a*a=1"], ["--psi", "e_v=1,a=1"]])
+def test_invariants_on_a_non_nilpotent_arrow_span_is_exit_1(tmp_path, capsys, psi):
+    """a*a is a nonzero idempotent, so the words of length >= 1 do not span
+    rad A: every form, the 0/1 one and each psi, stops at NotNilpotent."""
+    path = _write(tmp_path, "idem.kuls", NON_ADMISSIBLE)
+    assert main(["invariants", path] + psi) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("NotNilpotent: ")
 
 
 def test_invariants_requires_an_input(capsys):

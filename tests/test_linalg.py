@@ -82,15 +82,6 @@ def test_row_space_checks_the_width_of_an_empty_input():
     assert row_space(gf, np.zeros((0, 3), dtype=np.int64), 3) == zero_subspace(gf, 3)
 
 
-def test_row_space_of_an_iterator_of_blocks():
-    gf = GF(3)
-    m = random_matrix(gf, (40, 6), 5)
-    assert row_space(gf, iter(np.split(m, 8)), 6) == row_space(gf, m)
-    assert row_space(gf, iter([]), 6) == zero_subspace(gf, 6)
-    with pytest.raises(DimensionMismatch):
-        row_space(gf, iter([m[:2], m[:2, :5]]), 6)
-
-
 def test_subspace_equality_is_independent_of_generators():
     gf = GF(3)
     a = row_space(gf, np.array([[1, 2, 0], [0, 1, 1]]))

@@ -17,8 +17,8 @@ from test_closed_split import FIELDS, HAND
 from test_form import OFF_WORDS
 from test_reynolds import TWISTED
 from oracles import (all_pairs_center, all_pairs_commutator_space, all_pairs_socles, dense_table,
-                     intersect, left_mult_matrix, right_mult_matrix, subspace_sum,
-                     table_from_dense)
+                     intersect, left_mult_matrix, reference_radical, right_mult_matrix,
+                     subspace_sum, table_from_dense)
 
 
 @pytest.mark.parametrize("name,params,dims", [
@@ -227,6 +227,7 @@ def test_center_and_socles_from_generators_match_all_pairs(name, params, gf):
     s = socle(at)
     assert center(at) == all_pairs_center(at)
     assert (s.right, s.left) == all_pairs_socles(at)
+    assert radical(at) == reference_radical(at)  # the proof socle rests on, against the d-wide loop
     _closed_spaces_match_all_pairs(at)
 
 
@@ -276,7 +277,9 @@ def test_table_over_a_corrupted_copy_gets_fresh_spaces():
     bad_table[1, 1, 0] = 1
     bad = table_from_dense(at, bad_table)
     assert bad.cache == {} and bad.cache is not at.cache
-    assert soc.right.dim == 1 and socle(bad).right.dim == 0  # g is a unit of K[Z/2]
+    assert soc.right.dim == 1
+    with pytest.raises(NotNilpotent):  # J = span(g) is not nilpotent: g is a unit of K[Z/2]
+        socle(bad)
     assert socle(at) is soc
     assert center(bad) is not center(at)
     assert commutator_space(bad) is not commutator_space(at)

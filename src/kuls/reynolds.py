@@ -15,7 +15,7 @@ import numpy as np
 from .errors import BadParameters, BudgetExceeded, CharacteristicMismatch, InvariantViolation
 from .form import SymmetrizingForm, orthogonal
 from .gf import GF
-from .linalg import Subspace, contains_subspace, kernel, reduce_mod, row_space
+from .linalg import Subspace, contains_subspace, kernel, reduce_mod, row_space, zero_subspace
 from .rewriting import AlgebraTable
 from .structure import (closed_algebra, closed_center, closed_part, closed_socle_center,
                         closed_words, commutator_space, lift, multiply, power, socle)
@@ -23,9 +23,8 @@ from .structure import (closed_algebra, closed_center, closed_part, closed_socle
 __all__ = ["ReynoldsRow", "ReynoldsReport", "Verdict", "kuelshammer_space", "reynolds_ideal",
            "reynolds_sequence", "compare", "brute_force_kuelshammer"]
 
-# bound on q**b, the elements per chunk of brute_force_kuelshammer: each chunk
-# is one high part plus every vector of the b low coordinates, and the chunk
-# bounds only its (q**b, d) arrays
+# bound on q**b, the elements per chunk of brute_force_kuelshammer over odd p:
+# one high part plus every vector of the b low coordinates, in (q**b, d) arrays
 BRUTE_FORCE_CHUNK = 1024
 
 
@@ -188,67 +187,21 @@ def compare(a: ReynoldsReport, b: ReynoldsReport) -> Verdict:
 
 
 def _first_power(at: AlgebraTable, first: int, x: np.ndarray, squares: np.ndarray) -> np.ndarray:
-    """x**first for a chunk x from its squares, first being 2 or an odd prime
-    p: x**p = (x**2)**((p - 1) / 2) * x by power associativity."""
-    if first == 2:
-        return squares
+    """x**first for a chunk x from its squares, first an odd prime p:
+    x**p = (x**2)**((p - 1) / 2) * x by power associativity."""
     return multiply(at, power(at, squares, (first - 1) // 2), x)
 
 
-def brute_force_kuelshammer(at: AlgebraTable, n: int, budget: int = 2**20) -> Subspace:
-    """T_n(A) by enumerating every element; independent check of kuelshammer_space.
-
-    The q**d elements go in chunks x = h + l: a fixed h on the coordinates
-    b, ..., d - 1 plus every l = sum_j l_j b_j on the coordinates j < b, b
-    the largest with b <= d and q**b <= BRUTE_FORCE_CHUNK.  Distributivity
-    and bilinearity of the product give, in any algebra,
-
-        x**2 = h**2 + l**2 + (h l + l h) = h**2 + l**2 + sum_j l_j (h b_j + b_j h),
-
-    and h b_j + b_j h = sum_k h_k (b_k b_j + b_j b_k).  So with the l**2,
-    the h**2 and the rows b_k b_j + b_j b_k taken once per call, a chunk's
-    squares are [l | 1 | l**2] @ [rows h b_j + b_j h; h**2; I], its rows h
-    b_j + b_j h being h @ (those rows).  _first_power turns them into x**first,
-    first = min(p**n, p); at n = 0 no power is taken.  Each x**first is
-    encoded as its base-q integer code, and a memo of q**d int8 entries
-    (q**d bytes, at most budget) records per code whether it is unknown, in
-    K(A) or not.  Only the first occurrence of each unknown code is raised
-    on to the power p**n // first through structure.power and reduced mod
-    K(A).  This is exact: x**(p**n) = (x**first)**(p**n // first) by power
-    associativity, and equal elements have equal powers, so whether x lies
-    in T_n depends on x only through x**first.  The split of x**2 is an
-    identity in A itself, not modulo K(A): nothing here uses the additivity
-    of x -> x**p modulo K(A), so the check stays independent of the
-    semilinear chain it checks.  At n = 0 no code repeats, so every element
-    is reduced directly; the memo is allocated at every n all the same, so
-    an enumeration whose memo does not fit raises BudgetExceeded up front.
-    The members are counted as well as spanned: a set is the subspace it
-    spans iff it has q**dim elements, so the result is the member set itself.
-
-    n > d is computed as n = d: T_n = T_min(n, d).  The chain ascends
-    (K(A)**p lies in K(A)), and after its first repeat T_m = T_(m+1) it is
-    constant (x in T_(m+2) iff x**p in T_(m+1) = T_m iff x in T_(m+1)), so
-    its strict steps, each raising the dimension, all come before T_d.
-    """
-    if n < 0:
-        raise BadParameters("n must be nonnegative")
+def _chunk_members(at: AlgebraTable, k: Subspace, n: int) -> tuple[int, Subspace]:
+    """The count and span of the x with x**(p**n) in k = K(A), by chunks of vectors."""
     gf, d = at.gf, at.dim
-    total = gf.q ** d
-    if total > budget:
-        raise BudgetExceeded(
-            f"enumerating {gf.q}**{d} = {total} elements exceeds the budget {budget}")
-    memo_bytes = f"a memo of {gf.q}**{d} = {total} bytes"
-    if total >= 2**63:  # the codes and weights are int64
-        raise BudgetExceeded(f"{memo_bytes} overflows the int64 element codes")
     try:
-        memo = np.zeros(total, dtype=np.int8)  # 0 unknown, 1 in K(A), 2 not in K(A)
+        memo = np.zeros(gf.q ** d, dtype=np.int8)  # 0 unknown, 1 in K(A), 2 not in K(A)
     except (MemoryError, ValueError):
-        raise BudgetExceeded(f"{memo_bytes} cannot be allocated") from None
-    k = commutator_space(at)
-    m = gf.p ** min(n, d)
-    first = min(m, gf.p)
-    span = row_space(gf, np.zeros((0, d), dtype=np.int64), d)
-    members = 0
+        raise BudgetExceeded(f"a memo of {gf.q}**{d} bytes cannot be allocated") from None
+    m = gf.p ** n
+    first = min(m, gf.p) if gf.p > 2 else 1  # GF(2**e), by direct calls: power alone
+    span, members = zero_subspace(gf, d), 0
     q, b = gf.q, 0
     weights = q ** np.arange(d, dtype=np.int64)
     while b < d and q ** (b + 1) <= BRUTE_FORCE_CHUNK:
@@ -256,7 +209,7 @@ def brute_force_kuelshammer(at: AlgebraTable, n: int, budget: int = 2**20) -> Su
     low, high = (np.zeros((q ** w, d), dtype=np.int64) for w in (b, d - b))
     low[:, :b] = (np.arange(q ** b)[:, None] // weights[:b]) % q  # coordinate 0 fastest
     high[:, b:] = (np.arange(q ** (d - b))[:, None] // weights[:d - b]) % q
-    if m > 1:
+    if first > 1:
         eye = np.eye(d, dtype=np.int64)
         rows_k, rows_j = np.repeat(eye, b, axis=0), np.tile(eye[:b], (d, 1))  # row k*b + j
         pairs = gf.add(multiply(at, rows_k, rows_j), multiply(at, rows_j, rows_k))
@@ -265,8 +218,8 @@ def brute_force_kuelshammer(at: AlgebraTable, n: int, budget: int = 2**20) -> Su
         high_squares = multiply(at, high, high)
     for t, h in enumerate(high):
         vectors = low + h  # disjoint supports: the sum needs no field addition
-        if m == 1:  # x**1 = x: no code repeats, so the memo would only add work
-            mask = ~reduce_mod(k, vectors).any(axis=1)
+        if first == 1:  # a memo on x itself would see no code twice
+            mask = ~reduce_mod(k, power(at, vectors, m)).any(axis=1)
         else:
             cross = gf.matmul(h, pairs).reshape(b, d)  # row j: h b_j + b_j h
             squares = gf.matmul(lows, np.vstack([cross, high_squares[t:t + 1], eye]))
@@ -282,6 +235,102 @@ def brute_force_kuelshammer(at: AlgebraTable, n: int, budget: int = 2**20) -> Su
         new = reduce_mod(span, vectors[mask])  # one product per chunk; row_space only if T_n grows
         if new.any():
             span = row_space(gf, np.vstack([span.basis, new]), d)
+    return members, span
+
+
+def _xor_span(out: np.ndarray, size: int, codes) -> np.ndarray:
+    """Extend out[:size] by XOR doubling, out[x * size + r] = out[r] XOR the
+    codes[i] of the set bits i of x, and return the filled prefix."""
+    for c in codes:
+        np.bitwise_xor(out[:size], c, out=out[size:2 * size])
+        size *= 2
+    return out[:size]
+
+
+def _code_maps(at: AlgebraTable, k: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """(sq, inside) over GF(2**e): sq[x] = code(x * x) and inside[x] iff x
+    lies in k = K(A), for every code x (see brute_force_kuelshammer)."""
+    gf, d = at.gf, at.dim
+    total, weights, bits = gf.q ** d, gf.q ** np.arange(d), np.arange(gf.e * d)[:, None]
+    sq = np.empty(total, dtype=np.int32 if total <= 2**31 else np.int64)  # first: the largest
+    units = np.where(bits // gf.e == np.arange(d), 1 << bits % gf.e, 0)  # u_j has the code 2**j
+    prods = multiply(at, np.repeat(units, len(bits), axis=0), np.tile(units, (len(bits), 1)))
+    prods = (prods @ weights).reshape(len(bits), -1)  # [i, j]: the code of u_i u_j
+    sq[0] = 0
+    for i in range(len(bits)):
+        block = sq[1 << i:2 << i]  # the codes x + 2**i, x < 2**i
+        block[0] = prods[i, i]
+        _xor_span(block, 1, prods[:i, i] ^ prods[i, :i])
+        block ^= sq[:1 << i]
+    residues = reduce_mod(k, units) @ weights
+    h = len(residues) // 2
+    lo, hi = (_xor_span(np.zeros(1 << len(r), dtype=np.int64), 1, r)
+              for r in (residues[:h], residues[h:]))
+    return sq, (hi[:, None] == lo).ravel()
+
+
+def _code_members(at: AlgebraTable, k: Subspace, n: int) -> tuple[int, Subspace]:
+    """The count and span of the x with x**(2**n) in k = K(A), on the codes."""
+    gf, d = at.gf, at.dim
+    try:  # ValueError: an int64 table past numpy's largest array
+        sq, inside = _code_maps(at, k)
+        for _ in range(n):
+            inside = inside[sq]
+    except (MemoryError, ValueError):
+        raise BudgetExceeded(f"a square table of {gf.q}**{d} codes cannot be allocated") from None
+    members, span, size = int(np.count_nonzero(inside)), zero_subspace(gf, d), 1
+    inside[0] = False  # from here sq[:size] holds the codes of span, cleared from inside
+    while inside[x := int(np.argmax(inside))]:
+        v = (x >> (gf.e * np.arange(d))) & (gf.q - 1)
+        span = row_space(gf, np.vstack([span.basis, v]), d)
+        grown = _xor_span(sq, size, gf.mul(1 << np.arange(gf.e)[:, None], v) @ gf.q ** np.arange(d))
+        inside[grown[size:]] = False
+        size = len(grown)
+    return members, span
+
+
+def brute_force_kuelshammer(at: AlgebraTable, n: int, budget: int = 2**20) -> Subspace:
+    """T_n(A) by enumerating every element; independent check of kuelshammer_space.
+
+    Over GF(2**e) the base-q code of x is its GF(2)-coordinate bitmask, bit
+    j for u_j = t**(j mod e) b_(j div e), and addition is XOR of codes.  The
+    table sq[x] = code(x**2) is doubled from (x + u_j)**2 = x**2 + u_j**2 +
+    (x u_j + u_j x), x u_j + u_j x being the XOR of the codes of u_i u_j +
+    u_j u_i over the set bits i of x; one multiply gives the products u_i u_j.
+    inside_0[x] (x in K(A)) comes from the linear map x -> x mod K(A) on the
+    low and high halves of the bits, and inside_i = inside_(i-1)[sq], as
+    x**(2**i) = (x**2)**(2**(i-1)) by power associativity: about 4 bytes per
+    element (int32 codes up to 2**31) plus two boolean maps.  The span grows
+    by row_space on one member outside it per round, at most d + 1 rounds; its
+    codes, XOR-doubled into sq's buffer, are cleared from the map.
+
+    Odd p still runs in chunks x = h + l, h fixed on the coordinates b, ...,
+    d - 1 and l on those below b, q**b <= BRUTE_FORCE_CHUNK: x**2 = h**2 + l**2
+    + sum_j l_j (h b_j + b_j h) with h b_j + b_j h = sum_k h_k (b_k b_j +
+    b_j b_k), so a chunk's squares are one product [l | 1 | l**2] @ [rows
+    h b_j + b_j h; h**2; I].  _first_power makes them x**p, and a memo of q**d
+    bytes per code of x**p raises each distinct x**p on to x**(p**n) and
+    reduces it mod K(A) once.  At n = 0, and over GF(2**e) when called
+    directly, each element is raised by structure.power.
+
+    These are identities in A: nothing uses the additivity of x -> x**p mod
+    K(A) that the chain rests on.  The members are counted as well as
+    spanned: a set is the subspace it spans iff it has q**dim elements.
+    T_n = T_min(n, d): the chain ascends (K(A)**p lies in K(A)) and is
+    constant after its first repeat, so every strict step comes before T_d.
+    A q**d-entry array that cannot be allocated raises BudgetExceeded.
+    """
+    if n < 0:
+        raise BadParameters("n must be nonnegative")
+    gf, d = at.gf, at.dim
+    total = gf.q ** d
+    if total > budget:
+        raise BudgetExceeded(
+            f"enumerating {gf.q}**{d} = {total} elements exceeds the budget {budget}")
+    if total >= 2**63:  # the codes and weights are int64
+        raise BudgetExceeded(f"{gf.q}**{d} = {total} elements overflow the int64 codes")
+    members, span = (_code_members if gf.p == 2 else _chunk_members)(at, commutator_space(at),
+                                                                      min(n, d))
     if members != gf.q ** span.dim:
         raise InvariantViolation(f"T_{n} has {members} members but spans "
                                  f"{gf.q}**{span.dim} vectors; it is not a subspace")

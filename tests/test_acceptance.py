@@ -241,7 +241,11 @@ def test_criterion_09():
         cases = (("Omega", {"n": 1}), ("Omega", {"n": 2}),
                  ("A", {"p": 1, "q": 1}), ("A", {"p": 1, "q": 2}),
                  ("N", {"n": 1, "m": 2}), ("N", {"n": 2, "m": 1}),
-                 ("N", {"n": 2, "m": 2}), ("D", {"m": 2}))
+                 ("N", {"n": 2, "m": 2}), ("D", {"m": 2}),
+                 # the benchmark's oracle algebras, 2**18 elements each
+                 ("Omega", {"n": 3}), ("Gamma", {"n": 2}), ("A", {"p": 2, "q": 2}),
+                 ("A", {"p": 1, "q": 3}), ("D", {"m": 3}), ("Dprime", {"m": 3}),
+                 ("Tstar", {"r": 2}), ("N", {"n": 2, "m": 4}))
         for name, params in cases:
             at = make_table(name, **params)
             assert at.gf.q ** at.dim <= 2 ** 20

@@ -446,17 +446,18 @@ def test_oracle_rejects_a_member_set_that_is_not_a_subspace(tmp_path, capsys, mo
     at = build_table(complete(parse_presentation(text)))
     t = kuelshammer_space(at, 1)
     assert t.dim >= 2
-    dropped = at.gf.add(t.basis[0], t.basis[1])  # no row of the identity kuelshammer_space powers
+    weights = 2 ** np.arange(at.dim)  # over GF(2) the code of x is its bitmask
+    dropped = at.gf.add(t.basis[0], t.basis[1]) @ weights  # a nonzero member, not a basis row
     outside = next(e for e in np.eye(at.dim, dtype=np.int64)
-                   if not contains(commutator_space(at), e))
-    real = reynolds._first_power
+                   if not contains(commutator_space(at), e)) @ weights
+    real = reynolds._code_maps
 
-    def first_power(at, first, x, squares):
-        out = real(at, first, x, squares)
-        out[(x == dropped).all(axis=1)] = outside  # its x**first leaves K(A)
-        return out
+    def code_maps(at, k):
+        sq, inside = real(at, k)
+        sq[dropped] = outside  # its square leaves K(A), so T_1 loses it alone
+        return sq, inside
 
-    monkeypatch.setattr(reynolds, "_first_power", first_power)
+    monkeypatch.setattr(reynolds, "_code_maps", code_maps)
     assert main(["oracle", path, "--n", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -32,7 +32,7 @@ from kuls.errors import (
     CharacteristicMismatch,
     InvariantViolation,
 )
-from kuls.linalg import contains, contains_subspace, row_space
+from kuls.linalg import contains, contains_subspace, reduce_mod, row_space
 from kuls.structure import closed_words, multiply, power
 from oracles import direct_kuelshammer_space, frob, intersect, xi_map
 
@@ -196,44 +196,65 @@ def test_brute_force_rejects_negative_n():
         brute_force_kuelshammer(at, -1)
 
 
+def _recording_pullbacks(monkeypatch) -> list:
+    """Make _code_maps hand out a membership map that records a copy of each
+    pullback inside[sq] taken from it, in order."""
+    maps = []
+
+    class Recording(np.ndarray):
+        def __getitem__(self, key):
+            out = super().__getitem__(key)
+            if isinstance(key, np.ndarray):  # inside[sq]; inside[x] is an int index
+                maps.append(np.array(out))
+            return out
+
+    real = reynolds._code_maps
+
+    def code_maps(at, k):
+        sq, inside = real(at, k)
+        return sq, inside.view(Recording)
+
+    monkeypatch.setattr(reynolds, "_code_maps", code_maps)
+    return maps
+
+
+def _every_element(gf, d):
+    """Row x is the element of code x: coordinate i is base-q digit i of x."""
+    codes = np.arange(gf.q ** d, dtype=np.int64)[:, None]
+    return (codes // gf.q ** np.arange(d)) % gf.q
+
+
 def test_brute_force_caps_n_at_the_dimension(monkeypatch):
     at = make_table("Omega", n=1)
-    firsts, exponents = [], []
-    _counting(monkeypatch, reynolds, "_first_power", firsts)
-    _counting(monkeypatch, reynolds, "power", exponents)
+    maps = _recording_pullbacks(monkeypatch)
     big = brute_force_kuelshammer(at, 300)
-    # x**2, then (x**2)**(2**(d-1)) = x**(2**d): T_300 = T_d
-    assert {first for first, _, _ in firsts} == {2}
-    assert {k for _, k in exponents} == {2 ** (at.dim - 1)}
+    assert len(maps) == at.dim  # inside_0 pulled back d times: T_300 = T_d
     assert big == brute_force_kuelshammer(at, at.dim) == kuelshammer_space(at, 300)
 
 
-def test_brute_force_raises_each_distinct_square_on_once(monkeypatch):
+def test_brute_force_pulls_membership_back_along_the_squares(monkeypatch):
+    """Each pullback inside_i = inside_(i-1)[sq] is the map x**(2**i) in K(A),
+    checked on every element against structure.power."""
     at = make_table("Omega", n=2)
-    d = at.dim
-    idx = np.arange(2 ** d, dtype=np.int64)
-    everything = (idx[:, None] >> np.arange(d)) & 1
-    squares = len(np.unique(multiply(at, everything, everything), axis=0))
-    assert squares < 2 ** d
-    calls = []
-    _counting(monkeypatch, reynolds, "power", calls)
+    everything, k = _every_element(at.gf, at.dim), commutator_space(at)
+    maps = _recording_pullbacks(monkeypatch)
     assert brute_force_kuelshammer(at, 3) == kuelshammer_space(at, 3)
-    assert sum(len(x) for x, k in calls if k == 4) == squares  # x**8 = (x**2)**4
+    assert len(maps) == 3
+    for i, inside in enumerate(maps, start=1):
+        assert np.array_equal(inside, ~reduce_mod(k, power(at, everything, 2 ** i)).any(axis=1))
 
 
 def test_brute_force_spans_several_chunks_over_an_extension_field(monkeypatch):
-    at = make_table("Omega", gf=(2, 2), n=1)  # 4**4 = 256 elements
-    monkeypatch.setattr(reynolds, "BRUTE_FORCE_CHUNK", 7)  # 4**1 <= 7: 64 chunks of 4
+    at = make_table("Omega", gf=(3, 2), n=1)  # 9**4 elements; GF(2**e) runs on codes
+    monkeypatch.setattr(reynolds, "BRUTE_FORCE_CHUNK", 80)  # 9**1 <= 80: 729 chunks of 9
     for n in (1, 2):
         assert brute_force_kuelshammer(at, n) == kuelshammer_space(at, n)
 
 
 @pytest.mark.parametrize("name,params,gf,chunk", [
-    ("Omega", {"n": 2}, (2, 1), 7),  # 2**2 <= 7: 256 chunks of 4
     ("A", {"p": 1, "q": 2}, (3, 1), 1024),  # 81 chunks of 3**6
     ("N", {"n": 1, "m": 2}, (5, 1), 7),  # x**5 = (x**2)**2 * x in 25 chunks of 5
-    ("Tpq", {"p": 1, "q": 1}, (2, 2), 1024),  # d = 8: 64 chunks of 4**5, noncommutative
-], ids=["GF2", "GF3", "GF5", "GF4"])
+], ids=["GF3", "GF5"])
 def test_brute_force_squares_every_element_exactly(monkeypatch, name, params, gf, chunk):
     """x -> x**p is additive modulo K(A), so a square off by a commutator
     (a lost h*l + l*h, say) leaves every T_n unchanged: check each chunk's
@@ -256,6 +277,59 @@ def test_brute_force_squares_every_element_exactly(monkeypatch, name, params, gf
     for first, x, squares, out in seen:
         assert np.array_equal(squares, multiply(at, x, x))
         assert np.array_equal(out, power(at, x, first))
+
+
+@pytest.mark.parametrize("table", [
+    lambda: make_table("Omega", n=2),
+    lambda: make_table("Tpq", gf=(2, 2), p=1, q=1),  # noncommutative
+    lambda: build_table(complete(parse_presentation(TWISTED[1]))),  # "m", t outside GF(2)
+], ids=["Omega2-GF2", "Tpq11-GF4", "m-GF8"])
+def test_square_table_squares_every_code_exactly(table):
+    """x -> x**2 is additive modulo K(A), so a square off by a commutator
+    (a lost u_i u_j + u_j u_i, say) leaves every T_n unchanged: check every
+    entry of the square table against structure itself, and the map of
+    K(A) against reduce_mod, on every element."""
+    at = table()
+    gf, d, k = at.gf, at.dim, commutator_space(at)
+    sq, inside = reynolds._code_maps(at, k)
+    everything = _every_element(gf, d)
+    assert sq.dtype == np.int32 and len(sq) == len(inside) == gf.q ** d
+    assert np.array_equal(sq, multiply(at, everything, everything) @ gf.q ** np.arange(d))
+    assert np.array_equal(inside, ~reduce_mod(k, everything).any(axis=1))
+
+
+def test_code_span_grows_by_one_dimension_per_round(monkeypatch):
+    """Over GF(8) each round clears the member's multiples t**i v from the map
+    with it, so every row_space call raises the dimension: dim T_n calls."""
+    at = build_table(complete(parse_presentation(TWISTED[1])))
+    calls = []
+    _counting(monkeypatch, reynolds, "row_space", calls)
+    for n in range(4):
+        calls.clear()
+        t = brute_force_kuelshammer(at, n)
+        assert [len(rows) for rows, _ in calls] == list(range(1, t.dim + 1))
+        assert t == kuelshammer_space(at, n)
+
+
+# the catalogue plus two d = 4 instances, so that GF(8) has tables with 8**d <= 2**14
+SMALL_CHAR_2 = CATALOGUE + [("Omega", {"n": 1}), ("A", {"p": 1, "q": 1})]
+
+
+@pytest.mark.parametrize("gf", [(2, 1), (2, 2), (2, 3)], ids=["GF2", "GF4", "GF8"])
+def test_chunked_and_code_enumerations_agree_in_characteristic_2(gf):
+    """The chunked vector path, which over GF(2**e) raises every element by
+    structure.power, against the square table and its pullbacks: the same
+    member count and the same Subspace for n = 0..3."""
+    checked = 0
+    for name, params in SMALL_CHAR_2:
+        at = make_table(name, gf=gf, **params)
+        if at.gf.q ** at.dim > 2 ** 14:
+            continue
+        k = commutator_space(at)
+        for n in range(4):
+            assert reynolds._chunk_members(at, k, n) == reynolds._code_members(at, k, n)
+        checked += 1
+    assert checked >= 2
 
 
 def test_brute_force_budget():

@@ -1,12 +1,14 @@
-"""Property test: the radical proved on the closed words against the d-wide loop."""
+"""Property tests on drawn presentations: the radical proved on the closed
+words against the d-wide loop, and the brute-force T_n against the chain."""
 from __future__ import annotations
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from kuls import GF, build_table, complete, parse_presentation, radical, socle  # noqa: E402
+from kuls import (GF, brute_force_kuelshammer, build_table, complete,  # noqa: E402
+                  kuelshammer_space, parse_presentation, radical, socle)
 from kuls.errors import NotNilpotent  # noqa: E402
 from kuls.presentation import _coeff_str, field_str  # noqa: E402
 from oracles import reference_radical  # noqa: E402
@@ -62,3 +64,15 @@ def test_radical_on_the_closed_words_matches_the_d_wide_loop(source):
             socle(at)
     else:
         assert radical(at) == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(loop_presentations())
+def test_brute_force_matches_the_semilinear_chain(source):
+    """Exhaustive enumeration against kuelshammer_space for n = 0..3 on drawn
+    tables of at most 2**14 elements: the square table over GF(2) and
+    GF(4), the chunked vectors over GF(3), GF(5) and GF(9)."""
+    at = build_table(complete(parse_presentation(source)))
+    assume(at.gf.q ** at.dim <= 2 ** 14)
+    for n in range(4):
+        assert brute_force_kuelshammer(at, n) == kuelshammer_space(at, n)

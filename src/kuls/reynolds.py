@@ -329,8 +329,8 @@ def brute_force_kuelshammer(at: AlgebraTable, n: int, budget: int = 2**20) -> Su
             f"enumerating {gf.q}**{d} = {total} elements exceeds the budget {budget}")
     if total >= 2**63:  # the codes and weights are int64
         raise BudgetExceeded(f"{gf.q}**{d} = {total} elements overflow the int64 codes")
-    members, span = (_code_members if gf.p == 2 else _chunk_members)(at, commutator_space(at),
-                                                                      min(n, d))
+    enumerate_members = _code_members if gf.p == 2 else _chunk_members
+    members, span = enumerate_members(at, commutator_space(at), min(n, d))
     if members != gf.q ** span.dim:
         raise InvariantViolation(f"T_{n} has {members} members but spans "
                                  f"{gf.q}**{span.dim} vectors; it is not a subspace")

@@ -4,9 +4,11 @@ multiplication table of the quotient.
 Words are compared in deglex order: first by length, then left to right
 by arrow declaration index.  Relations are oriented largest word ->
 rest, and completion resolves overlap ambiguities until every
-S-polynomial reduces to zero (the diamond lemma).  The quotient is
-finite dimensional iff the walk graph of lead-avoiding words is
-acyclic; its paths then spell the monomial basis.
+S-polynomial reduces to zero.  The quotient is finite dimensional iff the
+walk graph of lead-avoiding words is acyclic; its paths then spell the
+monomial basis.  No pass re-checks the completion: build_table's audit
+proves the table kQ/I on the normal words, which by Bergman's diamond
+lemma certifies that the system is confluent.
 """
 from __future__ import annotations
 
@@ -149,16 +151,15 @@ class RewriteSystem:
     def reduce(self, poly: Poly) -> Poly:
         return _reduce(self.gf, poly, self.rule_map)
 
-    def is_normal(self, word: PathWord) -> bool:
-        return all(_find_factor(word.arrows, r.lead.arrows) < 0 for r in self.rules)
-
 
 def complete(pres: Presentation, degree_bound: int = 50) -> RewriteSystem:
     """Orient the relations and resolve all overlap ambiguities.
 
     The returned system is reduced (no lead divides another, tails are
-    normal) and certified locally confluent.  DegreeBoundExceeded guards
-    runaway completions; raise the bound for deep relation words.
+    normal).  build_table's audit certifies it confluent (see _audit);
+    complete alone does not, so rs.reduce without a table is uncertified.
+    DegreeBoundExceeded guards runaway completions; raise the bound for
+    deep relation words.
     """
     gf = pres.gf
     quiver = pres.quiver
@@ -221,29 +222,7 @@ def complete(pres: Presentation, degree_bound: int = 50) -> RewriteSystem:
         out.append(Rule(rule.lead, tuple((c, w) for w, c in
                                          sorted(tail_poly.items(), key=lambda i: okey(i[0])))))
     out.sort(key=lambda r: okey(r.lead))
-    rs = RewriteSystem(pres, tuple(out))
-
-    _certify(rs)
-    return rs
-
-
-def _certify(rs: RewriteSystem) -> None:
-    """Re-check that the reduced system is locally confluent."""
-    gf = rs.gf
-    rmap = rs.rule_map
-    leads = [r.lead for r in rs.rules]
-    for li in leads:
-        for lj in leads:
-            if _find_factor(li.arrows, lj.arrows) >= 0 and li != lj:
-                raise ConsistencyFailure(
-                    f"lead {word_str(rs.quiver, li)} divisible by {word_str(rs.quiver, lj)}")
-    for ri in rs.rules:
-        for rj in rs.rules:
-            for a, b in _overlaps(ri.lead.arrows, rj.lead.arrows):
-                if _reduce(gf, _s_poly(gf, rs.quiver, ri, rj, a, b), rmap):
-                    raise ConsistencyFailure(
-                        "unresolved overlap between "
-                        f"{word_str(rs.quiver, ri.lead)} and {word_str(rs.quiver, rj.lead)}")
+    return RewriteSystem(pres, tuple(out))
 
 
 def enumerate_basis(rs: RewriteSystem) -> list[PathWord]:
@@ -497,24 +476,34 @@ def build_table(rs: RewriteSystem) -> AlgebraTable:
 
 
 def _audit(at: AlgebraTable) -> None:
-    """Raise ConsistencyFailure unless the relations vanish, the trivial
-    paths sum to a two-sided unit (read from the trivial blocks of R and the
-    trivial rows of L), R and L agree on the products of two generators,
-    the fold identity z1 * s = z holds in R for every basis word z = z1 s
-    ending in an arrow s, and L_s R_t = R_t L_s, that is (s*x)*t = s*(x*t),
-    for all generators s and t.
+    """Raise ConsistencyFailure unless the relations reduce to zero, R and
+    L agree on the products of two generators, L_s R_t = R_t L_s, that is
+    (s*x)*t = s*(x*t), for all generators s and t, and R holds the product
+    of kQ/I wherever the words give it: z1 * s = z for each basis word z =
+    z1 s of length >= 2 (the fold identity); e_u e_v = δ e_u, e_u a = δ a,
+    a e_v = δ a and a b = 0 unless b follows a, as in kQ; and the tail of
+    each rule at the row of its lead u s, s an arrow (the rule check).
 
-    These make the fold product associative, with L its left multiplication.
-    For a word x = s1 ... sk in the generators let 1.x = 1 R_s1 ... R_sk.
-    The units and the shared products give 1 R_s = e_s = 1 L_s (the sums
-    over v of e_v*s and of s*e_v).  Moving L_s past each R_t, 1.(s x) =
-    (1.x) L_s, so J = {x : 1.x = 0} is a two-sided ideal of the free algebra
-    F on the generators.  By the fold identity and induction on the length,
-    1.z = e_z for every basis word z: x -> 1.x maps F/J onto GF**d, e_x e_y
-    = 1.(xy) = e_x R_y is the fold product, and e_j L_s = 1.b_j L_s = e_s
-    R_(b_j) = b_s * b_j.  An associative table passes.  So the audit shows
-    an associative algebra on the normal words, as a check of (b_i b_j) s =
-    b_i (b_j s) on all i, j would; that it is kQ/I rests on the completion.
+    For a word x = s1 ... sk in the generators let 1.x = 1 R_s1 ... R_sk, 1
+    the sum of the e_v.  The products of two generators, shared with L, give
+    1 R_s = e_s = 1 L_s.  Moving L_s past each R_t, 1.(s x) = (1.x) L_s, so
+    J = {x : 1.x = 0} is a two-sided ideal of the free algebra F on the
+    generators.  By the fold identity and induction on the length, 1.z = e_z
+    for every basis word z: x -> 1.x maps F/J onto T = GF**d, e_x e_y =
+    1.(xy) = e_x R_y is the fold product, with two-sided unit 1 (the empty
+    word's image), and e_j L_s = 1.b_j L_s = e_s R_(b_j) = b_s * b_j.  So T
+    is associative, L its left multiplication.
+
+    The rules lie in I, as completion only reduces and combines its elements,
+    and the relations reduce to zero by them, so they generate I.  Every word
+    completion makes has length >= 2, as validate requires of relation terms,
+    so the generators are Q's vertices and arrows, and by their products
+    p -> 1.p is an algebra map kQ -> T.  Its kernel holds I, as 1.(u s) =
+    e_u R_s is the tail of u s, and it maps each normal word z to e_z.  The d
+    normal words span kQ/I, so T is kQ/I and they are a basis of it: by
+    Bergman's diamond lemma (Adv. Math. 29, 1978) every ambiguity of the
+    rules resolves, and the audit certifies the completion.  A composable
+    arrow pair is a path of kQ, pinned as a basis word or a lead.
 
     L @ [R_0 | ... | R_(g-1)] holds ((b_s b_j) b_t)_m at row j*g + s, column
     t*d + m, and R @ [L_0 | ... | L_(g-1)] holds (b_s (b_j b_t))_m at row
@@ -530,20 +519,6 @@ def _audit(at: AlgebraTable) -> None:
         if at.rs.reduce({w: c for c, w in rel.terms}):
             raise ConsistencyFailure("a defining relation does not reduce to zero")
 
-    heads, lasts = _factors(at.quiver, at.index, at.basis[t:])
-    words, folds = np.arange(t, d), lasts * d + heads  # z and its row z1 * s of R
-    first = np.searchsorted(right.rows, folds)
-    ok = np.searchsorted(right.rows, folds, side="right") - first == 1
-    ok[ok] = (right.indices[first[ok]] == words[ok]) & (right.data[first[ok]] == 1)
-    if not ok.all():
-        raise ConsistencyFailure(
-            f"{at.word_name(int(words[~ok][0]))} is not its prefix times its last arrow")
-
-    eye = from_entries(gf, (d, d), np.arange(d), np.arange(d), np.ones(d, dtype=np.int64))
-    ends, (j, s) = right.take_range(0, t * d), np.divmod(left.rows, g)  # b_i * e_v, b_s * b_j
-    if (from_entries(gf, (d, d), ends.rows % d, ends.indices, ends.data) != eye
-            or from_entries(gf, (d, d), j[s < t], left.indices[s < t], left.data[s < t]) != eye):
-        raise ConsistencyFailure("unit does not act as two-sided identity")
     shared = right.rows % d < g  # b_i * b_s, both generators, at row s*d + i of R, s*g + i of L
     r = right.rows[shared]
     if left.take_range(0, g * g) != Sparse((g * g, d), r // d * g + r % d, right.indices[shared],
@@ -562,3 +537,27 @@ def _audit(at: AlgebraTable) -> None:
         (s, u), j = divmod(key // (d * d), g), key // d % d
         x, s, u = at.word_name(j), at.word_name(s), at.word_name(u)
         raise ConsistencyFailure(f"associativity fails: ({s}*{x})*{u} != {s}*({x}*{u})")
+
+    ruled = []  # (row, column, value) of R; a value 0 pins a row with no entry
+    for lead, tail in at.rs.rule_map.items():
+        u = at.index.get(PathWord(lead.source, lead.arrows[:-1]))  # the lead is u a, a an arrow
+        if u is None or not all(w in at.index for _, w in tail):
+            raise ConsistencyFailure(f"the rule for {word_str(at.quiver, lead)} leaves the basis")
+        row = (t + lead.arrows[-1]) * d + u  # arrow a is b_(t+a), as no lead is an arrow
+        ruled += [(row, at.index[w], c) for c, w in tail] + [(row, 0, 0)]
+    ends = np.array([[w.source, at.quiver.path_target(w)] for w in at.basis[:g]], dtype=np.int64)
+    s, i = np.divmod(np.arange(g * g), g)  # b_i * b_s, at row s*d + i of R
+    meet = ends[i, 1] == ends[s, 0]
+    heads, lasts = _factors(at.quiver, at.index, at.basis[g:])
+    cells = np.concatenate([  # the fold identity, the products in kQ, the rules
+        np.stack([lasts * d + heads, np.arange(g, d), np.ones(d - g, dtype=np.int64)]),
+        np.stack([s * d + i, np.where(i < t, s, i), meet])[:, ~meet | (i < t) | (s < t)],
+        np.array(ruled, dtype=np.int64).reshape(-1, 3).T], axis=1)
+    rows = np.sort(cells[0])
+    rows = rows[np.diff(rows, prepend=-1) > 0]  # np.unique would import numpy.ma
+    got, want = right.take(rows), from_entries(gf, (g * d, d), *cells).take(rows)
+    if got != want:
+        k = min(set(zip(got.rows.tolist(), got.indices.tolist(), got.data.tolist()))
+                ^ set(zip(want.rows.tolist(), want.indices.tolist(), want.data.tolist())))[0]
+        s, i = divmod(int(rows[k]), d)
+        raise ConsistencyFailure(f"{at.word_name(i)}*{at.word_name(s)} is not its product in kQ/I")

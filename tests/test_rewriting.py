@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_table
+from conftest import CATALOGUE, make_table
 from kuls import (GF, FamilySpec, build_table, complete, family, normal_form, parse_element,
                   parse_presentation, rewriting)
 from kuls.errors import ConsistencyFailure, DegreeBoundExceeded, InfiniteDimensional
@@ -70,8 +70,8 @@ def test_omega2_completion_is_frozen():
     # the two length-3 leads rewrite onto the loop: alpha**2 is a basis word
     assert np.array_equal(at.normal_form("a1*b1*b2"), at.normal_form("a1*a1"))
     assert np.array_equal(at.normal_form("b2*b1"), np.zeros(at.dim, dtype=np.int64))
-    assert rs.is_normal(rs.quiver.word("b1", "b2"))
-    assert not rs.is_normal(rs.quiver.word("b2", "b1"))
+    normal, lead = rs.quiver.word("b1", "b2"), rs.quiver.word("b2", "b1")
+    assert rs.reduce({normal: 1}) == {normal: 1} and rs.reduce({lead: 1}) == {}
 
 
 def test_basis_is_deglex_ordered_and_factor_closed():
@@ -98,7 +98,7 @@ def test_reduce_is_idempotent():
 
 def test_rule_map_is_built_once_per_system(monkeypatch):
     rs = complete(family(FamilySpec("Omega", {"n": 3}, GF(2))))
-    rules = rs.rule_map  # built by complete's confluence check
+    rules = rs.rule_map  # built on first read
     assert list(rules) == [r.lead for r in rs.rules]
     maps, reduce = [], rewriting._reduce
 
@@ -195,9 +195,10 @@ AUDITED = [
 ]
 
 
-def _audits_agree(bad) -> bool:
-    """Whether _audit and the d-wide reference on the folded full table both
-    raise ConsistencyFailure or both pass; True when they both raise."""
+def _audit_rejects(bad, reference) -> bool:
+    """Whether _audit raises ConsistencyFailure on bad.  It must iff bad's
+    folded table differs from reference, the table rewritten from the rules
+    (dense_reference_table), and whenever the d-wide reference_audit does."""
     verdicts = []
     for audit in (_audit, reference_audit):
         try:
@@ -205,17 +206,21 @@ def _audits_agree(bad) -> bool:
             verdicts.append(False)
         except ConsistencyFailure:
             verdicts.append(True)
-    assert verdicts[0] == verdicts[1], f"_audit raises: {verdicts[0]}, the reference: {verdicts[1]}"
+    differs = not np.array_equal(dense_table(bad), reference)
+    assert verdicts[0] == differs, f"_audit raises: {verdicts[0]}, the table differs: {differs}"
+    assert verdicts[0] or not verdicts[1], "the d-wide reference raises and _audit does not"
     return verdicts[0]
 
 
 @pytest.mark.parametrize("name,gf,params", AUDITED)
 def test_audit_catches_every_non_associative_corruption(name, gf, params):
     """One corrupted entry (i, s, m) of the generator block R: _audit raises
-    iff the d-wide reference does on the full table folded from it, and
-    most corruptions, the fold entries among them, are caught."""
+    iff the full table folded from it is not the one rewritten from the
+    rules, and whenever the d-wide reference does, so every corruption, the
+    associative ones and the fold entries among them, is caught."""
     at = make_table(name, gf=gf, **params)
     d, g, q = at.dim, at.generators, at.gf.q
+    reference = dense_reference_table(at.rs)
     rng = np.random.default_rng(20050)
     entries = [(int(rng.integers(0, d)), int(rng.integers(0, g)), int(rng.integers(0, d)))
                for _ in range(160)]
@@ -228,9 +233,9 @@ def test_audit_catches_every_non_associative_corruption(name, gf, params):
     for i, s, m in entries:
         bad_table = dense_table(at)
         bad_table[i, s, m] = (bad_table[i, s, m] + int(rng.integers(1, q))) % q
-        rejected += _audits_agree(table_from_dense(at, bad_table))
-    assert _audits_agree(table_from_dense(at, dense_table(at))) is False
-    assert rejected > len(entries) // 2
+        rejected += _audit_rejects(table_from_dense(at, bad_table), reference)
+    assert _audit_rejects(table_from_dense(at, dense_table(at)), reference) is False
+    assert rejected == len(entries)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -242,7 +247,7 @@ def test_audit_agrees_with_the_d_wide_reference_on_a_corrupted_generator_block(a
     i, s, m = (data.draw(st.integers(0, n - 1)) for n in (d, g, d))
     bad_table = dense_table(at)
     bad_table[i, s, m] = (bad_table[i, s, m] + data.draw(st.integers(1, q - 1))) % q
-    _audits_agree(table_from_dense(at, bad_table))
+    assert _audit_rejects(table_from_dense(at, bad_table), dense_reference_table(at.rs))
 
 
 @pytest.mark.parametrize("name,gf,params", AUDITED)
@@ -284,13 +289,13 @@ def _first_failing_pair(at, dense) -> tuple[int, int, int] | None:
 ], ids=["Omega2-GF2", "Omega2-GF4", "N22-GF9", "D2-GF4", "Dprime2-GF9"])
 def test_audit_names_the_generator_associativity_fails_against(name, gf, params, scaled_named):
     """A corrupted entry b_i * s of R, b_i non-trivial and s an arrow, that is
-    no fold entry passes the unit and fold checks; the commuting check then
-    fails iff a comparison of (b_s x) t with b_s (x t), one pair (s, t) at a
-    time, finds a difference, and names the pair and the word x it finds
-    first.  Over GF(4) and GF(9) every other draw scales a stored rewritten
-    constant by a field element other than 0 and 1, which changes values
-    only; on Omega and N each such change is another associative algebra
-    (a relation rescaled), on D and D' some are not."""
+    no fold entry: the commuting check fails iff a comparison of (b_s x) t
+    with b_s (x t), one pair (s, t) at a time, finds a difference, and names
+    the pair and the word x it finds first.  Over GF(4) and GF(9) every other
+    draw scales a stored rewritten constant by a field element other than 0
+    and 1, which changes values only; on Omega and N each such change is
+    another associative algebra (a relation rescaled), which the rule check
+    rejects, naming the lead b_i * s; on D and D' some are not associative."""
     at = make_table(name, gf=gf, **params)
     gf, d, g, q = at.gf, at.dim, at.generators, at.gf.q
     folds = {(at.index[PathWord(w.source, w.arrows[:-1])],
@@ -312,8 +317,10 @@ def test_audit_names_the_generator_associativity_fails_against(name, gf, params,
                               else (bad_table[i, s, m] + int(rng.integers(1, q))) % q)
         bad = table_from_dense(at, bad_table)
         pair = _first_failing_pair(at, dense_table(bad))
-        if pair is None:
-            _audit(bad)
+        if pair is None:  # associative, so another algebra: the rule check names its lead
+            with pytest.raises(ConsistencyFailure, match=re.escape(
+                    f"{bad.word_name(i)}*{bad.word_name(s)} is not its product in kQ/I")):
+                _audit(bad)
             continue
         first, second, x = (bad.word_name(k) for k in pair)
         with pytest.raises(ConsistencyFailure, match=re.escape(
@@ -323,6 +330,78 @@ def test_audit_names_the_generator_associativity_fails_against(name, gf, params,
         scaled += scale
     assert len(named) >= 2  # more than one pair is named
     assert scaled >= scaled_named
+
+
+REWRITTEN = [("Omega", 2, {"n": 2})] + [
+    (name, gf, params) for name, params in CATALOGUE
+    if name in {"Omega", "A", "Gamma", "Lambda", "Tpqr", "Tpq", "Tstar"} for gf in ((2, 2), (3, 2))]
+
+
+@pytest.mark.parametrize("name,gf,params", REWRITTEN, ids=[
+    f"{n}-GF{gf if gf == 2 else gf[0] ** gf[1]}" for n, gf, _ in REWRITTEN])
+def test_audit_names_the_lead_of_an_associative_rewritten_corruption(name, gf, params):
+    """Each stored entry of R at a rewritten product b_i * a (a an arrow,
+    b_i * a no basis word) scaled by 2, over GF(4) and GF(9), and over GF(2)
+    the first one plus 1: each such table is associative, so only the rule
+    check sees it, and it names the rule's lead b_i * a."""
+    at = make_table(name, gf=gf, **params)
+    s_of, i_of = np.divmod(at.right.rows, at.dim)  # row s*d + i of R: b_i * b_s
+    products = [(i, s, m, PathWord(at.basis[i].source, at.basis[i].arrows + at.basis[s].arrows))
+                for i, s, m in zip(i_of.tolist(), s_of.tolist(), at.right.indices.tolist())]
+    rewritten = [entry for entry in products if entry[3] not in at.index]
+    assert rewritten
+    for i, s, m, lead in rewritten[:1] if at.gf.q == 2 else rewritten:
+        assert lead in at.rs.rule_map
+        bad_table = dense_table(at)
+        bad_table[i, s, m] = (bad_table[i, s, m] + 1) % 2 if at.gf.q == 2 else at.gf.smul(
+            int(bad_table[i, s, m]), 2)
+        bad = table_from_dense(at, bad_table)
+        assert _first_failing_pair(at, dense_table(bad)) is None  # associative
+        with pytest.raises(ConsistencyFailure, match=re.escape(
+                f"{word_str(at.quiver, lead)} is not its product in kQ/I")):
+            _audit(bad)
+
+
+MUTATED = [("Omega", {"n": 2}), ("Omega", {"n": 3}), ("A", {"p": 1, "q": 2}),
+           ("A", {"p": 2, "q": 2}), ("D", {"m": 2}), ("D", {"m": 3}), ("Dprime", {"m": 2}),
+           ("Dprime", {"m": 3}), ("N", {"n": 2, "m": 1}), ("N", {"n": 2, "m": 2}),
+           ("N", {"n": 2, "m": 3})]
+
+
+def test_build_table_rejects_a_completion_that_drops_an_s_polynomial(monkeypatch):
+    """complete with its k-th S-polynomial dropped, k = 0, 1, 2, on eleven
+    family instances over GF(2), each small enough for the path oracle:
+    complete runs no confluence pass, and build_table raises iff the
+    mutant's normal words are not as many as the oracle's dim kQ/I (the
+    audit proves the table kQ/I, so a wrong count fails it); some mutant
+    raises."""
+    s_poly, raised = rewriting._s_poly, 0
+    for name, params in MUTATED:
+        pres, dims = family(FamilySpec(name, params, GF(2))), {}  # longest word -> oracle dim
+        for k in range(3):
+            calls = []
+
+            def dropping(*args):
+                calls.append(args)
+                return {} if len(calls) == k + 1 else s_poly(*args)
+
+            monkeypatch.setattr(rewriting, "_s_poly", dropping)
+            rs = complete(pres)
+            try:
+                basis = enumerate_basis(rs)
+            except InfiniteDimensional:
+                basis = None
+            if basis is not None:
+                longest = max(len(w) for w in basis)
+                if longest not in dims:
+                    dims[longest] = path_quotient_dim(pres, longest + 5)
+            if basis is not None and len(basis) == dims[longest]:
+                build_table(rs)
+                continue
+            with pytest.raises((ConsistencyFailure, InfiniteDimensional)):
+                build_table(rs)
+            raised += 1
+    assert raised > 0
 
 
 @pytest.mark.parametrize("dropped,closure", [("b2*a1", "prefix"), ("a1*b1", "suffix")])

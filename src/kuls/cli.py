@@ -299,6 +299,10 @@ def main(argv=None) -> int:
     except KulsError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"BudgetExceeded: out of memory{detail}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

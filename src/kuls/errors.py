@@ -3,7 +3,7 @@
 Everything user-facing derives from KulsError.  InvariantViolation and
 ConsistencyFailure signal internal checks that should never fire on a
 correct build; the CLI maps them to exit code 2, all other KulsErrors
-to exit code 1.
+to exit code 1, and a MemoryError to exit code 1 as BudgetExceeded.
 """
 from __future__ import annotations
 

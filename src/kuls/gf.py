@@ -6,11 +6,9 @@ accept plain ints or numpy int64 arrays and are vectorized: prime fields
 use modular ufuncs, extension fields use discrete log/exp tables (field
 size is capped at 2**16, so tables stay small).
 
-Matrix products over GF(p) are float64 matrix products, exact while every
-partial sum stays below 2**53, with an int64 fallback beyond that.  Over
-GF(p**e) a product is one sparse.contract of the left operand's columns
-with the nonzero entries of the right one; contract's docstring gives the
-exactness argument.
+A matrix product over every field is one sparse.contract of the left
+operand's columns with the nonzero entries of the right one; contract's
+docstring gives the exactness argument.
 """
 from __future__ import annotations
 
@@ -72,63 +70,23 @@ def _pmod(f, g, p):
     return _ptrim(tuple(f))
 
 
-def _psub(f, g, p):
-    n = max(len(f), len(g))
-    f = f + (0,) * (n - len(f))
-    g = g + (0,) * (n - len(g))
-    return _ptrim(tuple((a - b) % p for a, b in zip(f, g)))
-
-
-def _pgcd(f, g, p):
-    while g:
-        lead = g[-1]
-        if lead != 1:
-            inv = pow(lead, p - 2, p)
-            g = tuple((c * inv) % p for c in g)
-        f, g = g, _pmod(f, g, p)
-    return f
-
-
-def _ppow_mod(base, n, mod, p):
-    result = (1,)
-    base = _pmod(base, mod, p)
-    while n:
-        if n & 1:
-            result = _pmod(_pmul(result, base, p), mod, p)
-        base = _pmod(_pmul(base, base, p), mod, p)
-        n >>= 1
-    return result
-
-
 def _is_irreducible(f, p):
-    e = len(f) - 1
-    if e < 1 or f[-1] != 1:
-        return False
-    x = (0, 1)
-    # x**(p**e) == x mod f, and x**(p**(e/r)) - x coprime to f for prime r | e
-    if _ppow_mod(x, p**e, f, p) != _pmod(x, f, p):
-        return False
-    r = 2
-    m = e
-    checked = set()
-    while m > 1:
-        while m % r:
-            r += 1
-        if r not in checked:
-            checked.add(r)
-            h = _ppow_mod(x, p ** (e // r), f, p)
-            g = _pgcd(f, _psub(h, x, p), p)
-            if len(g) - 1 != 0:
-                return False
-        m //= r
-    return True
+    """Whether f, of degree e >= 1, is monic and irreducible over GF(p), by
+    trial division.  A reducible f is g*h with 1 <= deg g <= deg h, so deg
+    g <= e // 2, and g scaled to be monic still divides f; conversely a
+    monic divisor of degree 1 .. e // 2 < e is a proper factor.  So f is
+    irreducible iff _pmod(f, g, p) is nonzero for every monic g of degree k
+    = 1 .. e // 2, the encodings p**k .. 2*p**k - 1."""
+    return f[-1] == 1 and all(_pmod(f, _decode(enc, p, k + 1), p)
+                              for k in range(1, (len(f) - 1) // 2 + 1)
+                              for enc in range(p**k, 2 * p**k))
 
 
 @lru_cache(maxsize=None)
 def default_modulus(p: int, e: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree e over GF(p), by encoded-integer order."""
     for enc in range(p**e, 2 * p**e):
-        f = tuple((enc // p**i) % p for i in range(e + 1))
+        f = _decode(enc, p, e + 1)
         if _is_irreducible(f, p):
             return f
     raise BadField(f"no irreducible polynomial of degree {e} over GF({p})")
@@ -165,11 +123,12 @@ class GF:
         else:
             if modulus is None:
                 modulus = default_modulus(p, e)
-            modulus = _ptrim(tuple(c % p for c in modulus))
-            if len(modulus) - 1 != e:
-                raise BadField(f"modulus must have degree {e}")
-            if not _is_irreducible(modulus, p):
-                raise BadField("modulus is reducible over GF(%d)" % p)
+            else:
+                modulus = _ptrim(tuple(c % p for c in modulus))
+                if len(modulus) - 1 != e:
+                    raise BadField(f"modulus must have degree {e}")
+                if not _is_irreducible(modulus, p):
+                    raise BadField("modulus is reducible over GF(%d)" % p)
             self.modulus = modulus
             self._build_tables()
 
@@ -338,19 +297,13 @@ class GF:
     def matmul(self, a, b):
         """Matrix product of 1-D or 2-D operands; a 1-D operand is one row.
 
-        Over GF(p) it is one float64 (or, past 2**53, int64) matrix product
-        reduced mod p.  Over GF(p**e) it is one sparse.contract: column j of
-        a joins the nonzero entries of row j of b, summed by output column.
+        It is one sparse.contract over every field: column j of a joins the
+        nonzero entries of row j of b, summed by output column.
         """
         a = np.atleast_2d(np.asarray(a, dtype=np.int64))
         b = np.atleast_2d(np.asarray(b, dtype=np.int64))
         if a.ndim > 2 or b.ndim > 2 or a.shape[1] != b.shape[0]:
             raise DimensionMismatch(f"cannot multiply shapes {a.shape} and {b.shape}")
-        if self.e == 1:
-            # float64 dot stays exact while partial sums are below 2**53
-            if a.shape[1] * (self.p - 1) ** 2 < 2**53:
-                return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % self.p
-            return (a @ b) % self.p
         rows, cols = np.nonzero(b)
         return contract(self, [(a, rows)], b[rows, cols], cols, b.shape[1])
 

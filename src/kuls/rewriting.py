@@ -159,7 +159,10 @@ def complete(pres: Presentation, degree_bound: int = 50) -> RewriteSystem:
     normal).  build_table's audit certifies it confluent (see _audit);
     complete alone does not, so rs.reduce without a table is uncertified.
     DegreeBoundExceeded guards runaway completions; raise the bound for
-    deep relation words.
+    deep relation words.  No rule is longer than the bound: a pending
+    polynomial is a relation, checked on entry, the S-polynomial of an
+    ambiguity, checked at enqueue, or a rule admitted earlier and re-pended,
+    and deglex reduction never lengthens a word.
     """
     gf = pres.gf
     quiver = pres.quiver
@@ -193,9 +196,6 @@ def complete(pres: Presentation, degree_bound: int = 50) -> RewriteSystem:
             if not poly:
                 continue
             rule = _make_rule(gf, poly)
-            if len(rule.lead.arrows) > degree_bound:
-                raise DegreeBoundExceeded(
-                    f"rule of degree {len(rule.lead.arrows)} exceeds bound {degree_bound}")
             for rid in list(rules):
                 if _find_factor(rules[rid].lead.arrows, rule.lead.arrows) >= 0:
                     pending.append(_rule_poly(gf, rules.pop(rid)))
@@ -296,7 +296,10 @@ class AlgebraTable:
     at row j*len(folded_rows) + k, x = folded_rows[k], as fold derives it
     from R: build_table folds the generators and the closed words, giving L
     (left) and C (structure.closed_algebra).  The full table is folded on
-    first use.  A Sparse stores only the nonzero constants.
+    first use.  factors is (heads, lasts), b_z = b_heads[z] * b_lasts[z]:
+    the prefix of z times its last arrow (z twice if z is a trivial path),
+    or None if folded covers every row.  A Sparse stores only the nonzero
+    constants.
     """
 
     rs: RewriteSystem
@@ -307,6 +310,7 @@ class AlgebraTable:
     folded: Sparse
     trivial_indices: tuple[int, ...]
     unit: np.ndarray
+    factors: tuple[np.ndarray, np.ndarray] | None
     # per table: full table, closed words and positions, arrow actions, C, Z, K, socles, soc cap Z,
     # T_n, b_i**p
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -351,7 +355,7 @@ class AlgebraTable:
         """The full (d*d, d) table, row j*d + i holding b_i * b_j: folded if it
         covers every row, else the fold of all d rows, made on first use."""
         if self.folded_rows.size < self.dim and "table" not in self.cache:
-            self.cache["table"] = fold(self.rs, self.basis, self.index, self.right,
+            self.cache["table"] = fold(self.rs, self.basis, self.factors, self.right,
                                        np.arange(self.dim))
         return self.cache.get("table", self.folded)
 
@@ -387,17 +391,10 @@ def normal_form(table: AlgebraTable, element) -> np.ndarray:
     return table.coords(table.rs.reduce(element))
 
 
-def _factors(quiver: Quiver, index, words) -> tuple[np.ndarray, np.ndarray]:
-    """The basis indices of the prefix and of the last arrow of each word of
-    length >= 1, the basis being prefix and suffix closed."""
-    return (np.array([index[PathWord(w.source, w.arrows[:-1])] for w in words], dtype=np.int64),
-            np.array([index[PathWord(quiver.a_source[w.arrows[-1]], w.arrows[-1:])]
-                      for w in words], dtype=np.int64))
-
-
-def fold(rs: RewriteSystem, basis, index, right: Sparse, rows: np.ndarray) -> Sparse:
+def fold(rs: RewriteSystem, basis, factors, right: Sparse, rows: np.ndarray) -> Sparse:
     """The products of the left rows x in rows (sorted, the generators among
     them) with every basis word: row j*len(rows) + k holds b_(rows[k]) * b_j.
+    factors is (heads, lasts), as AlgebraTable.factors.
 
     For a generator b_j they are rows of R.  A longer basis word w*s (s its
     last arrow) gets b_x*(w*s) = (b_x*w)*s: normal words are prefix closed
@@ -405,7 +402,7 @@ def fold(rs: RewriteSystem, basis, index, right: Sparse, rows: np.ndarray) -> Sp
     stacks the rows b_x*w of the previous length, each moved to the column
     block of its s, over [R_a; R_b; ...].
     """
-    gf, d, p = rs.gf, len(basis), rows.size
+    gf, d, p, (heads, lasts) = rs.gf, len(basis), rows.size, factors
     g = right.shape[0] // d
     lengths = [len(w.arrows) for w in basis]
     starts = np.searchsorted(lengths, np.arange(max(lengths[-1], 1) + 2))  # length L: starts[L] ..
@@ -418,11 +415,10 @@ def fold(rs: RewriteSystem, basis, index, right: Sparse, rows: np.ndarray) -> Sp
                      right.data[keep])]
     arrows, prev = right.take_range(t * d, g * d), blocks[0].take_range(t * p, g * p)
     for below, lo, hi in zip(starts[1:], starts[2:], starts[3:]):  # words lo .. hi - 1: one length
-        heads, lasts = _factors(rs.quiver, index, basis[lo:hi])
         # row k*p + x: b_(rows[x]) * (head of word lo + k), from its rows read as one row of p*d
-        stacked = prev.reshape((prev.shape[0] // p, p * d)).take(heads - below)
+        stacked = prev.reshape((prev.shape[0] // p, p * d)).take(heads[lo:hi] - below)
         stacked = stacked.reshape(((hi - lo) * p, d))
-        shift = ((lasts - t) * d)[stacked.rows // p]
+        shift = ((lasts[lo:hi] - t) * d)[stacked.rows // p]
         prev = product(gf, Sparse((stacked.shape[0], arrows.shape[0]), stacked.rows,
                                   stacked.indices + shift, stacked.data), arrows)
         blocks.append(prev)
@@ -436,20 +432,26 @@ def fold(rs: RewriteSystem, basis, index, right: Sparse, rows: np.ndarray) -> Sp
 def build_table(rs: RewriteSystem) -> AlgebraTable:
     """Enumerate the basis and check it prefix and suffix closed, so that
     every prefix and last arrow of a basis word is one (by induction on the
-    length); rewrite R from the products b_i * s, s a vertex or an arrow,
-    that are not basis words; fold the generators and the closed words (see
-    fold), and audit (see _audit).  Any failure raises ConsistencyFailure.
-    The table is read-only.
+    length), and read off its factors (see AlgebraTable); rewrite R from the
+    products b_i * s, s a vertex or an arrow, that are not basis words; fold
+    the generators and the closed words (see fold), and audit (see _audit).
+    Any failure raises ConsistencyFailure.  The table is read-only.
     """
     gf, quiver = rs.gf, rs.quiver
     basis = tuple(enumerate_basis(rs))
     index = {w: i for i, w in enumerate(basis)}
     d, t, rmap = len(basis), len(quiver.vertices), rs.rule_map
+    heads, lasts = list(range(t)), list(range(t))
     for w in basis[t:]:
-        if PathWord(w.source, w.arrows[:-1]) not in index:
+        head = index.get(PathWord(w.source, w.arrows[:-1]))
+        if head is None:
             raise ConsistencyFailure("basis is not prefix closed")
         if PathWord(quiver.a_target[w.arrows[0]], w.arrows[1:]) not in index:
             raise ConsistencyFailure("basis is not suffix closed")
+        # arrow a is b_(t+a): enumerate_basis keeps every arrow, in deglex order
+        heads.append(head)
+        lasts.append(t + w.arrows[-1])
+    factors = (np.array(heads, dtype=np.int64), np.array(lasts, dtype=np.int64))
 
     g = int(np.searchsorted([len(w.arrows) for w in basis], 2))
     targets = np.array([quiver.path_target(w) for w in basis], dtype=np.int64)
@@ -469,8 +471,8 @@ def build_table(rs: RewriteSystem) -> AlgebraTable:
     unit[list(trivial_indices)] = 1
     closed = targets == np.array([w.source for w in basis], dtype=np.int64)
     rows = np.flatnonzero(closed | (np.arange(d) < g))
-    at = AlgebraTable(rs, basis, index, right, rows, fold(rs, basis, index, right, rows),
-                      trivial_indices, unit)
+    at = AlgebraTable(rs, basis, index, right, rows, fold(rs, basis, factors, right, rows),
+                      trivial_indices, unit, factors)
     _audit(at)
     return at
 
@@ -548,7 +550,7 @@ def _audit(at: AlgebraTable) -> None:
     ends = np.array([[w.source, at.quiver.path_target(w)] for w in at.basis[:g]], dtype=np.int64)
     s, i = np.divmod(np.arange(g * g), g)  # b_i * b_s, at row s*d + i of R
     meet = ends[i, 1] == ends[s, 0]
-    heads, lasts = _factors(at.quiver, at.index, at.basis[g:])
+    heads, lasts = (f[g:] for f in at.factors)
     cells = np.concatenate([  # the fold identity, the products in kQ, the rules
         np.stack([lasts * d + heads, np.arange(g, d), np.ones(d - g, dtype=np.int64)]),
         np.stack([s * d + i, np.where(i < t, s, i), meet])[:, ~meet | (i < t) | (s < t)],

@@ -11,7 +11,7 @@ its arithmetic is not GF(p**e) arithmetic.
 Every product is a join on the shared index followed by one field segment
 sum (GF.segment_sum) of the joined products by output cell: `product`
 joins two Sparse, `contract` joins the columns of dense stacked rows.
-GF.matmul over GF(p**e) is one `contract` too.
+GF.matmul is one `contract` too, over every field.
 """
 from __future__ import annotations
 

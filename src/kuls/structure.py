@@ -118,7 +118,7 @@ def closed_algebra(at: AlgebraTable) -> AlgebraTable:
     table = Sparse((n * n, n), pos[j[keep]] * n + pos[i[keep]], pos[f.indices[keep]], f.data[keep])
     right = table.take_range(0, int(np.count_nonzero(pos[:at.generators] >= 0)) * n)
     return AlgebraTable(at.rs, basis, {w: k for k, w in enumerate(basis)}, right, np.arange(n),
-                        table, tuple(pos[list(at.trivial_indices)].tolist()), at.unit[closed])
+                        table, tuple(pos[list(at.trivial_indices)].tolist()), at.unit[closed], None)
 
 
 @_cached

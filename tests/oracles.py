@@ -82,8 +82,8 @@ def table_from_dense(at, dense) -> AlgebraTable:
     rows, cols = np.nonzero(block)
     right = from_entries(at.gf, (g * d, d), rows, cols, block[rows, cols])
     return AlgebraTable(at.rs, at.basis, at.index, right, at.folded_rows,
-                        fold(at.rs, at.basis, at.index, right, at.folded_rows),
-                        at.trivial_indices, at.unit)
+                        fold(at.rs, at.basis, at.factors, right, at.folded_rows),
+                        at.trivial_indices, at.unit, at.factors)
 
 
 def reference_radical(at) -> Subspace:

@@ -427,6 +427,28 @@ def test_oracle_memo_beyond_any_address_space_is_budget_exceeded(tmp_path, capsy
     assert projected in err and "Traceback" not in err
 
 
+def _raise_memory_error(rs):
+    raise MemoryError()
+
+
+def _allocate_past_any_address_space(rs):
+    return np.empty(2**60, dtype=np.uint8)  # numpy raises its MemoryError subclass
+
+
+@pytest.mark.parametrize("exhausted", [_raise_memory_error, _allocate_past_any_address_space],
+                         ids=["MemoryError", "numpy"])
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--family", "Omega", "--params", "n=2", "--char", "2"],
+    ["compare", "Omega(n=2)", "A(p=1,q=2)", "--char", "2"],
+], ids=["invariants", "compare"])
+def test_memory_error_is_one_budget_exceeded_line(argv, exhausted, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_table", exhausted)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.startswith("BudgetExceeded: out of memory")
+
+
 def test_oracle_mismatch_is_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "kuelshammer_space",
                         lambda at, n: kuelshammer_space(at, 0))

@@ -1,6 +1,8 @@
 """Field arithmetic: axioms, Frobenius, encodings, and rejection of bad fields."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -153,12 +155,20 @@ def test_matmul_contract_blocks_cover_every_row(monkeypatch):
     assert np.array_equal(gf.matmul(a, b), naive_matmul(gf, a, b))
 
 
-def test_large_prime_matmul_stays_exact():
-    gf = GF(251)
+@pytest.mark.parametrize("p,shape", [(251, (20, 30, 20)), (65521, (20, 30, 20)),
+                                     (65521, (1, 2**21 + 2**11, 2))],
+                         ids=["GF251", "GF65521", "GF65521-past-2**53"])
+def test_large_prime_matmul_stays_exact(p, shape):
+    """Entries near p - 1 against Python-int sums of exact int64 blocks; in
+    the last case a cell sums more than 2**53 / (p - 1)**2 products, so
+    contract reduces each product mod p before the float64 sum."""
+    gf, (m, k, n) = GF(p), shape
     rng = np.random.default_rng(11)
-    a = rng.integers(0, 251, size=(20, 30)).astype(np.int64)
-    b = rng.integers(0, 251, size=(30, 20)).astype(np.int64)
-    assert np.array_equal(gf.matmul(a, b), (a @ b) % 251)
+    a = rng.integers(p - 16, p, size=(m, k))
+    b = rng.integers(p - 16, p, size=(k, n))
+    want = sum((a[:, i:i + 2**16] @ b[i:i + 2**16]).astype(object)  # each block below 2**48
+               for i in range(0, k, 2**16)) % p
+    assert np.array_equal(gf.matmul(a, b), want.astype(np.int64))
 
 
 def test_bad_fields_are_rejected():
@@ -176,6 +186,8 @@ def test_bad_fields_are_rejected():
         GF(2, 2, modulus=(1, 0, 1))  # x**2 + 1 = (x + 1)**2 over GF(2)
     with pytest.raises(BadField):
         GF(2, 2, modulus=(1, 1, 0, 1))  # degree 3 != e
+    with pytest.raises(BadField):
+        GF(3, 2, modulus=(2, 0, 2))  # 2*(x**2 + 1): irreducible, but not monic
 
 
 def test_oversized_fields_are_rejected_before_primality_and_powers():
@@ -224,3 +236,71 @@ def test_default_modulus_and_primality():
     assert default_modulus(2, 2) == (1, 1, 1)
     assert default_modulus(2, 3) == (1, 1, 0, 1)  # x**3 + x + 1
     assert [n for n in range(14) if is_prime(n)] == [2, 3, 5, 7, 11, 13]
+
+
+def _products_of_lower_degree(p: int, e: int) -> set[tuple[int, ...]]:
+    """The monic polynomials of degree e over GF(p) that are a product of two
+    monic ones of degree 1 .. e - 1, as coefficient tuples (index = degree)."""
+    monic = {k: (np.arange(p**k, 2 * p**k)[:, None] // p ** np.arange(k + 1)) % p
+             for k in range(1, e)}
+    return {tuple((np.convolve(g, h) % p).tolist())
+            for k in range(1, e // 2 + 1) for g in monic[k] for h in monic[e - k]}
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p in range(2, 32) if is_prime(p)
+                                 for e in range(2, 11) if p**e <= 2**10])
+def test_a_modulus_is_accepted_iff_no_product_of_lower_degree_hits_it(p, e):
+    reducible = _products_of_lower_degree(p, e)
+    for enc in range(p**e, 2 * p**e):
+        f = tuple((enc // p**i) % p for i in range(e + 1))
+        if f in reducible:
+            with pytest.raises(BadField, match="reducible"):
+                GF(p, e, modulus=f)
+        else:
+            assert GF(p, e, modulus=f).modulus == f
+
+
+DEFAULT_MODULI = {  # default_modulus(p, e) for every e >= 2 with p**e <= 2**16
+    (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1), (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1), (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1), (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1), (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 13): (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 14): (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 15): (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 16): (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1), (3, 4): (2, 1, 0, 0, 1), (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1), (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
+    (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1), (3, 9): (1, 0, 1, 2, 0, 0, 0, 0, 0, 1),
+    (3, 10): (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1), (5, 2): (2, 0, 1), (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1), (5, 5): (1, 4, 0, 0, 0, 1), (5, 6): (2, 1, 0, 0, 0, 0, 1),
+    (7, 2): (1, 0, 1), (7, 3): (2, 0, 0, 1), (7, 4): (1, 1, 0, 0, 1), (7, 5): (3, 1, 0, 0, 0, 1),
+    (11, 2): (1, 0, 1), (11, 3): (4, 1, 0, 1), (11, 4): (2, 1, 0, 0, 1), (13, 2): (2, 0, 1),
+    (13, 3): (2, 0, 0, 1), (13, 4): (2, 0, 0, 0, 1), (17, 2): (3, 0, 1), (17, 3): (3, 1, 0, 1),
+    (19, 2): (1, 0, 1), (19, 3): (2, 0, 0, 1), (23, 2): (1, 0, 1), (23, 3): (3, 1, 0, 1),
+    (29, 2): (2, 0, 1), (29, 3): (4, 1, 0, 1), (31, 2): (1, 0, 1), (31, 3): (3, 0, 0, 1),
+    (37, 2): (2, 0, 1), (37, 3): (2, 0, 0, 1), (41, 2): (3, 0, 1), (43, 2): (1, 0, 1),
+    (47, 2): (1, 0, 1), (53, 2): (2, 0, 1), (59, 2): (1, 0, 1), (61, 2): (2, 0, 1),
+    (67, 2): (1, 0, 1), (71, 2): (1, 0, 1), (73, 2): (5, 0, 1), (79, 2): (1, 0, 1),
+    (83, 2): (1, 0, 1), (89, 2): (3, 0, 1), (97, 2): (5, 0, 1), (101, 2): (2, 0, 1),
+    (103, 2): (1, 0, 1), (107, 2): (1, 0, 1), (109, 2): (2, 0, 1), (113, 2): (3, 0, 1),
+    (127, 2): (1, 0, 1), (131, 2): (1, 0, 1), (137, 2): (3, 0, 1), (139, 2): (1, 0, 1),
+    (149, 2): (2, 0, 1), (151, 2): (1, 0, 1), (157, 2): (2, 0, 1), (163, 2): (1, 0, 1),
+    (167, 2): (1, 0, 1), (173, 2): (2, 0, 1), (179, 2): (1, 0, 1), (181, 2): (2, 0, 1),
+    (191, 2): (1, 0, 1), (193, 2): (5, 0, 1), (197, 2): (2, 0, 1), (199, 2): (1, 0, 1),
+    (211, 2): (1, 0, 1), (223, 2): (1, 0, 1), (227, 2): (1, 0, 1), (229, 2): (2, 0, 1),
+    (233, 2): (3, 0, 1), (239, 2): (1, 0, 1), (241, 2): (7, 0, 1), (251, 2): (1, 0, 1),
+}
+
+
+def test_default_modulus_is_pinned_on_every_extension_field():
+    """A field's modulus fixes the encoding of its elements: the table pins
+    the smallest monic irreducible of every degree, and the digest is of the
+    moduli in (p, e) order."""
+    pairs = [(p, e) for p in range(2, 257) if is_prime(p)
+             for e in range(2, 17) if p**e <= 2**16]
+    assert list(DEFAULT_MODULI) == pairs and len(pairs) == 93
+    moduli = list(DEFAULT_MODULI.values())
+    assert hashlib.sha256(repr(moduli).encode()).hexdigest().startswith("61fdf6298ee43e87")
+    assert [default_modulus(p, e) for p, e in pairs] == moduli

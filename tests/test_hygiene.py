@@ -109,6 +109,24 @@ def test_every_public_field_method_is_called_in_the_package():
     assert not uncalled, f"GF methods the package never calls: {uncalled}"
 
 
+def test_float64_appears_only_in_the_product_kernel():
+    """Every matrix product, GF.matmul's included, is one sparse.contract, the
+    only code that casts to float64; a float64 anywhere else in the package
+    could be a second (BLAS) product path."""
+    stray = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        kernel = set()
+        if path.name == "sparse.py":
+            contract = next(n for n in tree.body
+                            if isinstance(n, ast.FunctionDef) and n.name == "contract")
+            kernel = {id(n) for n in ast.walk(contract)}
+        stray += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if id(n) not in kernel
+                  and ((isinstance(n, ast.Attribute) and n.attr == "float64")
+                       or (isinstance(n, ast.Constant) and n.value == "float64"))]
+    assert not stray, f"float64 outside sparse.contract: {stray}"
+
+
 NO_MA = """import sys
 from kuls.cli import main
 rc = main(sys.argv[1:])

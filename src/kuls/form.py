@@ -58,7 +58,7 @@ def _null_vector(at: AlgebraTable, psi: np.ndarray):
     """
     gf, s, used = at.gf, socle(at).right, np.flatnonzero(psi)
     ends = np.zeros((used.size, len(at.quiver.vertices)), dtype=np.int64)
-    ends[np.arange(used.size), [at.quiver.path_target(at.basis[i]) for i in used]] = psi[used]
+    ends[np.arange(used.size), at.targets[used]] = psi[used]
     null = kernel(gf, gf.matmul(s.basis[:, used], ends).T, s.dim)
     return gf.matmul(null.basis[:1], s.basis)[0] if null.dim else None
 

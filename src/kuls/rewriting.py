@@ -22,7 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dsl import parse_element
-from .errors import ConsistencyFailure, DegreeBoundExceeded, InfiniteDimensional
+from .errors import (ConsistencyFailure, DegreeBoundExceeded, InfiniteDimensional,
+                     NonAdmissibleRelation)
 from .presentation import PathWord, Presentation, Quiver, word_str
 from .sparse import Sparse, from_entries, product
 
@@ -158,6 +159,8 @@ def complete(pres: Presentation, degree_bound: int = 50) -> RewriteSystem:
     The returned system is reduced (no lead divides another, tails are
     normal).  build_table's audit certifies it confluent (see _audit);
     complete alone does not, so rs.reduce without a table is uncertified.
+    NonAdmissibleRelation rejects a relation term shorter than two arrows,
+    as validate does, so that no lead is a vertex or an arrow.
     DegreeBoundExceeded guards runaway completions; raise the bound for
     deep relation words.  No rule is longer than the bound: a pending
     polynomial is a relation, checked on entry, the S-polynomial of an
@@ -166,6 +169,9 @@ def complete(pres: Presentation, degree_bound: int = 50) -> RewriteSystem:
     """
     gf = pres.gf
     quiver = pres.quiver
+    for rel in pres.relations:
+        if any(len(w) < 2 for _, w in rel.terms):  # validate's check, for unvalidated presentations
+            raise NonAdmissibleRelation("relation terms must have length >= 2", rel.line, rel.col)
     max_rel = max((len(w) for rel in pres.relations for _, w in rel.terms), default=0)
     if degree_bound < max_rel:
         raise DegreeBoundExceeded(
@@ -225,15 +231,31 @@ def complete(pres: Presentation, degree_bound: int = 50) -> RewriteSystem:
     return RewriteSystem(pres, tuple(out))
 
 
-def enumerate_basis(rs: RewriteSystem) -> list[PathWord]:
-    """All normal words, or raise InfiniteDimensional.
+class Walk(NamedTuple):
+    """The normal words in deglex order and, for each word z, the indices of
+    its prefix and last arrow (z twice for a trivial path), so b_z =
+    b_heads[z] * b_lasts[z], its source and target vertices, and its length."""
+    words: list[PathWord]
+    heads: np.ndarray
+    lasts: np.ndarray
+    sources: np.ndarray
+    targets: np.ndarray
+    lengths: np.ndarray
+
+
+def enumerate_basis(rs: RewriteSystem) -> Walk:
+    """All normal words, each made from its prefix, or raise InfiniteDimensional.
 
     Walk states are (vertex, last window arrows) pairs; a step appending
-    arrow a is allowed when no lead is a suffix of window+a.  Normal
-    words correspond bijectively to walks from trivial states, so the
-    quotient is finite dimensional iff the reachable graph is acyclic.
+    arrow a is allowed when no lead is a suffix of window+a.  No lead is an
+    arrow, as every word completion makes has length >= 2 (see _audit), so
+    normal words correspond bijectively to walks from trivial states, and
+    the quotient is finite dimensional iff the reachable graph is acyclic.
+    The words of length L + 1 are the steps from those of length L, and
+    deglex orders them by their arrows (which fix the source), so each
+    length is sorted by arrows: then arrow a is word t + a, t vertices.
     """
-    quiver = rs.quiver
+    quiver, t = rs.quiver, len(rs.quiver.vertices)
     leads = {r.lead.arrows for r in rs.rules}
     window = max((len(a) for a in leads), default=1) - 1
     by_source: list[list[int]] = [[] for _ in quiver.vertices]
@@ -247,43 +269,32 @@ def enumerate_basis(rs: RewriteSystem) -> list[PathWord]:
                 return None
         return cand if len(cand) <= window else cand[1:]
 
-    starts = [(v, ()) for v in range(len(quiver.vertices))]
-    edges: dict[tuple, list[tuple[int, tuple]]] = {}
-    queue = deque(starts)
-    seen = set(starts)
+    edges: dict[tuple, list[tuple[int, tuple]]] = {}  # state: its steps (arrow, next state)
+    queue = deque((v, ()) for v in range(t))  # the trivial states
     while queue:
         state = queue.popleft()
-        v, win = state
-        outs = []
-        for a in by_source[v]:
-            nwin = step(win, a)
-            if nwin is None:
-                continue
-            nxt = (quiver.a_target[a], nwin)
-            outs.append((a, nxt))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-        edges[state] = outs
+        if state not in edges:
+            edges[state] = [(a, (quiver.a_target[a], win)) for a in by_source[state[0]]
+                            if (win := step(state[1], a)) is not None]
+            queue.extend(nxt for _, nxt in edges[state])
 
-    successors = {state: [nxt for _, nxt in outs] for state, outs in edges.items()}
     try:
-        graphlib.TopologicalSorter(successors).prepare()
+        graphlib.TopologicalSorter({s: [n for _, n in out] for s, out in edges.items()}).prepare()
     except graphlib.CycleError as err:  # err.args[1] lists the states of one cycle
         raise InfiniteDimensional(
             "normal words admit unbounded repetition "
             f"(cycle through vertex {quiver.vertices[err.args[1][0][0]]!r})") from None
 
-    words: list[PathWord] = []
-    for v, _ in starts:
-        stack2 = [((v, ()), ())]
-        while stack2:
-            state, arrows = stack2.pop()
-            words.append(PathWord(v, arrows))
-            for a, nxt in edges[state]:
-                stack2.append((nxt, arrows + (a,)))
-    words.sort(key=okey)
-    return words
+    made, lo = [((), v, v, v, (v, ())) for v in range(t)], 0  # arrows, head, last, source, state
+    while lo < len(made):
+        level = sorted((made[z][0] + (a,), z, t + a, made[z][3], nxt)  # arrows differ: no tie
+                       for z in range(lo, len(made)) for a, nxt in edges[made[z][4]])
+        lo = len(made)
+        made += level
+    arrows, heads, lasts, sources, states = zip(*made)
+    per_word = (heads, lasts, sources, [v for v, _ in states], [len(w) for w in arrows])
+    return Walk([PathWord(*w) for w in zip(sources, arrows)],
+                *(np.array(f, dtype=np.int64) for f in per_word))
 
 
 @dataclass
@@ -296,9 +307,9 @@ class AlgebraTable:
     at row j*len(folded_rows) + k, x = folded_rows[k], as fold derives it
     from R: build_table folds the generators and the closed words, giving L
     (left) and C (structure.closed_algebra).  The full table is folded on
-    first use.  factors is (heads, lasts), b_z = b_heads[z] * b_lasts[z]:
-    the prefix of z times its last arrow (z twice if z is a trivial path),
-    or None if folded covers every row.  A Sparse stores only the nonzero
+    first use.  factors is (heads, lasts) of the walk (see Walk), or None if
+    folded covers every row; sources, targets and lengths are each basis
+    word's, read once from the walk.  A Sparse stores only the nonzero
     constants.
     """
 
@@ -308,9 +319,10 @@ class AlgebraTable:
     right: Sparse
     folded_rows: np.ndarray
     folded: Sparse
-    trivial_indices: tuple[int, ...]
-    unit: np.ndarray
     factors: tuple[np.ndarray, np.ndarray] | None
+    sources: np.ndarray
+    targets: np.ndarray
+    lengths: np.ndarray
     # per table: full table, closed words and positions, arrow actions, C, Z, K, socles, soc cap Z,
     # T_n, b_i**p
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -337,9 +349,12 @@ class AlgebraTable:
         return self.right.shape[0] // self.dim
 
     @functools.cached_property
-    def arrow_indices(self) -> list[int]:
-        """Basis indices of the arrows, in basis order."""
-        return [self.index[w] for w in self.basis if len(w.arrows) == 1]
+    def trivial_indices(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.lengths == 0).tolist())
+
+    @functools.cached_property
+    def unit(self) -> np.ndarray:
+        return (self.lengths == 0).astype(np.int64)
 
     @functools.cached_property
     def left(self) -> Sparse:
@@ -355,7 +370,7 @@ class AlgebraTable:
         """The full (d*d, d) table, row j*d + i holding b_i * b_j: folded if it
         covers every row, else the fold of all d rows, made on first use."""
         if self.folded_rows.size < self.dim and "table" not in self.cache:
-            self.cache["table"] = fold(self.rs, self.basis, self.factors, self.right,
+            self.cache["table"] = fold(self.rs, self.lengths, self.factors, self.right,
                                        np.arange(self.dim))
         return self.cache.get("table", self.folded)
 
@@ -374,9 +389,6 @@ class AlgebraTable:
     def normal_form(self, element) -> np.ndarray:
         return normal_form(self, element)
 
-    def lengths(self) -> np.ndarray:
-        return np.array([len(w.arrows) for w in self.basis], dtype=np.int64)
-
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(i, j, m, c) over the full table: c is the b_m coefficient of b_i * b_j."""
         table = self.table
@@ -391,20 +403,20 @@ def normal_form(table: AlgebraTable, element) -> np.ndarray:
     return table.coords(table.rs.reduce(element))
 
 
-def fold(rs: RewriteSystem, basis, factors, right: Sparse, rows: np.ndarray) -> Sparse:
+def fold(rs: RewriteSystem, lengths, factors, right: Sparse, rows: np.ndarray) -> Sparse:
     """The products of the left rows x in rows (sorted, the generators among
     them) with every basis word: row j*len(rows) + k holds b_(rows[k]) * b_j.
-    factors is (heads, lasts), as AlgebraTable.factors.
+    lengths and factors are the basis words' lengths and (heads, lasts), as
+    enumerate_basis gives them.
 
     For a generator b_j they are rows of R.  A longer basis word w*s (s its
-    last arrow) gets b_x*(w*s) = (b_x*w)*s: normal words are prefix closed
-    and deglex ordered (Bergman's diamond lemma), so one product per length
-    stacks the rows b_x*w of the previous length, each moved to the column
-    block of its s, over [R_a; R_b; ...].
+    last arrow) gets b_x*(w*s) = (b_x*w)*s: the walk makes each word from
+    its prefix, and the words of one length are contiguous in deglex order,
+    so one product per length stacks the rows b_x*w of the previous length,
+    each moved to the column block of its s, over [R_a; R_b; ...].
     """
-    gf, d, p, (heads, lasts) = rs.gf, len(basis), rows.size, factors
+    gf, d, p, (heads, lasts) = rs.gf, lengths.size, rows.size, factors
     g = right.shape[0] // d
-    lengths = [len(w.arrows) for w in basis]
     starts = np.searchsorted(lengths, np.arange(max(lengths[-1], 1) + 2))  # length L: starts[L] ..
     t = starts[1]
     slot = np.full(d, -1, dtype=np.int64)  # k for rows[k], -1 off rows
@@ -430,34 +442,24 @@ def fold(rs: RewriteSystem, basis, factors, right: Sparse, rows: np.ndarray) -> 
 
 
 def build_table(rs: RewriteSystem) -> AlgebraTable:
-    """Enumerate the basis and check it prefix and suffix closed, so that
-    every prefix and last arrow of a basis word is one (by induction on the
-    length), and read off its factors (see AlgebraTable); rewrite R from the
-    products b_i * s, s a vertex or an arrow, that are not basis words; fold
-    the generators and the closed words (see fold), and audit (see _audit).
-    Any failure raises ConsistencyFailure.  The table is read-only.
+    """Walk the basis (enumerate_basis); rewrite R from the products b_i * s,
+    s a vertex or an arrow, that are not basis words; fold the generators
+    and the closed words (see fold), and audit (see _audit).  Any failure
+    raises ConsistencyFailure.  The table is read-only.
+
+    The walk makes each word from its prefix and last arrow, the factors
+    fold reads, and lists every arrow.  So a normal word it missed needs no
+    closure check: a shortest one, u s with s an arrow, has basis words u
+    and s, and their product, itself, is no basis word.
     """
     gf, quiver = rs.gf, rs.quiver
-    basis = tuple(enumerate_basis(rs))
+    walk = enumerate_basis(rs)
+    basis, sources, targets = tuple(walk.words), walk.sources, walk.targets
     index = {w: i for i, w in enumerate(basis)}
-    d, t, rmap = len(basis), len(quiver.vertices), rs.rule_map
-    heads, lasts = list(range(t)), list(range(t))
-    for w in basis[t:]:
-        head = index.get(PathWord(w.source, w.arrows[:-1]))
-        if head is None:
-            raise ConsistencyFailure("basis is not prefix closed")
-        if PathWord(quiver.a_target[w.arrows[0]], w.arrows[1:]) not in index:
-            raise ConsistencyFailure("basis is not suffix closed")
-        # arrow a is b_(t+a): enumerate_basis keeps every arrow, in deglex order
-        heads.append(head)
-        lasts.append(t + w.arrows[-1])
-    factors = (np.array(heads, dtype=np.int64), np.array(lasts, dtype=np.int64))
-
-    g = int(np.searchsorted([len(w.arrows) for w in basis], 2))
-    targets = np.array([quiver.path_target(w) for w in basis], dtype=np.int64)
+    d, g, rmap = len(basis), int(np.searchsorted(walk.lengths, 2)), rs.rule_map
     entries = []  # (row, column, value) of R
     for k, w in enumerate(basis[:g]):
-        for i in np.flatnonzero(targets == w.source):
+        for i in np.flatnonzero(targets == sources[k]):
             uw = PathWord(basis[i].source, basis[i].arrows + w.arrows)
             for v, c in ({uw: 1} if uw in index else _reduce(gf, {uw: 1}, rmap)).items():
                 if v not in index:
@@ -466,13 +468,9 @@ def build_table(rs: RewriteSystem) -> AlgebraTable:
                 entries.append((k * d + i, index[v], c))
     right = from_entries(gf, (g * d, d), *np.array(entries, dtype=np.int64).T)
 
-    trivial_indices = tuple(index[PathWord(v, ())] for v in range(len(quiver.vertices)))
-    unit = np.zeros(d, dtype=np.int64)
-    unit[list(trivial_indices)] = 1
-    closed = targets == np.array([w.source for w in basis], dtype=np.int64)
-    rows = np.flatnonzero(closed | (np.arange(d) < g))
-    at = AlgebraTable(rs, basis, index, right, rows, fold(rs, basis, factors, right, rows),
-                      trivial_indices, unit, factors)
+    rows, factors = np.flatnonzero((sources == targets) | (np.arange(d) < g)), walk[1:3]
+    at = AlgebraTable(rs, basis, index, right, rows, fold(rs, walk.lengths, factors, right, rows),
+                      factors, sources, targets, walk.lengths)
     _audit(at)
     return at
 
@@ -498,7 +496,7 @@ def _audit(at: AlgebraTable) -> None:
 
     The rules lie in I, as completion only reduces and combines its elements,
     and the relations reduce to zero by them, so they generate I.  Every word
-    completion makes has length >= 2, as validate requires of relation terms,
+    completion makes has length >= 2, as complete requires of relation terms,
     so the generators are Q's vertices and arrows, and by their products
     p -> 1.p is an algebra map kQ -> T.  Its kernel holds I, as 1.(u s) =
     e_u R_s is the tail of u s, and it maps each normal word z to e_z.  The d
@@ -547,9 +545,8 @@ def _audit(at: AlgebraTable) -> None:
             raise ConsistencyFailure(f"the rule for {word_str(at.quiver, lead)} leaves the basis")
         row = (t + lead.arrows[-1]) * d + u  # arrow a is b_(t+a), as no lead is an arrow
         ruled += [(row, at.index[w], c) for c, w in tail] + [(row, 0, 0)]
-    ends = np.array([[w.source, at.quiver.path_target(w)] for w in at.basis[:g]], dtype=np.int64)
     s, i = np.divmod(np.arange(g * g), g)  # b_i * b_s, at row s*d + i of R
-    meet = ends[i, 1] == ends[s, 0]
+    meet = at.targets[i] == at.sources[s]
     heads, lasts = (f[g:] for f in at.factors)
     cells = np.concatenate([  # the fold identity, the products in kQ, the rules
         np.stack([lasts * d + heads, np.arange(g, d), np.ones(d - g, dtype=np.int64)]),

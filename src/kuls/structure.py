@@ -92,7 +92,7 @@ def _cached(fn):
 @_cached
 def closed_positions(at: AlgebraTable) -> np.ndarray:
     """The closed coordinate of each basis word, in basis order, or -1 for an open word."""
-    closed = np.array([w.source == at.quiver.path_target(w) for w in at.basis], dtype=bool)
+    closed = at.sources == at.targets
     return np.where(closed, np.cumsum(closed) - 1, -1)
 
 
@@ -106,8 +106,8 @@ def closed_words(at: AlgebraTable) -> np.ndarray:
 def closed_algebra(at: AlgebraTable) -> AlgebraTable:
     """C as a table on the closed coordinates 0 .. c - 1, every row folded: the
     folded b_i * b_j with b_i, b_j closed, renumbered in basis order, which
-    keeps them row-major; its R is their first rows.  As C is a subalgebra,
-    each is closed; checked here."""
+    keeps them row-major; its R is their first rows, and its per-word data
+    the closed words'.  As C is a subalgebra, each is closed; checked here."""
     closed, pos, f = closed_words(at), closed_positions(at), at.folded
     j, k = np.divmod(f.rows, at.folded_rows.size)
     i = at.folded_rows[k]
@@ -118,7 +118,7 @@ def closed_algebra(at: AlgebraTable) -> AlgebraTable:
     table = Sparse((n * n, n), pos[j[keep]] * n + pos[i[keep]], pos[f.indices[keep]], f.data[keep])
     right = table.take_range(0, int(np.count_nonzero(pos[:at.generators] >= 0)) * n)
     return AlgebraTable(at.rs, basis, {w: k for k, w in enumerate(basis)}, right, np.arange(n),
-                        table, tuple(pos[list(at.trivial_indices)].tolist()), at.unit[closed], None)
+                        table, None, at.sources[closed], at.targets[closed], at.lengths[closed])
 
 
 @_cached
@@ -138,7 +138,7 @@ def _closed_radical(at: AlgebraTable) -> Subspace:
     the T_k descend, and one that does not shrink never reaches 0.
     """
     cut = closed_algebra(at)
-    (i, j, m, v), positive, c = cut.entries(), cut.lengths() >= 1, cut.dim
+    (i, j, m, v), positive, c = cut.entries(), cut.lengths >= 1, cut.dim
     words = np.flatnonzero(positive)
     rad = Subspace(at.gf, c, np.eye(c, dtype=np.int64)[words], tuple(words.tolist()))
     t, e = rad.basis, positive[j]
@@ -254,7 +254,7 @@ def _closed_system(at: AlgebraTable, solve, by_output: bool, commute: bool = Tru
     coordinates: rows (a, x) over the closed outputs m if by_output, else
     rows (a, m) over the closed x.  With commute, the rows of [b_x, b_a] =
     b_x*b_a - b_a*b_x: both actions of arrow a, the left one negated."""
-    (a, x, m, c), n = _actions(at), len(at.arrow_indices)
+    (a, x, m, c), n = _actions(at), len(at.quiver.arrows)
     if commute:
         a, c = a % n, np.where(a < n, c, at.gf.neg(c))
     row, col = (x, m) if by_output else (m, x)
@@ -270,7 +270,7 @@ def socle(at: AlgebraTable) -> Socle:
     the arrows, the solutions of x*b_a = 0 and b_a*x = 0 for every arrow a,
     with rows (a, m) of the b_m coefficients of the arrow actions (_actions)."""
     _closed_radical(at)
-    (a, x, m, c), d, n = _actions(at), at.dim, len(at.arrow_indices)
+    (a, x, m, c), d, n = _actions(at), at.dim, len(at.quiver.arrows)
     return Socle(*(_peeled_kernel(at.gf, (n * d, d), a[e] % n * d + m[e], x[e], c[e])
                    for e in (a < n, a >= n)))
 

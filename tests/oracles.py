@@ -1,23 +1,26 @@
 """Independent cross-checks computed without the rewriting machinery."""
 from __future__ import annotations
 
+import dataclasses
+import graphlib
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from kuls.errors import (ConsistencyFailure, DimensionMismatch, InvariantViolation, NotNilpotent,
-                         NotSymmetric)
+from kuls.errors import (ConsistencyFailure, DimensionMismatch, InfiniteDimensional,
+                         InvariantViolation, NotNilpotent, NotSymmetric)
 from kuls.form import SymmetrizingForm, _socle_word_indices, orthogonal
 from kuls.linalg import (Subspace, _check_compatible, contains, contains_subspace, kernel,
                          reduce_mod, row_space, rref, zero_subspace)
 from kuls.presentation import PathWord, word_str
-from kuls.rewriting import AlgebraTable, _reduce, enumerate_basis, fold
+from kuls.rewriting import AlgebraTable, Walk, _reduce, fold, okey
 from kuls.reynolds import ReynoldsReport, ReynoldsRow, reynolds_ideal
 from kuls.sparse import contract, from_entries, product
 from kuls.structure import center, multiply, power
 
-__all__ = ["path_quotient_dim", "rank_mod_p", "all_pairs_commutator_space", "all_pairs_center",
-           "all_pairs_socles", "is_associative",
+__all__ = ["reference_basis", "path_quotient_dim", "rank_mod_p", "all_pairs_commutator_space",
+           "all_pairs_center", "all_pairs_socles", "is_associative",
            "naive_matmul", "naive_rref", "dense_reference_table", "dense_table",
            "table_from_dense", "reference_audit", "left_mult_matrix", "right_mult_matrix", "solve",
            "XiMap", "xi_map", "direct_kuelshammer_space", "dense_reynolds_report",
@@ -26,11 +29,78 @@ __all__ = ["path_quotient_dim", "rank_mod_p", "all_pairs_commutator_space", "all
            "two_elimination_kernel"]
 
 
+def reference_basis(rs) -> Walk:
+    """The walk of rewriting.enumerate_basis, made the slow way: every word by
+    a depth-first search from each trivial state, all of them sorted in
+    deglex order, then each word's prefix, last arrow, source and target
+    looked up by its PathWord, and its length counted (InfiniteDimensional
+    as there, ConsistencyFailure unless the words are prefix and suffix
+    closed)."""
+    quiver = rs.quiver
+    leads = {r.lead.arrows for r in rs.rules}
+    window = max((len(a) for a in leads), default=1) - 1
+    by_source = [[] for _ in quiver.vertices]
+    for a in range(len(quiver.arrows)):
+        by_source[quiver.a_source[a]].append(a)
+
+    def step(win, arrow):
+        cand = win + (arrow,)
+        for k in range(2, len(cand) + 1):
+            if cand[len(cand) - k:] in leads:
+                return None
+        return cand if len(cand) <= window else cand[1:]
+
+    starts = [(v, ()) for v in range(len(quiver.vertices))]
+    edges, queue, seen = {}, deque(starts), set(starts)
+    while queue:
+        state = queue.popleft()
+        edges[state] = []
+        for a in by_source[state[0]]:
+            nwin = step(state[1], a)
+            if nwin is not None:
+                nxt = (quiver.a_target[a], nwin)
+                edges[state].append((a, nxt))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    try:
+        graphlib.TopologicalSorter({s: [n for _, n in out] for s, out in edges.items()}).prepare()
+    except graphlib.CycleError:
+        raise InfiniteDimensional("normal words admit unbounded repetition") from None
+
+    words = []
+    for v, _ in starts:
+        stack = [((v, ()), ())]
+        while stack:
+            state, arrows = stack.pop()
+            words.append(PathWord(v, arrows))
+            stack += [(nxt, arrows + (a,)) for a, nxt in edges[state]]
+    words.sort(key=okey)
+    index = {w: i for i, w in enumerate(words)}
+    heads, lasts = [], []
+    for k, w in enumerate(words):
+        if not w.arrows:
+            heads.append(k)
+            lasts.append(k)
+            continue
+        head = index.get(PathWord(w.source, w.arrows[:-1]))
+        last = index.get(PathWord(quiver.a_source[w.arrows[-1]], w.arrows[-1:]))
+        if head is None:
+            raise ConsistencyFailure("basis is not prefix closed")
+        if PathWord(quiver.a_target[w.arrows[0]], w.arrows[1:]) not in index or last is None:
+            raise ConsistencyFailure("basis is not suffix closed")
+        heads.append(head)
+        lasts.append(last)
+    per_word = (heads, lasts, [w.source for w in words], [quiver.path_target(w) for w in words],
+                [len(w.arrows) for w in words])
+    return Walk(words, *(np.array(f, dtype=np.int64) for f in per_word))
+
+
 def dense_reference_table(rs) -> np.ndarray:
     """table[i, j, m], the b_m coefficient of b_i * b_j, by rewriting every
     composable product of two basis words (d**2 reductions, no fold)."""
     gf, quiver = rs.gf, rs.quiver
-    basis = enumerate_basis(rs)
+    basis = reference_basis(rs).words
     index = {w: i for i, w in enumerate(basis)}
     d = len(basis)
     table = np.zeros((d, d, d), dtype=np.int64)
@@ -81,9 +151,8 @@ def table_from_dense(at, dense) -> AlgebraTable:
     block = np.asarray(dense)[:, :g].transpose(1, 0, 2).reshape(g * d, d)  # row s*d + i: b_i * s
     rows, cols = np.nonzero(block)
     right = from_entries(at.gf, (g * d, d), rows, cols, block[rows, cols])
-    return AlgebraTable(at.rs, at.basis, at.index, right, at.folded_rows,
-                        fold(at.rs, at.basis, at.factors, right, at.folded_rows),
-                        at.trivial_indices, at.unit, at.factors)
+    return dataclasses.replace(at, right=right,
+                               folded=fold(at.rs, at.lengths, at.factors, right, at.folded_rows))
 
 
 def reference_radical(at) -> Subspace:
@@ -94,9 +163,10 @@ def reference_radical(at) -> Subspace:
     is nilpotent iff some T_k (k <= d) vanishes."""
     d, gf = at.dim, at.gf
     eye = np.eye(d, dtype=np.int64)
-    rad = row_space(gf, eye[at.lengths() >= 1], d)
-    arrows = [at.right.take_range(a * d, (a + 1) * d) for a in at.arrow_indices]  # R_a
-    t = row_space(gf, eye[at.lengths() == 1], d)
+    rad = row_space(gf, eye[at.lengths >= 1], d)
+    arrows = [at.right.take_range(a * d, (a + 1) * d)  # R_a
+              for a in range(len(at.trivial_indices), at.generators)]
+    t = row_space(gf, eye[at.lengths == 1], d)
     steps = 1
     while t.dim:
         if steps > d:
@@ -156,7 +226,7 @@ def reference_audit(at) -> None:
     if left != eye or right != eye:
         raise ConsistencyFailure("unit does not act as two-sided identity")
 
-    gen = j < (g := len(at.trivial_indices) + len(at.arrow_indices))
+    gen = j < (g := at.generators)
     lhs = product(gf, table, from_entries(gf, (d, g * d), i[gen], j[gen] * d + m[gen], c[gen]))
     rhs = product(gf, table.take(np.arange(g * d)), table.reshape((d, d * d)))
     keys = (lhs.indices // d * d * d + lhs.rows) * d + lhs.indices % d
@@ -332,7 +402,7 @@ def all_pairs_socles(at) -> tuple[Subspace, Subspace]:
     every non-trivial basis word b_j, the kernels of the rows (j, m) whose
     entry i is (b_i b_j)_m, and (b_j b_i)_m."""
     d, table = at.dim, dense_table(at)
-    rad = at.lengths() >= 1
+    rad = at.lengths >= 1
     right = table.transpose(1, 2, 0)[rad].reshape(-1, d)  # [j, m, i] = (b_i b_j)_m
     left = table.transpose(0, 2, 1)[rad].reshape(-1, d)   # [j, m, i] = (b_j b_i)_m
     return kernel(at.gf, right, d), kernel(at.gf, left, d)

@@ -298,7 +298,7 @@ def test_criterion_11():
         for n in (1, 2, 3):
             omega = make_table("Omega", n=n)
             a = make_table("A", p=1, q=n)
-            window = int(omega.lengths().max()) + 5
+            window = int(omega.lengths.max()) + 5
             dim_omega = path_quotient_dim(family(FamilySpec("Omega", {"n": n}, GF(2))),
                                           window)
             dim_a = path_quotient_dim(family(FamilySpec("A", {"p": 1, "q": n}, GF(2))),
@@ -308,7 +308,7 @@ def test_criterion_11():
             assert dim_omega == dim_a
         for n, m in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 2)):
             at = make_table("N", n=n, m=m)
-            window = int(at.lengths().max()) + 5
+            window = int(at.lengths.max()) + 5
             dim = path_quotient_dim(family(FamilySpec("N", {"n": n, "m": m}, GF(2))),
                                     window)
             assert dim == at.dim

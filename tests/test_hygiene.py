@@ -151,3 +151,28 @@ def test_invariants_never_imports_numpy_ma(argv):
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stderr.splitlines()[-1] == "[]"
+
+
+def _rebuilds_per_word_data(tree: ast.Module) -> list[str]:
+    """function:line of each loop over a .basis and each path_target call."""
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                loop = isinstance(node, (ast.For, ast.comprehension)) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "basis" for n in ast.walk(node.iter))
+                call = isinstance(node, ast.Call) and "path_target" in (
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None))
+                if loop or call:
+                    found.append(f"{fn.name}:{(node.iter if loop else node).lineno}")
+    return found
+
+
+def test_per_word_data_is_read_not_rebuilt():
+    """Each basis word's source, target and length are made once, by the
+    basis walk, and stored on the table (sources, targets, lengths), so the
+    structure, form and Reynolds code reads them there: no Python pass over
+    the basis words, and no path_target."""
+    found = {name: _rebuilds_per_word_data(ast.parse((ROOT / "src/kuls" / name).read_text(
+        encoding="utf-8"))) for name in ("structure.py", "form.py", "reynolds.py")}
+    assert not any(found.values()), f"per-word data rebuilt from PathWords: {found}"

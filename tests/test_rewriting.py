@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from conftest import CATALOGUE, make_table
 from kuls import (GF, FamilySpec, build_table, complete, family, normal_form, parse_element,
                   parse_presentation, rewriting)
-from kuls.errors import ConsistencyFailure, DegreeBoundExceeded, InfiniteDimensional
-from kuls.presentation import PathWord, word_str
+from kuls.errors import (ConsistencyFailure, DegreeBoundExceeded, InfiniteDimensional,
+                         InvariantViolation, NonAdmissibleRelation)
+from kuls.presentation import PathWord, Presentation, Quiver, Relation, validate, word_str
 from kuls.rewriting import _audit, enumerate_basis
 from kuls.sparse import from_entries
 from oracles import (dense_reference_table, dense_table, path_quotient_dim, reference_audit,
@@ -79,7 +80,7 @@ def test_basis_is_deglex_ordered_and_factor_closed():
     assert [at.word_name(i) for i in range(at.dim)] == [
         "e_c", "e_w1", "a1", "b1", "b2",
         "a1*a1", "a1*b1", "b2*a1", "b2*b1", "a1*a1*a1"]
-    lengths = at.lengths()
+    lengths = at.lengths
     assert list(lengths) == sorted(lengths)
     words = set(at.basis)
     for w in at.basis:
@@ -127,12 +128,6 @@ def test_completion_builds_its_rule_map_once_per_inserted_rule(monkeypatch):
     assert complete(pres).rules == plain.rules
     assert counts["_rule_map"] == counts["_make_rule"] >= len(plain.rules) > 0
     assert counts["_reduce"] > 2 * counts["_rule_map"]
-
-
-def test_arrow_indices_are_read_once_per_table():
-    at = build_table(complete(family(FamilySpec("Omega", {"n": 3}, GF(2)))))
-    assert at.arrow_indices is at.arrow_indices
-    assert at.arrow_indices == [i for i, w in enumerate(at.basis) if len(w.arrows) == 1]
 
 
 def test_infinite_dimensional_quotients_are_detected():
@@ -388,7 +383,7 @@ def test_build_table_rejects_a_completion_that_drops_an_s_polynomial(monkeypatch
             monkeypatch.setattr(rewriting, "_s_poly", dropping)
             rs = complete(pres)
             try:
-                basis = enumerate_basis(rs)
+                basis = enumerate_basis(rs).words
             except InfiniteDimensional:
                 basis = None
             if basis is not None:
@@ -404,16 +399,71 @@ def test_build_table_rejects_a_completion_that_drops_an_s_polynomial(monkeypatch
     assert raised > 0
 
 
-@pytest.mark.parametrize("dropped,closure", [("b2*a1", "prefix"), ("a1*b1", "suffix")])
-def test_build_table_rejects_a_basis_that_is_not_factor_closed(dropped, closure, monkeypatch):
-    """Omega(2)'s basis without b2*a1, the prefix of b2*a1*b1, or without
-    a1*b1, its suffix: the one closure check before the fold rejects it."""
+@pytest.mark.parametrize("dropped", ["a1*b1", "b2*a1"])
+def test_build_table_rejects_a_walk_that_misses_a_normal_word(dropped, monkeypatch):
+    """Omega(2)'s walk without the normal word a1*b1, or without b2*a1 and
+    its extension b2*a1*b1: the walk stays prefix closed, and the product
+    of the missing word's prefix and last arrow is that word, which R's
+    rewriting rejects."""
     rs = complete(family(FamilySpec("Omega", {"n": 2}, GF(2))))
-    basis = [w for w in enumerate_basis(rs) if word_str(rs.quiver, w) != dropped]
-    assert len(basis) == 9
-    monkeypatch.setattr(rewriting, "enumerate_basis", lambda _: basis)
-    with pytest.raises(ConsistencyFailure, match=f"^basis is not {closure} closed$"):
+    walk, gone = enumerate_basis(rs), rs.quiver.word(*dropped.split("*"))
+    keep = np.array([PathWord(w.source, w.arrows[:len(gone)]) != gone for w in walk.words])
+    assert np.count_nonzero(~keep) == (1 if dropped == "a1*b1" else 2)
+    renumber = np.cumsum(keep) - 1
+    missing = rewriting.Walk([w for w, k in zip(walk.words, keep) if k],
+                             *(renumber[f[keep]] for f in (walk.heads, walk.lasts)),
+                             walk.sources[keep], walk.targets[keep], walk.lengths[keep])
+    monkeypatch.setattr(rewriting, "enumerate_basis", lambda _: missing)
+    with pytest.raises(ConsistencyFailure,
+                       match=f"^product reduced to non-basis word {re.escape(dropped)}$"):
         build_table(rs)
+
+
+def _with_rule(rs, lead: str, tail):
+    """rs with the tail of the rule for lead replaced by tail, (coefficient, word name) pairs."""
+    lead = rs.quiver.word(*lead.split("*"))
+    tail = tuple((c, rs.quiver.word(*w.split("*"))) for c, w in tail)
+    return dataclasses.replace(rs, rules=tuple(r._replace(tail=tail) if r.lead == lead else r
+                                               for r in rs.rules))
+
+
+def test_build_table_rejects_a_rule_tail_with_a_wrong_coefficient():
+    """Omega(2) over GF(3) with a1*b1*b2 -> 2*a1*a1 for a1*a1: the relation
+    a1*a1 + 2*a1*b1*b2 then reduces to 2*a1*a1, not to zero."""
+    rs = make_table("Omega", gf=3, n=2).rs
+    assert [(c, word_str(rs.quiver, w)) for c, w in rs.rule_map[rs.quiver.word("a1", "b1", "b2")]
+            ] == [(1, "a1*a1")]
+    with pytest.raises(ConsistencyFailure,
+                       match="^a defining relation does not reduce to zero$"):
+        build_table(_with_rule(rs, "a1*b1*b2", [(2, "a1*a1")]))
+
+
+def test_build_table_rejects_a_rule_whose_tail_leaves_the_basis():
+    """Omega(2) with the tail a1*a1 of a1*b1*b2 replaced by b1*b2*a1, the
+    lead that rewrites to it: the system still reduces every word to the
+    same normal form, so R, L and the relations are as before, and only the
+    rule check sees the non-normal tail."""
+    rs = make_table("Omega", n=2).rs
+    bad = _with_rule(rs, "a1*b1*b2", [(1, "b1*b2*a1")])
+    assert bad.reduce({rs.quiver.word("a1", "b1", "b2"): 1}) == {rs.quiver.word("a1", "a1"): 1}
+    with pytest.raises(ConsistencyFailure, match=re.escape(
+            "the rule for a1*b1*b2 leaves the basis")):
+        build_table(bad)
+
+
+def test_complete_rejects_a_relation_term_of_length_one():
+    """A presentation built without validate, with the relation a + b of two
+    parallel arrows: complete raises validate's error at the relation's
+    position, an input error (exit 1), before any arrow can become a lead."""
+    quiver = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3")])
+    relation = Relation(((1, quiver.word("a")), (1, quiver.word("b"))), line=4, col=7)
+    pres = Presentation("short", GF(2), quiver, (relation,))
+    with pytest.raises(NonAdmissibleRelation,
+                       match="^4:7: relation terms must have length >= 2$") as err:
+        complete(pres)
+    assert (err.value.line, err.value.col) == (4, 7)
+    assert not isinstance(err.value, (ConsistencyFailure, InvariantViolation))
+    assert [d.code for d in validate(pres)] == ["non-admissible", "non-admissible"]
 
 
 def test_table_and_audit_make_one_product_per_word_length(monkeypatch):
@@ -474,7 +524,7 @@ def test_coords_rejects_non_basis_words():
 def test_dimensions_match_path_oracle(name, params, expected):
     at = make_table(name, **params)
     assert at.dim == expected
-    maxlen = int(at.lengths().max())
+    maxlen = int(at.lengths.max())
     assert path_quotient_dim(at.presentation, maxlen + 5) == expected
 
 

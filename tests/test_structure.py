@@ -292,7 +292,7 @@ def test_commutator_space_reduces_only_the_nonzero_generator_rows(monkeypatch):
     rows of width 88 over all generators), the peel leaves 8 of those on 8
     columns, and only they reach row_space."""
     at = make_table("Omega", n=8)
-    assert len(structure.closed_words(at)) == 18 and len(at.arrow_indices) == 9
+    assert len(structure.closed_words(at)) == 18 and len(at.quiver.arrows) == 9
     a, x, m, c = structure._actions(at)  # [b_x, b_a]: right action minus left action
     pos, c = structure.closed_positions(at)[m], np.where(a < 9, c, at.gf.neg(c))
     e = pos >= 0
